@@ -1,0 +1,93 @@
+"""Golden stdout digests for a fixed corpus of CLI invocations.
+
+Each case pins the exit code and the sha256 of the exact stdout bytes, so a
+refactor that changes any report byte fails here.  Input files are written
+with fixed contents into the working directory and passed by relative path,
+because the path is echoed in the report's ``source`` field.
+"""
+
+import hashlib
+import json
+from contextlib import redirect_stdout
+from io import StringIO
+
+import pytest
+
+from mzvkit.cli import main
+
+MEASURE_FILES = {
+    # integer four-term kernel measures
+    "kernel-3-1-2.json": {"p": 3, "n": 1, "r": 2,
+                          "values": ["5", "20", "8", "-7", "9", "5", "5", "-7", "9"]},
+    "kernel-5-1-1.json": {"p": 5, "n": 1, "r": 1,
+                          "values": ["-8", "-7", "-7", "-7", "-7"]},
+    # rational values, outside the kernel: only `moments` accepts it
+    "rational-2-1-2.json": {"p": 2, "n": 1, "r": 2,
+                            "values": ["1/3", "-2", "0", "5/7"]},
+}
+
+CASES = [
+    (("kernel", "--p", "2", "--level", "1", "--depth", "1"), 0,
+     "17cfba5d596320f9fabd081e60cbc47e81a694d0a9c3d932afec624f511392df"),
+    (("kernel", "--p", "3", "--level", "1", "--depth", "2"), 0,
+     "15954baeffa4f9301b2283ec153f4424456c3cf470b6e958e9a928edea0fe8d9"),
+    (("kernel", "--p", "5", "--level", "1", "--depth", "1"), 0,
+     "770efb9c9e4aaf7bf96a16e10cfa88cc9f809f8b519867e5d88d1d897a6dbb8b"),
+    (("vanish", "--p", "3", "--level", "1", "--depth", "2", "--seed", "9"), 0,
+     "319c5c4b179793979215c68c28fe0741507b0c063f2d387664a8b859f0e55238"),
+    (("vanish", "--p", "2", "--level", "2", "--depth", "3", "--seed", "4", "--exp-cap", "5"), 0,
+     "e2f6afac1eb379be794e94802af6d28b9064f37a0721a96bfc2141388c0e0200"),
+    (("vanish", "--in", "kernel-3-1-2.json"), 0,
+     "562168eb8add770b2e8992f71e6f137f020ab507514c5e30454259df66700550"),
+    (("certificate", "1,2,4", "--p", "2"), 0,
+     "6d9676698f04ed28e6663369ec8e62d5d165bbf712bd5d30402cb8d5ad903c19"),
+    (("certificate", "2,1,4", "--p", "5"), 0,
+     "1ba955b0bdd38dea294b1d4fa07b72974897b287b6b8ae11d662f0b3586483f6"),
+    (("check-rhombus", "--p", "5", "--level", "1", "--depth", "2", "--seed", "1"), 0,
+     "ef810107dce803ee398c7d9cecff295e7c7002fd698eb857d2b199d3987e0879"),
+    (("check-rhombus", "--p", "2", "--level", "1", "--depth", "3", "--seed", "2"), 0,
+     "735cb11f24af52045dd7c7aa4165e73e9420acd1e9e5ebbd5c30a354a1636438"),
+    (("check-cosets", "--p", "3", "--level", "1", "--depth", "1", "--seed", "0", "--perturb"), 1,
+     "54a20fcdec00e48f40a1653ccc183a61e37351d8b1f268f8d796052b08a715c0"),
+    (("check-cosets", "--p", "2", "--level", "2", "--depth", "2", "--seed", "3", "--exp-cap", "4"), 0,
+     "feca8cfeb4a304e64e7dc4d9879aca361e11962007156d451bdd4314aae5eb42"),
+    (("check-cosets", "--in", "kernel-3-1-2.json", "--exp-cap", "3"), 0,
+     "b19a97f383e13293fa1beca9dcfaa2d0b1cba26b7c8bd2fcff14e3cf2d583db0"),
+    (("check-cosets", "--in", "kernel-5-1-1.json", "--perturb"), 1,
+     "96a5029a2d614415049a3afeef563f4eabfc0d0a8aae5c141c70b3ed3ae81be5"),
+    (("moments", "--p", "2", "--level", "2", "--depth", "1", "--seed", "4", "--exp-cap", "4"), 0,
+     "c9437673106ac67e542ca171f14c872c539a740ff254a44f66abbacc4108936e"),
+    (("moments", "--in", "rational-2-1-2.json", "--exp-cap", "3"), 0,
+     "3e4a7efc33c47fa7894d4c7d5c44d7972e37f927018999966c4424d3c436be2e"),
+    (("moments", "--in", "kernel-5-1-1.json", "--exp-cap", "5"), 0,
+     "33b3ee966bc599bf6f318612ad09b0011d6102823c6cb9eee0277e963553a122"),
+    (("check-cosets", "--p", "5", "--level", "1", "--depth", "2", "--seed", "7", "--exp-cap", "3"), 0,
+     "38df6fca3f3e9195c87aaf4a8d1fa563a42680f7f1144752b00f2709026a0d1a"),
+    (("report", "--p", "3", "--level", "1", "--depth", "1", "--seed", "5", "--degree", "4"), 0,
+     "d5d8f0ce5afb3158e4a4cb27a0691a483b9c8aee0befb5a56c7f6c2ed82c21a2"),
+    (("report", "--p", "5", "--level", "1", "--depth", "1", "--seed", "2", "--degree", "3"), 0,
+     "cd8b5a6a357bc04ed513ff0ceb81f89d900ae5b05fb649c9bf96a556c4a7df30"),
+    (("report", "--p", "2", "--level", "1", "--depth", "3", "--seed", "1", "--degree", "4", "--exp-cap", "3"), 0,
+     "caaccf8f601f26cfb5ddc0a28f8e6c0ade4f81eaec799a560e5806642370659d"),
+]
+
+
+def run(argv):
+    out = StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.fixture
+def measure_dir(tmp_path, monkeypatch):
+    for name, data in MEASURE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MZV_CAP", raising=False)
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", CASES, ids=[" ".join(c[0]) for c in CASES])
+def test_stdout_matches_golden_digest(measure_dir, argv, exit_code, digest):
+    code, out = run(argv)
+    assert (code, hashlib.sha256(out.encode("ascii")).hexdigest()) == (exit_code, digest)
