@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import product
 from pathlib import Path
 from typing import Sequence
 
 from .euler import (
+    _require_kernel_integer,
     certificate_to_json_dict,
     coset_four_term_check,
     make_certificate,
@@ -26,9 +26,8 @@ from .exact import INFINITY, format_rational, is_prime, padic_valuation
 from .measures import (
     Coset,
     LevelMeasure,
+    factorial_norm,
     four_term,
-    four_term_is_zero,
-    lambda_coefficient,
     lambda_table_from_measure,
     measure_from_json_dict,
     measure_from_lambda_table,
@@ -36,12 +35,12 @@ from .measures import (
     moment,
 )
 from .paths import rhombus_product
-from .series import NCSeries, exp, from_lambda_table, log
+from .series import LambdaTable, NCSeries, exp, from_lambda_table, log
 from .synth import (
-    DEFAULT_CELL_CAP,
     four_term_kernel,
     random_kernel_measure,
     random_lambda_table,
+    size_cap,
 )
 
 __all__ = ["main"]
@@ -49,17 +48,6 @@ __all__ = ["main"]
 DEGREE_CAP = 8
 DEFAULT_EXPONENT_CAP = 7
 MAX_SEED = 2**64 - 1
-
-
-def size_cap() -> int:
-    """Cell-count guard, overridable through the MZV_CAP environment variable."""
-    raw = os.environ.get("MZV_CAP")
-    if raw is None:
-        return DEFAULT_CELL_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("MZV_CAP must be a positive integer")
-    return cap
 
 
 def _check_config(p: int, n: int, r: int) -> None:
@@ -121,16 +109,57 @@ def _load_measure(args: argparse.Namespace) -> tuple[LevelMeasure, dict]:
     return mu, {"seed": args.seed}
 
 
-def _require_kernel_hypotheses(mu: LevelMeasure) -> None:
-    if not four_term_is_zero(mu):
-        raise ValueError("input measure is not in the four-term kernel")
-    if not mu.is_integer_valued():
-        raise ValueError("input measure must be integer-valued")
+def _measure_report(command: str, mu: LevelMeasure, source: dict, exp_cap: int,
+                    **fields: object) -> dict:
+    """Report of a command that reads a measure: the shared header plus ``fields``."""
+    return {"command": command, "p": mu.p, "n": mu.n, "r": mu.r, "source": source,
+            "exponent_cap": exp_cap, **fields}
+
+
+def _vanish_sweep(mu: LevelMeasure, exp_cap: int) -> list[dict]:
+    """One report row per odd exponent word with sum at most ``exp_cap``."""
+    return [
+        {"exponents": list(word), **vanishing_check(mu, word, validate=False).to_json_dict()}
+        for word in _exponent_words(mu.r, exp_cap, odd_only=True)
+    ]
+
+
+def _coset_sweep(mu: LevelMeasure, exp_cap: int) -> tuple[int, list[dict], int | float]:
+    """Every signed coset identity at modulus exponents {1, n} and exponent sum
+    at most ``exp_cap``: the number of checks, the failing ones as report rows,
+    and the worst valuation.  Passing verdicts are not kept."""
+    words = _exponent_words(mu.r, exp_cap, odd_only=False)
+    total = 0
+    failures = []
+    worst: int | float = INFINITY
+    for modulus_exponent in sorted({1, mu.n}) if mu.n >= 1 else [0]:
+        for base in product(range(mu.p**modulus_exponent), repeat=mu.r):
+            coset = Coset(base, modulus_exponent)
+            for word in words:
+                verdict = coset_four_term_check(mu, coset, word, validate=False)
+                total += 1
+                worst = min(worst, verdict.valuation)
+                if not verdict.passed:
+                    failures.append(
+                        {
+                            "modulus_exponent": modulus_exponent,
+                            "base": list(base),
+                            "exponents": list(word),
+                            **verdict.to_json_dict(),
+                        }
+                    )
+    return total, failures, worst
+
+
+def _rhombus_matches(table: LambdaTable) -> bool:
+    """Whether the rhombus product equals the four-term layer of the table."""
+    combination = lambda_table_from_measure(four_term(measure_from_lambda_table(table)))
+    return rhombus_product(table) == from_lambda_table(combination, degree_cap=table.r)
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
     _check_config(args.p, args.level, args.depth)
-    basis = four_term_kernel(args.p, args.level, args.depth, cell_cap=size_cap())
+    basis = four_term_kernel(args.p, args.level, args.depth)
     report = {
         "command": "kernel",
         "p": basis.p,
@@ -144,23 +173,10 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 def cmd_vanish(args: argparse.Namespace) -> int:
     mu, source = _load_measure(args)
-    _require_kernel_hypotheses(mu)
-    checks = []
-    all_pass = True
-    for word in _exponent_words(mu.r, args.exp_cap, odd_only=True):
-        verdict = vanishing_check(mu, word, validate=False)
-        all_pass = all_pass and verdict.passed
-        checks.append({"exponents": list(word), **verdict.to_json_dict()})
-    report = {
-        "command": "vanish",
-        "p": mu.p,
-        "n": mu.n,
-        "r": mu.r,
-        "source": source,
-        "exponent_cap": args.exp_cap,
-        "checks": checks,
-        "all_pass": all_pass,
-    }
+    _require_kernel_integer(mu)
+    checks = _vanish_sweep(mu, args.exp_cap)
+    all_pass = all(row["pass"] for row in checks)
+    report = _measure_report("vanish", mu, source, args.exp_cap, checks=checks, all_pass=all_pass)
     _emit(report, args.out)
     return 0 if all_pass else 1
 
@@ -176,10 +192,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 def cmd_check_rhombus(args: argparse.Namespace) -> int:
     _check_config(args.p, args.level, args.depth)
     table = random_lambda_table(args.p, args.level, args.depth, seed=args.seed)
-    produced = rhombus_product(table)
-    combination = lambda_table_from_measure(four_term(measure_from_lambda_table(table)))
-    expected = from_lambda_table(combination, degree_cap=table.r)
-    matched = produced == expected
+    matched = _rhombus_matches(table)
     report = {
         "command": "check-rhombus",
         "p": args.p,
@@ -199,42 +212,13 @@ def cmd_check_cosets(args: argparse.Namespace) -> int:
         # four-term kernel, so the identity must fail
         mu = mu + LevelMeasure.point_mass(mu.p, mu.n, mu.r, (1,) * mu.r)
     else:
-        _require_kernel_hypotheses(mu)
-    words = _exponent_words(mu.r, args.exp_cap, odd_only=False)
-    moduli = sorted({1, mu.n}) if mu.n >= 1 else [0]
-    total = 0
-    failures = []
-    worst: int | float = INFINITY
-    for modulus_exponent in moduli:
-        for base in product(range(mu.p**modulus_exponent), repeat=mu.r):
-            coset = Coset(base, modulus_exponent)
-            for word in words:
-                verdict = coset_four_term_check(mu, coset, word, validate=False)
-                total += 1
-                worst = min(worst, verdict.valuation)
-                if not verdict.passed:
-                    failures.append(
-                        {
-                            "modulus_exponent": modulus_exponent,
-                            "base": list(base),
-                            "exponents": list(word),
-                            **verdict.to_json_dict(),
-                        }
-                    )
+        _require_kernel_integer(mu)
+    total, failures, worst = _coset_sweep(mu, args.exp_cap)
     all_pass = not failures
-    report = {
-        "command": "check-cosets",
-        "p": mu.p,
-        "n": mu.n,
-        "r": mu.r,
-        "source": source,
-        "exponent_cap": args.exp_cap,
-        "perturbed": args.perturb,
-        "total_checks": total,
-        "worst_valuation": _valuation_json(worst),
-        "failures": failures,
-        "all_pass": all_pass,
-    }
+    report = _measure_report(
+        "check-cosets", mu, source, args.exp_cap, perturbed=args.perturb, total_checks=total,
+        worst_valuation=_valuation_json(worst), failures=failures, all_pass=all_pass,
+    )
     _emit(report, args.out)
     return 0 if all_pass else 1
 
@@ -248,20 +232,11 @@ def cmd_moments(args: argparse.Namespace) -> int:
             {
                 "exponents": list(word),
                 "moment": format_rational(value),
-                "lambda": format_rational(lambda_coefficient(mu, word)),
+                "lambda": format_rational(value / factorial_norm(word)),
                 "valuation": _valuation_json(padic_valuation(value, mu.p)),
             }
         )
-    report = {
-        "command": "moments",
-        "p": mu.p,
-        "n": mu.n,
-        "r": mu.r,
-        "source": source,
-        "exponent_cap": args.exp_cap,
-        "moments": rows,
-    }
-    return _emit(report, args.out)
+    return _emit(_measure_report("moments", mu, source, args.exp_cap, moments=rows), args.out)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -275,30 +250,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     one = NCSeries.one(series.alphabet, args.degree)
     series_ok = exp(log(series)) == series and log(exp(series - one)) == series - one
 
-    produced = rhombus_product(table)
-    combination = lambda_table_from_measure(four_term(measure_from_lambda_table(table)))
-    rhombus_ok = produced == from_lambda_table(combination, degree_cap=r)
+    rhombus_ok = _rhombus_matches(table)
 
-    basis = four_term_kernel(p, n, r, cell_cap=size_cap())
+    basis = four_term_kernel(p, n, r)
     mu = random_kernel_measure(p, n, r, seed=seed)
+    vanish_rows = _vanish_sweep(mu, args.exp_cap)
+    vanish_failures = sum(not row["pass"] for row in vanish_rows)
+    coset_total, coset_failures, _ = _coset_sweep(mu, args.exp_cap)
 
-    vanish_failures = 0
-    odd_words = _exponent_words(r, args.exp_cap, odd_only=True)
-    for word in odd_words:
-        if not vanishing_check(mu, word, validate=False).passed:
-            vanish_failures += 1
-
-    coset_failures = 0
-    coset_total = 0
-    all_words = _exponent_words(r, args.exp_cap, odd_only=False)
-    for modulus_exponent in sorted({1, n}) if n >= 1 else [0]:
-        for base in product(range(p**modulus_exponent), repeat=r):
-            for word in all_words:
-                coset_total += 1
-                verdict = coset_four_term_check(mu, Coset(base, modulus_exponent), word, validate=False)
-                coset_failures += not verdict.passed
-
-    all_pass = series_ok and rhombus_ok and vanish_failures == 0 and coset_failures == 0
+    all_pass = series_ok and rhombus_ok and vanish_failures == 0 and not coset_failures
     report = {
         "command": "report",
         "config": {
@@ -314,14 +274,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             "rhombus_four_term": {"pass": rhombus_ok},
             "kernel": {"dimension": basis.dimension},
             "vanishing": {
-                "total": len(odd_words),
+                "total": len(vanish_rows),
                 "failures": vanish_failures,
                 "pass": vanish_failures == 0,
             },
             "cosets": {
                 "total": coset_total,
-                "failures": coset_failures,
-                "pass": coset_failures == 0,
+                "failures": len(coset_failures),
+                "pass": not coset_failures,
             },
         },
         "all_pass": all_pass,
@@ -334,6 +294,13 @@ def _seed(raw: str) -> int:
     value = int(raw)
     if not 0 <= value <= MAX_SEED:
         raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
+    return value
+
+
+def _exponent_cap(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError("exponent cap must be non-negative")
     return value
 
 
@@ -355,7 +322,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="FILE", help="also write the report to FILE")
-    parser.add_argument("--format", choices=["json"], default="json", help="report format")
 
 
 def _add_measure_source(parser: argparse.ArgumentParser) -> None:
@@ -379,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     vanish = sub.add_parser("vanish", help="odd-moment vanishing congruences")
     _add_config_flags(vanish, required=False)
     _add_measure_source(vanish)
-    vanish.add_argument("--exp-cap", type=int, default=DEFAULT_EXPONENT_CAP,
+    vanish.add_argument("--exp-cap", type=_exponent_cap, default=DEFAULT_EXPONENT_CAP,
                         help="largest exponent sum to sweep")
     _add_output_flags(vanish)
     vanish.set_defaults(func=cmd_vanish)
@@ -400,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     cosets = sub.add_parser("check-cosets", help="signed coset moment identities")
     _add_config_flags(cosets, required=False)
     _add_measure_source(cosets)
-    cosets.add_argument("--exp-cap", type=int, default=DEFAULT_EXPONENT_CAP,
+    cosets.add_argument("--exp-cap", type=_exponent_cap, default=DEFAULT_EXPONENT_CAP,
                         help="largest exponent sum to sweep")
     cosets.add_argument("--perturb", action="store_true",
                         help="apply a one-cell edit first (the identity must then fail)")
@@ -410,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     moments = sub.add_parser("moments", help="moment and normalized-coefficient table")
     _add_config_flags(moments, required=False)
     _add_measure_source(moments)
-    moments.add_argument("--exp-cap", type=int, default=DEFAULT_EXPONENT_CAP,
+    moments.add_argument("--exp-cap", type=_exponent_cap, default=DEFAULT_EXPONENT_CAP,
                          help="largest exponent sum to tabulate")
     _add_output_flags(moments)
     moments.set_defaults(func=cmd_moments)
@@ -420,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--seed", type=_seed, default=0, help="seed for tables and measures")
     report.add_argument("--degree", type=int, default=DEGREE_CAP,
                         help="series truncation degree for the round-trip check")
-    report.add_argument("--exp-cap", type=int, default=DEFAULT_EXPONENT_CAP,
+    report.add_argument("--exp-cap", type=_exponent_cap, default=DEFAULT_EXPONENT_CAP,
                         help="largest exponent sum to sweep")
     _add_output_flags(report)
     report.set_defaults(func=cmd_report)

@@ -16,7 +16,8 @@ from math import factorial
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .exact import INFINITY, binomial, bernoulli, format_rational, padic_valuation, parse_rational
-from .measures import Coset, LevelMeasure, coset_moment, four_term_is_zero, moment
+from .measures import (FOUR_TERM, Coset, LevelMeasure, coset_moment, factorial_norm,
+                       four_term_is_zero, moment)
 from .series import LambdaTable
 
 __all__ = [
@@ -220,6 +221,15 @@ def _require_kernel_integer(mu: LevelMeasure) -> None:
         raise ValueError("measure must be integer-valued (rescale first)")
 
 
+def _check_word(mu: LevelMeasure, exponents: Sequence[int]) -> tuple[int, ...]:
+    exponents = tuple(int(e) for e in exponents)
+    if len(exponents) != mu.r:
+        raise ValueError(f"expected {mu.r} exponents, got {len(exponents)}")
+    if any(e < 0 for e in exponents):
+        raise ValueError("exponents must be non-negative")
+    return exponents
+
+
 def vanishing_check(
     mu: LevelMeasure,
     exponents: Sequence[int],
@@ -232,9 +242,7 @@ def vanishing_check(
     sweeping many exponent words over one measure may pass ``validate=False``
     after checking the kernel and integrality hypotheses themselves.
     """
-    exponents = tuple(int(e) for e in exponents)
-    if len(exponents) != mu.r:
-        raise ValueError(f"expected {mu.r} exponents, got {len(exponents)}")
+    exponents = _check_word(mu, exponents)
     if sum(exponents) % 2 == 0:
         raise ValueError("the exponent sum must be odd")
     if validate:
@@ -244,6 +252,22 @@ def vanishing_check(
     valuation = padic_valuation(value, mu.p)
     threshold = mu.n - cert.slack(mu.p)
     return CongruenceVerdict(valuation, threshold, valuation >= threshold)
+
+
+def _identity_signs(m: int) -> list[int]:
+    """Signs of the coset identity's four sums for exponent sum m, in ``FOUR_TERM`` order."""
+    return [sign * scale**m for sign, scale, _ in FOUR_TERM]
+
+
+def _identity_sums(mu: LevelMeasure, base: Sequence[int], modulus_exponent: int,
+                   word: tuple[int, ...]) -> list[Fraction]:
+    """The coset identity's four unsigned sums, in ``FOUR_TERM`` order."""
+    stride = mu.p**modulus_exponent
+    return [
+        coset_moment(mu, Coset(tuple((scale * b + offset) % stride for b in base),
+                               modulus_exponent), word, -offset)
+        for _, scale, offset in FOUR_TERM
+    ]
 
 
 def coset_four_term_check(
@@ -256,30 +280,16 @@ def coset_four_term_check(
 
     The four sums run over the cosets based at i, -i, -i+1, i-1 with final
     factors x^{n_r}, x^{n_r}, (x-1)^{n_r}, (x+1)^{n_r} and signs
-    +1, (-1)^{m+1}, (-1)^m, -1, where m is the sum of all the exponents.
+    +1, (-1)^{m+1}, (-1)^m, -1, where m is the sum of all the exponents; all
+    three are derived from ``FOUR_TERM``.
     """
-    exponents = tuple(int(e) for e in exponents)
-    if len(exponents) != mu.r:
-        raise ValueError(f"expected {mu.r} exponents, got {len(exponents)}")
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be non-negative")
+    exponents = _check_word(mu, exponents)
     if validate:
         _require_kernel_integer(mu)
-    m_sign = -1 if sum(exponents) % 2 else 1
-    stride = mu.p**coset.modulus_exponent
-    base = tuple(b % stride for b in coset.base)
-    word = (0, *exponents)
-
-    def shifted(base_map, offset: int) -> Fraction:
-        shifted_base = tuple(base_map(b) % stride for b in base)
-        return coset_moment(mu, Coset(shifted_base, coset.modulus_exponent), word, offset)
-
-    total = (
-        shifted(lambda b: b, 0)
-        + (-m_sign) * shifted(lambda b: -b, 0)
-        + m_sign * shifted(lambda b: 1 - b, -1)
-        - shifted(lambda b: b - 1, 1)
-    )
+    sums = _identity_sums(mu, coset.base, coset.modulus_exponent, (0, *exponents))
+    total = Fraction(0)
+    for sign, value in zip(_identity_signs(sum(exponents)), sums):
+        total += value if sign > 0 else -value  # negation is cheaper than int * Fraction
     valuation = padic_valuation(total, mu.p)
     return CongruenceVerdict(valuation, mu.n, valuation >= mu.n)
 
@@ -293,28 +303,14 @@ def coset_lambda_tables(
     i, -i, -i+1, i-1 (with the matching shifted final factors), indexed by the
     base tuple.  These are the four summands of the signed coset identity in
     normalized-coefficient form."""
-    exponents = tuple(int(e) for e in exponents)
-    if len(exponents) != mu.r:
-        raise ValueError(f"expected {mu.r} exponents, got {len(exponents)}")
-    norm = 1
-    for e in exponents:
-        norm *= factorial(e)
-    stride = mu.p**modulus_exponent
-    word = (0, *exponents)
-    patterns = (
-        (lambda b: b, 0),
-        (lambda b: -b, 0),
-        (lambda b: 1 - b, -1),
-        (lambda b: b - 1, 1),
-    )
-    tables: list[dict] = [{}, {}, {}, {}]
-    for base in product(range(stride), repeat=mu.r):
-        for table, (base_map, offset) in zip(tables, patterns):
-            mapped = tuple(base_map(b) % stride for b in base)
-            table[base] = (
-                coset_moment(mu, Coset(mapped, modulus_exponent), word, offset) / norm
-            )
-    return tuple(tables)  # type: ignore[return-value]
+    exponents = _check_word(mu, exponents)
+    norm = factorial_norm(exponents)
+    tables: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
+    for base in product(range(mu.p**modulus_exponent), repeat=mu.r):
+        sums = _identity_sums(mu, base, modulus_exponent, (0, *exponents))
+        for table, value in zip(tables, sums):
+            table[base] = value / norm
+    return tables
 
 
 def coefficient_four_term_check(
@@ -326,15 +322,16 @@ def coefficient_four_term_check(
     """Signed combination of the four normalized tables against a valuation bound.
 
     The combination is t0 + (-1)^{m+1} t1 + (-1)^m t2 - t3 per index, with m the
-    exponent sum; the verdict passes when every index clears the threshold.
+    exponent sum and the signs those of the coset identity; the verdict passes
+    when every index clears the threshold.
     """
     t0, t1, t2, t3 = tables
     if not (t0.keys() == t1.keys() == t2.keys() == t3.keys()):
         raise ValueError("the four tables must share one index set")
-    m_sign = -1 if exponent_sum % 2 else 1
+    signs = _identity_signs(exponent_sum)
     worst: int | float = INFINITY
     for idx in t0:
-        combo = t0[idx] - m_sign * t1[idx] + m_sign * t2[idx] - t3[idx]
+        combo = sum(sign * table[idx] for sign, table in zip(signs, tables))
         worst = min(worst, padic_valuation(combo, p))
     return CongruenceVerdict(worst, threshold, worst >= threshold)
 

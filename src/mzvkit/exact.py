@@ -97,5 +97,13 @@ def format_rational(q: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; accepts any "n" or "n/d" string."""
-    return Fraction(text.strip())
+    """Inverse of :func:`format_rational`; accepts any "n" or "n/d" string.
+
+    Raises ValueError for a non-string or a zero denominator.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"rational must be a string, got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None

@@ -2,24 +2,33 @@
 
 A measure level is a dense row-major table over residue tuples; polynomial
 moments are plain finite sums evaluated at the canonical representatives in
-[0, p^n).  The signed four-term combination and the affine reindexing maps
-follow the composition convention: the value of the reindexed table at j is
-the original table at the mapped index.
+[0, p^n).  Affine reindexing follows the composition convention: the value of
+the reindexed table at j is the original table at the mapped index.
+
+The signed four-term combination mu(j) - mu(-j) + mu(1-j) - mu(j-1) is
+written down once, as ``FOUR_TERM``: an entry (sign, scale, offset) is the
+term sign * mu(scale*j + offset), coordinate-wise.  Its other views derive
+from that table.  The operator matrix merges the four (cell, sign) pairs of
+each row.  The coset identity sums over the coset based at scale*b + offset
+with final factor (x_r - offset)^{e_r} and sign sign * scale^m, m the exponent
+sum: x -> scale*x + offset scales each of its m linear factors by scale.  The
+rhombus product reindexes along the inverse map j -> scale*j - scale*offset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from math import factorial
-from typing import Mapping, Sequence
+from math import factorial, prod
+from typing import Iterator, Mapping, Sequence
 
 from .exact import format_rational, is_prime, parse_rational
 from .series import LambdaTable
 
 __all__ = [
+    "FOUR_TERM",
     "LevelMeasure",
     "Coset",
     "project",
@@ -27,6 +36,7 @@ __all__ = [
     "four_term",
     "four_term_is_zero",
     "moment",
+    "factorial_norm",
     "lambda_coefficient",
     "coset_moment",
     "measure_from_lambda_table",
@@ -34,6 +44,9 @@ __all__ = [
     "measure_to_json_dict",
     "measure_from_json_dict",
 ]
+
+# (sign, scale, offset): the term sign * mu(scale*j + offset)
+FOUR_TERM = ((1, 1, 0), (-1, -1, 0), (1, -1, 1), (-1, 1, -1))
 
 
 def _cell_count(q: int, r: int) -> int:
@@ -127,8 +140,15 @@ class LevelMeasure:
     def is_zero(self) -> bool:
         return not any(self.values)
 
+    @cached_property
+    def integer_values(self) -> tuple[int, ...] | None:
+        """The cells as ints when every value is an integer, else None."""
+        if all(v.denominator == 1 for v in self.values):
+            return tuple(v.numerator for v in self.values)
+        return None
+
     def is_integer_valued(self) -> bool:
-        return all(v.denominator == 1 for v in self.values)
+        return self.integer_values is not None
 
     def _shape(self, other: "LevelMeasure") -> None:
         if (self.p, self.n, self.r) != (other.p, other.n, other.r):
@@ -189,37 +209,34 @@ def affine_pushforward(mu: LevelMeasure, scale: int, offset: int) -> LevelMeasur
 
 
 @lru_cache(maxsize=64)
-def _four_term_index_maps(q: int, r: int) -> tuple[tuple[int, ...], ...]:
-    maps = []
-    for scale, offset in ((-1, 0), (-1, 1), (1, -1)):
-        maps.append(
-            tuple(
-                point_to_index(tuple((scale * c + offset) % q for c in point), q)
-                for point in _points(q, r)
-            )
-        )
-    return tuple(maps)
+def _four_term_rows(q: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse rows of the four-term operator on (Z/q)^r: row j lists the
+    (cell, coefficient) pairs of the ``FOUR_TERM`` terms at j, merged where
+    cells coincide, with cancelled cells dropped (a row may be empty)."""
+    rows = []
+    for point in _points(q, r):
+        row: dict[int, int] = {}
+        for sign, scale, offset in FOUR_TERM:
+            cell = point_to_index(tuple((scale * c + offset) % q for c in point), q)
+            row[cell] = row.get(cell, 0) + sign
+        rows.append(tuple((cell, coeff) for cell, coeff in row.items() if coeff))
+    return tuple(rows)
+
+
+def _four_term_cells(mu: LevelMeasure) -> Iterator[Fraction | int]:
+    values = mu.values if mu.integer_values is None else mu.integer_values
+    for row in _four_term_rows(mu.modulus, mu.r):
+        yield sum(coeff * values[cell] for cell, coeff in row)
 
 
 def four_term(mu: LevelMeasure) -> LevelMeasure:
     """Signed combination j -> mu(j) - mu(-j) + mu(1-j) - mu(j-1), coordinate-wise."""
-    neg, one_minus, minus_one = _four_term_index_maps(mu.modulus, mu.r)
-    values = mu.values
-    cells = tuple(
-        values[i] - values[neg[i]] + values[one_minus[i]] - values[minus_one[i]]
-        for i in range(len(values))
-    )
-    return LevelMeasure(mu.p, mu.n, mu.r, cells)
+    return LevelMeasure(mu.p, mu.n, mu.r, tuple(_four_term_cells(mu)))
 
 
 def four_term_is_zero(mu: LevelMeasure) -> bool:
     """Whether the four-term combination of ``mu`` vanishes in every cell."""
-    neg, one_minus, minus_one = _four_term_index_maps(mu.modulus, mu.r)
-    values = mu.values
-    return all(
-        values[i] - values[neg[i]] + values[one_minus[i]] - values[minus_one[i]] == 0
-        for i in range(len(values))
-    )
+    return not any(_four_term_cells(mu))
 
 
 def _check_exponents(exponents: Sequence[int], r: int) -> tuple[int, ...]:
@@ -244,18 +261,6 @@ def _integrand_vector(q: int, r: int, exponents: tuple[int, ...], final_offset: 
     return tuple(_integrand_value(point, exponents, final_offset) for point in _points(q, r))
 
 
-def _integer_cells(mu: LevelMeasure) -> tuple[int, ...] | None:
-    cached = mu.__dict__.get("_int_cells", False)
-    if cached is not False:
-        return cached
-    if mu.is_integer_valued():
-        cells: tuple[int, ...] | None = tuple(v.numerator for v in mu.values)
-    else:
-        cells = None
-    object.__setattr__(mu, "_int_cells", cells)
-    return cells
-
-
 def moment(
     mu: LevelMeasure,
     exponents: Sequence[int],
@@ -277,7 +282,7 @@ def moment(
         integrand = tuple(
             _integrand_value([table[c] for c in point], exponents) for point in mu.points()
         )
-    ints = _integer_cells(mu)
+    ints = mu.integer_values
     if ints is not None:
         return Fraction(sum(f * v for f, v in zip(integrand, ints)))
     total = Fraction(0)
@@ -287,17 +292,18 @@ def moment(
     return total
 
 
+def factorial_norm(exponents: Sequence[int]) -> int:
+    """Product of the exponent factorials, which turns a moment into a coefficient."""
+    return prod(factorial(e) for e in exponents)
+
+
 def lambda_coefficient(
     mu: LevelMeasure,
     exponents: Sequence[int],
     lifts: Mapping[int, int] | None = None,
 ) -> Fraction:
     """The moment normalized by the product of the exponent factorials."""
-    exponents = _check_exponents(exponents, mu.r)
-    norm = 1
-    for e in exponents:
-        norm *= factorial(e)
-    return moment(mu, exponents, lifts) / norm
+    return moment(mu, exponents, lifts) / factorial_norm(exponents)
 
 
 def _coset_points(mu: LevelMeasure, coset: Coset) -> list[tuple[int, ...]]:

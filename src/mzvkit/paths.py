@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Mapping
 
+from .measures import FOUR_TERM
 from .series import (
     Alphabet,
     LambdaTable,
@@ -217,25 +220,23 @@ def octagon_product(
 
 
 def rhombus_product(table: LambdaTable) -> NCSeries:
-    """Four-factor depth-graded product of the table's series under the
-    reindexing maps i+1, 1-i, -i, i (signs -, +, -, +), truncated at depth r.
+    """Four-factor depth-graded product of the table's series, one factor per
+    ``FOUR_TERM`` entry in reverse order, truncated at depth r.
 
-    Its deviation from 1 is exactly the signed four-term combination of the
-    table, which is what the measure-side operator computes cell-wise.
+    The factor for (sign, scale, offset) carries sign * coeff on each index
+    pushed along the inverse map i -> scale*i - scale*offset, so the factors
+    reindex by i+1, 1-i, -i, i with signs -, +, -, +.  The product's deviation
+    from 1 is exactly the signed four-term combination of the table, which is
+    what the measure-side operator computes cell-wise.
     """
     alphabet = Alphabet(table.p, table.n)
-    cap = table.r
     modulus = alphabet.modulus
 
     def factor(sign: int, scale: int, offset: int) -> NCSeries:
         terms: dict[Word, Fraction] = {(): Fraction(1)}
         for idx, coeff in table.coeffs.items():
-            word = tuple((scale * i + offset) % modulus for i in idx)
+            word = tuple((scale * (i - offset)) % modulus for i in idx)
             terms[word] = sign * coeff
-        return NCSeries(alphabet, cap, terms)
+        return NCSeries(alphabet, table.r, terms)
 
-    first = factor(-1, 1, 1)
-    second = factor(1, -1, 1)
-    third = factor(-1, -1, 0)
-    fourth = factor(1, 1, 0)
-    return first * second * third * fourth
+    return reduce(mul, (factor(*term) for term in reversed(FOUR_TERM)))

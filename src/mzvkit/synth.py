@@ -7,6 +7,7 @@ after every update, and pivots are chosen by sparsity so fill-in stays small.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +16,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Sequence
 
-from .measures import LevelMeasure, _cell_count, index_to_point, point_to_index
+from .measures import LevelMeasure, _cell_count, _four_term_rows, index_to_point
 from .series import LambdaTable
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "KernelBasis",
     "four_term_matrix",
     "four_term_kernel",
+    "size_cap",
     "random_kernel_measure",
     "random_lambda_table",
     "lift",
@@ -47,23 +49,9 @@ class KernelBasis:
 
 def four_term_matrix(p: int, n: int, r: int) -> list[dict[int, int]]:
     """Sparse rows of the four-term operator: row j couples the cells
-    j, -j, 1-j, j-1 with signs +1, -1, +1, -1 (entries merge when cells
-    coincide, and rows that cancel entirely are kept as empty dicts)."""
-    q = p**n
-    size = _cell_count(q, r)
-    rows: list[dict[int, int]] = []
-    for index in range(size):
-        point = index_to_point(index, q, r)
-        row: dict[int, int] = {}
-        for sign, (scale, offset) in ((1, (1, 0)), (-1, (-1, 0)), (1, (-1, 1)), (-1, (1, -1))):
-            column = point_to_index(tuple((scale * c + offset) % q for c in point), q)
-            updated = row.get(column, 0) + sign
-            if updated:
-                row[column] = updated
-            else:
-                row.pop(column, None)
-        rows.append(row)
-    return rows
+    j, -j, 1-j, j-1 with the ``FOUR_TERM`` signs +1, -1, +1, -1 (entries merge
+    when cells coincide, and rows that cancel entirely are kept as empty dicts)."""
+    return [dict(row) for row in _four_term_rows(p**n, r)]
 
 
 def _normalize_row(row: dict[int, int]) -> None:
@@ -164,21 +152,37 @@ def _primitive(vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(value) for value in scaled)
 
 
+def size_cap() -> int:
+    """Cell-count guard: the MZV_CAP environment variable when set, else
+    ``DEFAULT_CELL_CAP``."""
+    raw = os.environ.get("MZV_CAP")
+    if raw is None:
+        return DEFAULT_CELL_CAP
+    cap = int(raw)
+    if cap < 1:
+        raise ValueError("MZV_CAP must be a positive integer")
+    return cap
+
+
 @lru_cache(maxsize=32)
-def _cached_kernel(p: int, n: int, r: int, cell_cap: int) -> KernelBasis:
-    size = _cell_count(p**n, r)
-    if size > cell_cap:
-        raise ValueError(f"{size} cells exceed the configured cap {cell_cap}")
+def _cached_kernel(p: int, n: int, r: int) -> KernelBasis:
     rows = four_term_matrix(p, n, r)
     vectors = tuple(
-        LevelMeasure(p, n, r, values) for values in _nullspace(rows, size)
+        LevelMeasure(p, n, r, values) for values in _nullspace(rows, _cell_count(p**n, r))
     )
     return KernelBasis(p, n, r, vectors)
 
 
-def four_term_kernel(p: int, n: int, r: int, cell_cap: int = DEFAULT_CELL_CAP) -> KernelBasis:
-    """Primitive integer basis of {mu : four_term(mu) = 0}, deterministically ordered."""
-    return _cached_kernel(p, n, r, cell_cap)
+def four_term_kernel(p: int, n: int, r: int, cell_cap: int | None = None) -> KernelBasis:
+    """Primitive integer basis of {mu : four_term(mu) = 0}, deterministically ordered.
+
+    ``cell_cap`` bounds the number of cells; None means :func:`size_cap`.
+    """
+    size = _cell_count(p**n, r)
+    cap = size_cap() if cell_cap is None else cell_cap
+    if size > cap:
+        raise ValueError(f"{size} cells exceed the configured cap {cap}")
+    return _cached_kernel(p, n, r)
 
 
 def random_kernel_measure(

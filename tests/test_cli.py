@@ -8,6 +8,7 @@ import pytest
 
 from mzvkit.cli import main
 from mzvkit.measures import LevelMeasure, measure_to_json_dict
+from mzvkit.synth import _cached_kernel
 
 
 def run_cli(argv):
@@ -171,6 +172,17 @@ def test_missing_input_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad_value", ["1/0", 1.5])
+def test_bad_measure_value_exits_two(tmp_path, bad_value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"p": 2, "n": 1, "r": 1, "values": ["1", bad_value]}),
+                    encoding="ascii")
+    code, out, err = run_cli(["moments", "--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_non_kernel_measure_rejected(tmp_path):
     path = write_measure(tmp_path, LevelMeasure.point_mass(3, 1, 1, (1,)))
     code, out, err = run_cli(["vanish", "--in", path])
@@ -201,6 +213,16 @@ def test_cell_cap_env_allows_small_configs(monkeypatch):
     assert report["dimension"] == 2
 
 
+def test_report_eliminates_once_under_env_cap(monkeypatch):
+    monkeypatch.setenv("MZV_CAP", "5000")
+    _cached_kernel.cache_clear()
+    code, report = run_json(
+        ["report", "--p", "3", "--level", "1", "--depth", "2", "--degree", "2"]
+    )
+    assert code == 0
+    assert _cached_kernel.cache_info().misses == 1
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["no-such-command"])
@@ -211,6 +233,10 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["vanish", "--seed", "1", "--in", "x.json"])
     assert excinfo.value.code == 2
+    for command in ("vanish", "check-cosets"):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([command, "--seed", "0", "--exp-cap", "-5"])
+        assert excinfo.value.code == 2
 
 
 def test_module_entry_point():

@@ -147,6 +147,15 @@ def test_cell_cap_rejects_oversized_configs():
         four_term_kernel(5, 2, 2, cell_cap=100)
 
 
+def test_env_cap_applies_to_kernel_and_random_measure(monkeypatch):
+    four_term_kernel(3, 1, 2)  # cached below the cap
+    monkeypatch.setenv("MZV_CAP", "8")
+    with pytest.raises(ValueError, match="cap 8"):
+        four_term_kernel(3, 1, 2)
+    with pytest.raises(ValueError, match="cap 8"):
+        random_kernel_measure(3, 1, 2, seed=0)
+
+
 def test_random_kernel_measure_is_deterministic():
     a = random_kernel_measure(3, 1, 2, seed=7)
     assert a == random_kernel_measure(3, 1, 2, seed=7)
