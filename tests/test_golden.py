@@ -21,7 +21,7 @@ MEASURE_FILES = {
                           "values": ["5", "20", "8", "-7", "9", "5", "5", "-7", "9"]},
     "kernel-5-1-1.json": {"p": 5, "n": 1, "r": 1,
                           "values": ["-8", "-7", "-7", "-7", "-7"]},
-    # rational values, outside the kernel: only `moments` accepts it
+    # rational values, outside the kernel: only `moments` and `check-cosets --perturb` accept it
     "rational-2-1-2.json": {"p": 2, "n": 1, "r": 2,
                             "values": ["1/3", "-2", "0", "5/7"]},
 }
@@ -63,6 +63,11 @@ CASES = [
      "33b3ee966bc599bf6f318612ad09b0011d6102823c6cb9eee0277e963553a122"),
     (("check-cosets", "--p", "5", "--level", "1", "--depth", "2", "--seed", "7", "--exp-cap", "3"), 0,
      "38df6fca3f3e9195c87aaf4a8d1fa563a42680f7f1144752b00f2709026a0d1a"),
+    # a Fraction-valued measure through the coset sweep, and a level-0 measure (one coset)
+    (("check-cosets", "--in", "rational-2-1-2.json", "--perturb"), 0,
+     "0cefb6a9a7b36e04a39479d19b61b3c8362486f3a347ba9b61d303fdf68f50da"),
+    (("check-cosets", "--p", "3", "--level", "0", "--depth", "2", "--seed", "0"), 0,
+     "f95f9b2fbfda0a9abc99951ba50658252e34284c90a4722cd93493500abf6706"),
     (("report", "--p", "3", "--level", "1", "--depth", "1", "--seed", "5", "--degree", "4"), 0,
      "d5d8f0ce5afb3158e4a4cb27a0691a483b9c8aee0befb5a56c7f6c2ed82c21a2"),
     (("report", "--p", "5", "--level", "1", "--depth", "1", "--seed", "2", "--degree", "3"), 0,
