@@ -11,28 +11,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
+from fractions import Fraction
+from math import comb
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .euler import (
+    MAX_CERTIFICATE_EXPONENT,
+    CongruenceVerdict,
     _require_kernel_integer,
     certificate_to_json_dict,
-    coset_four_term_check,
+    coset_identity_sweep,
     make_certificate,
-    vanishing_check,
+    vanishing_sweep,
 )
 from .exact import INFINITY, format_rational, is_prime, padic_valuation
 from .measures import (
-    Coset,
     LevelMeasure,
     factorial_norm,
     four_term,
+    index_to_point,
     lambda_table_from_measure,
     measure_from_json_dict,
     measure_from_lambda_table,
     measure_to_json_dict,
-    moment,
+    moment_sweep,
 )
 from .paths import rhombus_product
 from .series import LambdaTable, NCSeries, exp, from_lambda_table, log
@@ -48,31 +51,48 @@ __all__ = ["main"]
 DEGREE_CAP = 8
 DEFAULT_EXPONENT_CAP = 7
 MAX_SEED = 2**64 - 1
+# Largest exponent-word list a sweep may enumerate; checked before any work.
+MAX_EXPONENT_WORDS = 100_000
 
 
 def _check_config(p: int, n: int, r: int) -> None:
-    if not is_prime(p):
+    if p < 2:  # checked first: the cell count below only grows for p >= 2
         raise ValueError(f"--p must be prime, got {p}")
     if n < 0:
         raise ValueError("--level must be non-negative")
     if r < 1:
         raise ValueError("--depth must be at least 1")
-    cells = p ** (n * r)
     cap = size_cap()
-    if cells > cap:
-        raise ValueError(f"configuration needs {cells} cells, above the cap {cap}")
+    cells = 1
+    for _ in range(n * r):  # stops past the cap, so p**(n*r) is never built
+        cells *= p
+        if cells > cap:
+            raise ValueError(f"configuration needs {p}^{n * r} cells, above the cap {cap}")
+    if not is_prime(p):
+        raise ValueError(f"--p must be prime, got {p}")
 
 
 def _exponent_words(r: int, cap: int, odd_only: bool) -> list[tuple[int, ...]]:
-    words = []
-    for word in product(range(cap + 1), repeat=r):
-        total = sum(word)
-        if total > cap:
-            continue
-        if odd_only and total % 2 == 0:
-            continue
-        words.append(word)
+    """The length-r words with sum at most ``cap`` (odd sum if ``odd_only``),
+    in lexicographic order.  Their number is checked before any is built."""
+    count = comb(cap + r, r)
+    if count > MAX_EXPONENT_WORDS:
+        raise ValueError(f"exponent cap {cap} gives {count} words of length {r}, "
+                         f"above the limit {MAX_EXPONENT_WORDS}")
+    words: list[tuple[int, ...]] = [()]
+    for _ in range(r):
+        words = [word + (e,) for word in words for e in range(cap - sum(word) + 1)]
+    if odd_only:
+        words = [word for word in words if sum(word) % 2]
     return words
+
+
+def _vanish_words(r: int, cap: int) -> list[tuple[int, ...]]:
+    """The odd words of a vanish sweep; every one needs a certificate."""
+    if cap > MAX_CERTIFICATE_EXPONENT:
+        raise ValueError(f"exponent cap {cap} is above the certificate limit "
+                         f"{MAX_CERTIFICATE_EXPONENT}")
+    return _exponent_words(r, cap, odd_only=True)
 
 
 def _valuation_json(value: int | float) -> int | str:
@@ -87,8 +107,12 @@ def _emit(report: dict, out: str | None) -> int:
     return 0
 
 
-def _load_measure(args: argparse.Namespace) -> tuple[LevelMeasure, dict]:
-    """Measure from --in, or a seeded kernel measure from the config flags."""
+def _load_measure(
+    args: argparse.Namespace, words_of: Callable[[int], list[tuple[int, ...]]]
+) -> tuple[LevelMeasure, dict, list[tuple[int, ...]]]:
+    """Measure from --in, or a seeded kernel measure from the config flags,
+    with the exponent words ``words_of(depth)``.  The words are enumerated
+    before a seeded measure is built, so their guard runs first."""
     if args.infile is not None:
         data = json.loads(Path(args.infile).read_text(encoding="ascii"))
         mu = measure_from_json_dict(data)
@@ -100,13 +124,14 @@ def _load_measure(args: argparse.Namespace) -> tuple[LevelMeasure, dict]:
             if got is not None and got != expected:
                 raise ValueError(f"{flag} {got} does not match the input file's {expected}")
         _check_config(mu.p, mu.n, mu.r)
-        return mu, {"file": args.infile}
+        return mu, {"file": args.infile}, words_of(mu.r)
     for flag, got in (("--p", args.p), ("--level", args.level), ("--depth", args.depth)):
         if got is None:
             raise ValueError(f"{flag} is required when no input file is given")
     _check_config(args.p, args.level, args.depth)
+    words = words_of(args.depth)
     mu = random_kernel_measure(args.p, args.level, args.depth, seed=args.seed)
-    return mu, {"seed": args.seed}
+    return mu, {"seed": args.seed}, words
 
 
 def _measure_report(command: str, mu: LevelMeasure, source: dict, exp_cap: int,
@@ -116,38 +141,39 @@ def _measure_report(command: str, mu: LevelMeasure, source: dict, exp_cap: int,
             "exponent_cap": exp_cap, **fields}
 
 
-def _vanish_sweep(mu: LevelMeasure, exp_cap: int) -> list[dict]:
-    """One report row per odd exponent word with sum at most ``exp_cap``."""
+def _vanish_sweep(mu: LevelMeasure, words: list[tuple[int, ...]]) -> list[dict]:
+    """One report row per odd exponent word."""
     return [
-        {"exponents": list(word), **vanishing_check(mu, word, validate=False).to_json_dict()}
-        for word in _exponent_words(mu.r, exp_cap, odd_only=True)
+        {"exponents": list(word), **verdict.to_json_dict()}
+        for word, verdict in zip(words, vanishing_sweep(mu, words))
     ]
 
 
-def _coset_sweep(mu: LevelMeasure, exp_cap: int) -> tuple[int, list[dict], int | float]:
-    """Every signed coset identity at modulus exponents {1, n} and exponent sum
-    at most ``exp_cap``: the number of checks, the failing ones as report rows,
-    and the worst valuation.  Passing verdicts are not kept."""
-    words = _exponent_words(mu.r, exp_cap, odd_only=False)
+def _coset_sweep(mu: LevelMeasure,
+                 words: list[tuple[int, ...]]) -> tuple[int, list[dict], int | float]:
+    """Every signed coset identity at modulus exponents {1, n} and every
+    word: the number of checks, the failing ones as report rows in (modulus
+    exponent, base, word) order, and the worst valuation.  Passing verdicts
+    are not kept."""
     total = 0
     failures = []
     worst: int | float = INFINITY
     for modulus_exponent in sorted({1, mu.n}) if mu.n >= 1 else [0]:
-        for base in product(range(mu.p**modulus_exponent), repeat=mu.r):
-            coset = Coset(base, modulus_exponent)
-            for word in words:
-                verdict = coset_four_term_check(mu, coset, word, validate=False)
-                total += 1
-                worst = min(worst, verdict.valuation)
-                if not verdict.passed:
-                    failures.append(
-                        {
-                            "modulus_exponent": modulus_exponent,
-                            "base": list(base),
-                            "exponents": list(word),
-                            **verdict.to_json_dict(),
-                        }
-                    )
+        failed = []
+        for word_index, valuations in enumerate(coset_identity_sweep(mu, words, modulus_exponent)):
+            total += len(valuations)
+            worst = min(worst, min(valuations))
+            failed += [(base_index, word_index, valuation)
+                       for base_index, valuation in enumerate(valuations) if valuation < mu.n]
+        for base_index, word_index, valuation in sorted(failed):
+            failures.append(
+                {
+                    "modulus_exponent": modulus_exponent,
+                    "base": list(index_to_point(base_index, mu.p**modulus_exponent, mu.r)),
+                    "exponents": list(words[word_index]),
+                    **CongruenceVerdict(valuation, mu.n, False).to_json_dict(),
+                }
+            )
     return total, failures, worst
 
 
@@ -172,9 +198,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_vanish(args: argparse.Namespace) -> int:
-    mu, source = _load_measure(args)
-    _require_kernel_integer(mu)
-    checks = _vanish_sweep(mu, args.exp_cap)
+    mu, source, words = _load_measure(args, lambda r: _vanish_words(r, args.exp_cap))
+    checks = _vanish_sweep(mu, words)
     all_pass = all(row["pass"] for row in checks)
     report = _measure_report("vanish", mu, source, args.exp_cap, checks=checks, all_pass=all_pass)
     _emit(report, args.out)
@@ -206,14 +231,14 @@ def cmd_check_rhombus(args: argparse.Namespace) -> int:
 
 
 def cmd_check_cosets(args: argparse.Namespace) -> int:
-    mu, source = _load_measure(args)
+    mu, source, words = _load_measure(args, lambda r: _exponent_words(r, args.exp_cap, False))
     if args.perturb:
         # one-cell edit at the all-ones point: for modulus > 2 this leaves the
         # four-term kernel, so the identity must fail
         mu = mu + LevelMeasure.point_mass(mu.p, mu.n, mu.r, (1,) * mu.r)
     else:
         _require_kernel_integer(mu)
-    total, failures, worst = _coset_sweep(mu, args.exp_cap)
+    total, failures, worst = _coset_sweep(mu, words)
     all_pass = not failures
     report = _measure_report(
         "check-cosets", mu, source, args.exp_cap, perturbed=args.perturb, total_checks=total,
@@ -224,18 +249,16 @@ def cmd_check_cosets(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
-    mu, source = _load_measure(args)
-    rows = []
-    for word in _exponent_words(mu.r + 1, args.exp_cap, odd_only=False):
-        value = moment(mu, word)
-        rows.append(
-            {
-                "exponents": list(word),
-                "moment": format_rational(value),
-                "lambda": format_rational(value / factorial_norm(word)),
-                "valuation": _valuation_json(padic_valuation(value, mu.p)),
-            }
-        )
+    mu, source, words = _load_measure(args, lambda r: _exponent_words(r + 1, args.exp_cap, False))
+    rows = [
+        {
+            "exponents": list(word),
+            "moment": format_rational(value),
+            "lambda": format_rational(Fraction(value, factorial_norm(word))),
+            "valuation": _valuation_json(padic_valuation(value, mu.p)),
+        }
+        for word, value in zip(words, moment_sweep(mu, words))
+    ]
     return _emit(_measure_report("moments", mu, source, args.exp_cap, moments=rows), args.out)
 
 
@@ -244,6 +267,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.degree > DEGREE_CAP:
         raise ValueError(f"--degree is capped at {DEGREE_CAP}")
     p, n, r, seed = args.p, args.level, args.depth, args.seed
+    vanish_words = _vanish_words(r, args.exp_cap)
+    coset_words = _exponent_words(r, args.exp_cap, odd_only=False)
 
     table = random_lambda_table(p, n, r, seed=seed)
     series = from_lambda_table(table, degree_cap=args.degree)
@@ -254,9 +279,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     basis = four_term_kernel(p, n, r)
     mu = random_kernel_measure(p, n, r, seed=seed)
-    vanish_rows = _vanish_sweep(mu, args.exp_cap)
+    vanish_rows = _vanish_sweep(mu, vanish_words)
     vanish_failures = sum(not row["pass"] for row in vanish_rows)
-    coset_total, coset_failures, _ = _coset_sweep(mu, args.exp_cap)
+    coset_total, coset_failures, _ = _coset_sweep(mu, coset_words)
 
     all_pass = series_ok and rhombus_ok and vanish_failures == 0 and not coset_failures
     report = {

@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import factorial
-from typing import Iterable, Literal, Mapping, Sequence
+from operator import add, sub
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .exact import INFINITY, binomial, bernoulli, format_rational, padic_valuation, parse_rational
-from .measures import (FOUR_TERM, Coset, LevelMeasure, coset_moment, factorial_norm,
-                       four_term_is_zero, moment)
+from .measures import (FOUR_TERM, Coset, LevelMeasure, _four_term_maps, _points, coset_moment,
+                       coset_sums, factorial_norm, four_term_is_zero, moment, moment_sweep)
 from .series import LambdaTable
 
 __all__ = [
@@ -25,11 +25,14 @@ __all__ = [
     "poly_eval",
     "four_term_poly",
     "four_term_poly_coeffs",
+    "MAX_CERTIFICATE_EXPONENT",
     "VanishingCertificate",
     "make_certificate",
     "CongruenceVerdict",
     "vanishing_check",
+    "vanishing_sweep",
     "coset_four_term_check",
+    "coset_identity_sweep",
     "coset_lambda_tables",
     "coefficient_four_term_check",
     "FiltrationReport",
@@ -42,6 +45,11 @@ __all__ = [
 Poly = tuple[Fraction, ...]
 
 Parity = Literal["even", "odd"]
+
+# Largest certificate target exponent.  Building the combination costs about
+# a^3 / 24 Fraction operations on numbers that grow with a; a = 200 takes
+# about 2 s.
+MAX_CERTIFICATE_EXPONENT = 200
 
 
 def _parity_is_odd(m_parity: str) -> bool:
@@ -150,11 +158,21 @@ class VanishingCertificate:
         return out
 
 
-@lru_cache(maxsize=None)
 def _combination(a: int, m_odd: bool) -> tuple[tuple[int, Fraction], ...]:
     if (m_odd + a) % 2 == 0:
         raise ValueError("certificate requires the prefix sum and the target exponent "
                          "to have opposite parity")
+    if a > MAX_CERTIFICATE_EXPONENT:
+        raise ValueError(f"certificate exponent {a} is above the limit {MAX_CERTIFICATE_EXPONENT}")
+    # bottom-up over a's parity, so each step finds every lower exponent cached
+    for k in range(a % 2, a + 1, 2):
+        combination = _combination_step(k, m_odd)
+    return combination
+
+
+@lru_cache(maxsize=None)
+def _combination_step(a: int, m_odd: bool) -> tuple[tuple[int, Fraction], ...]:
+    """The combination for ``a``; the ones for a-2, a-4, ... must be cached."""
     if a == 0:
         return ((2, Fraction(-1, 2)),)
     if a == 1:
@@ -164,13 +182,14 @@ def _combination(a: int, m_odd: bool) -> tuple[tuple[int, Fraction], ...]:
     for k in range(a - 2, -1, -2):
         # the expansion's x^k coefficient is -2 C(q, k); divide out the leading -2(a+1)
         carried = Fraction(binomial(q, k), q)
-        for q2, c2 in _combination(k, m_odd):
+        for q2, c2 in _combination_step(k, m_odd):
             combo[q2] = combo.get(q2, Fraction(0)) - carried * c2
     return tuple(sorted((q2, c2) for q2, c2 in combo.items() if c2))
 
 
 def make_certificate(exponents: Sequence[int]) -> VanishingCertificate:
-    """Certificate for the exponent word (n_1, ..., n_{r-1}, a); m + a must be odd."""
+    """Certificate for the exponent word (n_1, ..., n_{r-1}, a); m + a must be odd
+    and a at most ``MAX_CERTIFICATE_EXPONENT``."""
     target = tuple(int(e) for e in exponents)
     if not target:
         raise ValueError("exponent word must be non-empty")
@@ -230,6 +249,21 @@ def _check_word(mu: LevelMeasure, exponents: Sequence[int]) -> tuple[int, ...]:
     return exponents
 
 
+def _odd_word(mu: LevelMeasure, exponents: Sequence[int]) -> tuple[int, ...]:
+    exponents = _check_word(mu, exponents)
+    if sum(exponents) % 2 == 0:
+        raise ValueError("the exponent sum must be odd")
+    return exponents
+
+
+def _vanishing_verdict(mu: LevelMeasure, exponents: tuple[int, ...],
+                       value: Fraction | int) -> CongruenceVerdict:
+    """Verdict for the moment ``value`` of the word (0, *exponents)."""
+    valuation = padic_valuation(value, mu.p)
+    threshold = mu.n - make_certificate(exponents).slack(mu.p)
+    return CongruenceVerdict(valuation, threshold, valuation >= threshold)
+
+
 def vanishing_check(
     mu: LevelMeasure,
     exponents: Sequence[int],
@@ -242,16 +276,21 @@ def vanishing_check(
     sweeping many exponent words over one measure may pass ``validate=False``
     after checking the kernel and integrality hypotheses themselves.
     """
-    exponents = _check_word(mu, exponents)
-    if sum(exponents) % 2 == 0:
-        raise ValueError("the exponent sum must be odd")
+    exponents = _odd_word(mu, exponents)
     if validate:
         _require_kernel_integer(mu)
-    cert = make_certificate(exponents)
-    value = moment(mu, (0, *exponents))
-    valuation = padic_valuation(value, mu.p)
-    threshold = mu.n - cert.slack(mu.p)
-    return CongruenceVerdict(valuation, threshold, valuation >= threshold)
+    return _vanishing_verdict(mu, exponents, moment(mu, (0, *exponents)))
+
+
+def vanishing_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[CongruenceVerdict]:
+    """:func:`vanishing_check` for every word, in order, from one moment sweep.
+
+    The kernel and integrality hypotheses are checked once, first.
+    """
+    words = [_odd_word(mu, word) for word in words]
+    _require_kernel_integer(mu)
+    values = moment_sweep(mu, [(0, *word) for word in words])
+    return [_vanishing_verdict(mu, word, value) for word, value in zip(words, values)]
 
 
 def _identity_signs(m: int) -> list[int]:
@@ -294,6 +333,45 @@ def coset_four_term_check(
     return CongruenceVerdict(valuation, mu.n, valuation >= mu.n)
 
 
+def _identity_sum_vectors(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
+                          modulus_exponent: int) -> Iterator[list[list[Fraction | int]]]:
+    """Per word (n_1, ..., n_r), the coset identity's four unsigned sums in
+    ``FOUR_TERM`` order, each as a list over the bases in row-major order: the
+    values of :func:`_identity_sums` for every base at once."""
+    offsets = sorted({-offset for _, _, offset in FOUR_TERM})
+    stream = coset_sums(mu, [(0, *word) for word in words], modulus_exponent, offsets)
+    slots = [offsets.index(-offset) for _, _, offset in FOUR_TERM]
+    base_maps = _four_term_maps(mu.p**modulus_exponent, mu.r)
+    return ([list(map(sums[slot].__getitem__, cells)) for slot, cells in zip(slots, base_maps)]
+            for sums in stream)
+
+
+def _identity_valuations(p: int, exponent_sum: int,
+                         sums: Sequence[list[Fraction | int]]) -> list[int | float]:
+    totals: list = [0] * len(sums[0])
+    for sign, vector in zip(_identity_signs(exponent_sum), sums):
+        totals = list(map(add if sign > 0 else sub, totals, vector))
+    return [padic_valuation(total, p) for total in totals]
+
+
+def coset_identity_sweep(
+    mu: LevelMeasure,
+    words: Iterable[Sequence[int]],
+    modulus_exponent: int,
+) -> Iterator[list[int | float]]:
+    """:func:`coset_four_term_check` at every coset of one modulus, per word.
+
+    Yields, for each exponent word in order, the valuations of the signed
+    totals at the bases of (Z/p^modulus_exponent)^r in row-major order; a
+    check passes when its valuation is at least the measure's level.  The
+    hypotheses are not checked here, so that a measure outside the kernel can
+    be shown to fail.
+    """
+    words = [_check_word(mu, word) for word in words]
+    vectors = _identity_sum_vectors(mu, words, modulus_exponent)
+    return (_identity_valuations(mu.p, sum(word), sums) for word, sums in zip(words, vectors))
+
+
 def coset_lambda_tables(
     mu: LevelMeasure,
     exponents: Sequence[int],
@@ -305,12 +383,11 @@ def coset_lambda_tables(
     normalized-coefficient form."""
     exponents = _check_word(mu, exponents)
     norm = factorial_norm(exponents)
-    tables: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
-    for base in product(range(mu.p**modulus_exponent), repeat=mu.r):
-        sums = _identity_sums(mu, base, modulus_exponent, (0, *exponents))
-        for table, value in zip(tables, sums):
-            table[base] = value / norm
-    return tables
+    (sums,) = _identity_sum_vectors(mu, [exponents], modulus_exponent)
+    bases = _points(mu.p**modulus_exponent, mu.r)
+    return tuple(
+        {base: Fraction(value, norm) for base, value in zip(bases, vector)} for vector in sums
+    )
 
 
 def coefficient_four_term_check(

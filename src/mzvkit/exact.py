@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf, isqrt
+from math import comb, inf
 
 __all__ = [
     "INFINITY",
@@ -24,18 +24,47 @@ __all__ = [
 INFINITY = inf
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality test; adequate for the single-digit primes used here."""
+    """Deterministic Miller-Rabin primality test.
+
+    Raises ValueError at or above 3.3e24, where the fixed bases no longer
+    decide primality.
+    """
     if p < 2:
         return False
-    if p < 4:
+    for base in _MILLER_RABIN_BASES:
+        if p % base == 0:
+            return p == base
+    if p < _MILLER_RABIN_BASES[-1] ** 2:
         return True
-    if p % 2 == 0:
-        return False
-    for d in range(3, isqrt(p) + 1, 2):
-        if p % d == 0:
+    if p >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"primality of {p} is not decided above {_MILLER_RABIN_BOUND}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
+
+
+@lru_cache(maxsize=64)
+def _is_prime_base(p: int) -> bool:
+    return is_prime(p)
 
 
 def _int_valuation(k: int, p: int) -> int:
@@ -52,8 +81,10 @@ def padic_valuation(q: Fraction | int, p: int) -> int | float:
 
     Raises ValueError when p is not prime.
     """
-    if not is_prime(p):
+    if not _is_prime_base(p):
         raise ValueError(f"valuation base must be prime, got {p}")
+    if type(q) is int:
+        return INFINITY if q == 0 else _int_valuation(q, p)
     q = Fraction(q)
     if q == 0:
         return INFINITY

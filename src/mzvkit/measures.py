@@ -13,6 +13,13 @@ each row.  The coset identity sums over the coset based at scale*b + offset
 with final factor (x_r - offset)^{e_r} and sign sign * scale^m, m the exponent
 sum: x -> scale*x + offset scales each of its m linear factors by scale.  The
 rhombus product reindexes along the inverse map j -> scale*j - scale*offset.
+
+Sweeps run on one engine with two primitives, :func:`moment_sweep` and
+:func:`coset_sums`.  Both work over the nonzero cells only, on
+``integer_values`` when the measure is integral and on the ``Fraction`` values
+otherwise, and share partial products between words with a common prefix.
+:func:`moment` and :func:`coset_moment` evaluate one cell at a time and stay
+as their independent oracles.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import factorial, prod
-from typing import Iterator, Mapping, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact import format_rational, is_prime, parse_rational
 from .series import LambdaTable
@@ -36,6 +44,8 @@ __all__ = [
     "four_term",
     "four_term_is_zero",
     "moment",
+    "moment_sweep",
+    "coset_sums",
     "factorial_norm",
     "lambda_coefficient",
     "coset_moment",
@@ -209,15 +219,25 @@ def affine_pushforward(mu: LevelMeasure, scale: int, offset: int) -> LevelMeasur
 
 
 @lru_cache(maxsize=64)
+def _four_term_maps(q: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Per ``FOUR_TERM`` entry, the index of the cell scale*j + offset for
+    every cell j of (Z/q)^r, row-major."""
+    points = _points(q, r)
+    return tuple(
+        tuple(point_to_index(tuple((scale * c + offset) % q for c in point), q) for point in points)
+        for _, scale, offset in FOUR_TERM
+    )
+
+
+@lru_cache(maxsize=64)
 def _four_term_rows(q: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Sparse rows of the four-term operator on (Z/q)^r: row j lists the
     (cell, coefficient) pairs of the ``FOUR_TERM`` terms at j, merged where
     cells coincide, with cancelled cells dropped (a row may be empty)."""
     rows = []
-    for point in _points(q, r):
+    for cells in zip(*_four_term_maps(q, r)):
         row: dict[int, int] = {}
-        for sign, scale, offset in FOUR_TERM:
-            cell = point_to_index(tuple((scale * c + offset) % q for c in point), q)
+        for (sign, _, _), cell in zip(FOUR_TERM, cells):
             row[cell] = row.get(cell, 0) + sign
         rows.append(tuple((cell, coeff) for cell, coeff in row.items() if coeff))
     return tuple(rows)
@@ -290,6 +310,110 @@ def moment(
         if f and v:
             total += v * f
     return total
+
+
+def _support(mu: LevelMeasure) -> tuple[list[tuple[int, ...]], list[Fraction | int]]:
+    """The points of the nonzero cells and their values: ints when the
+    measure is integral, else Fractions."""
+    values = mu.values if mu.integer_values is None else mu.integer_values
+    points = mu.points()
+    cells = [i for i, v in enumerate(values) if v]
+    return [points[i] for i in cells], [values[i] for i in cells]
+
+
+def _integrand_factors(points: Sequence[tuple[int, ...]], r: int,
+                       final_offset: int) -> list[list[int]]:
+    """The integrand's r + 1 factors over ``points``, one column each:
+    -x_1, x_1 - x_2, ..., x_{r-1} - x_r, x_r + final_offset."""
+    columns = [[-x[0] for x in points]]
+    columns += [[x[k - 1] - x[k] for x in points] for k in range(1, r)]
+    columns.append([x[-1] + final_offset for x in points])
+    return columns
+
+
+def _times_power(vector: list, column: list[int], e: int) -> list:
+    if e == 1:
+        return list(map(mul, vector, column))
+    return list(map(mul, vector, map(pow, column, repeat(e))))
+
+
+def _word_products(values: list, factors: Sequence[list[int]],
+                   words: Iterable[tuple[int, ...]]) -> Iterator[list]:
+    """For each word w, the cellwise product values * prod_k factors[k] ** w[k].
+
+    ``stack[k]`` holds the product over the first k factors for the current
+    word.  A word keeps the entries below the first exponent where it differs
+    from the previous word; there, an exponent that grew by d multiplies the
+    previous word's entry by the factor's d-th power.  In lexicographic order
+    every word thus costs one elementwise multiply.  The yielded lists are
+    shared with the stack and must not be modified.
+    """
+    length = len(factors)
+    stack: list = [values] + [None] * length
+    previous: tuple[int, ...] | None = None
+    for word in words:
+        k = 0
+        if previous is not None:
+            while k < length and word[k] == previous[k]:
+                k += 1
+        for i in range(k, length):
+            e = word[i]
+            base = stack[i]
+            if i == k and previous is not None and e > previous[i]:
+                base, e = stack[i + 1], e - previous[i]
+            stack[i + 1] = _times_power(base, factors[i], e) if e else base
+        previous = word
+        yield stack[length]
+
+
+def moment_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[Fraction | int]:
+    """``moment(mu, w)`` for every exponent word w, in the given order.
+
+    Each value is an int when the measure is integral, else a Fraction (or the
+    int 0).  Any order is valid; lexicographic order shares the most work.
+    """
+    words = [_check_exponents(w, mu.r) for w in words]
+    points, values = _support(mu)
+    factors = _integrand_factors(points, mu.r, 0)
+    return [sum(cells) for cells in _word_products(values, factors, words)]
+
+
+def _bucket_sums(buckets: Sequence[int], cells: Iterable, size: int) -> list[Fraction | int]:
+    sums: list = [0] * size
+    for bucket, value in zip(buckets, cells):
+        sums[bucket] += value
+    return sums
+
+
+def coset_sums(
+    mu: LevelMeasure,
+    words: Iterable[Sequence[int]],
+    modulus_exponent: int,
+    final_offsets: Sequence[int],
+) -> Iterator[tuple[list[Fraction | int], ...]]:
+    """Every coset sum at modulus p^modulus_exponent at once.
+
+    Yields, per exponent word and then per final offset o, the list whose entry
+    at the row-major index of a base b (in (Z/p^modulus_exponent)^r) equals
+    ``coset_moment(mu, Coset(b, modulus_exponent), word, o)``.  Each cell's
+    integrand times value is added into the bucket of its point mod
+    p^modulus_exponent.  Values are typed as in :func:`moment_sweep`.
+    """
+    if not 0 <= modulus_exponent <= mu.n:
+        raise ValueError("coset modulus exponent must lie between 0 and the measure level")
+    words = [_check_exponents(w, mu.r) for w in words]
+    points, values = _support(mu)
+    stride = mu.p**modulus_exponent
+    buckets = [point_to_index(tuple(c % stride for c in x), stride) for x in points]
+    size = _cell_count(stride, mu.r)
+    streams = [
+        _word_products(values, _integrand_factors(points, mu.r, offset), words)
+        for offset in final_offsets
+    ]
+    return (
+        tuple(_bucket_sums(buckets, cells, size) for cells in products)
+        for products in zip(*streams)
+    )
 
 
 def factorial_norm(exponents: Sequence[int]) -> int:

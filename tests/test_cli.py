@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -247,3 +248,58 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dimension"] == 2
+
+
+def _limit_memory():
+    import resource
+
+    limit = 1536 * 1024 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+# Inputs that once ran out of memory, recursed too deep or hung before a
+# guard; each must now be rejected as bad input before any work.
+GUARDED_INPUTS = [
+    (("moments", "--p", "2", "--level", "1", "--depth", "1", "--seed", "0",
+      "--exp-cap", "100000"), "words"),
+    (("vanish", "--p", "2", "--level", "1", "--depth", "3", "--seed", "0",
+      "--exp-cap", "100000"), "certificate limit"),
+    (("vanish", "--p", "2", "--level", "1", "--depth", "3", "--seed", "0",
+      "--exp-cap", "200"), "words"),
+    (("check-cosets", "--p", "2", "--level", "1", "--depth", "2", "--seed", "0",
+      "--exp-cap", "1000"), "words"),
+    (("report", "--p", "2", "--level", "1", "--depth", "1", "--exp-cap", "100000"),
+     "certificate limit"),
+    (("certificate", "1,100000", "--p", "3"), "limit"),
+    (("kernel", "--p", "2305843009213693951", "--level", "1", "--depth", "1"), "above the cap"),
+    (("kernel", "--p", "2", "--level", "100000000", "--depth", "1"), "above the cap"),
+]
+
+
+@pytest.mark.parametrize("argv,message", GUARDED_INPUTS, ids=[" ".join(c[0]) for c in GUARDED_INPUTS])
+def test_resource_guards_exit_two_before_work(argv, message):
+    # a separate, memory-limited process, so that a missing guard fails here
+    # with MemoryError or a timeout rather than exhausting the test runner
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "mzvkit", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    elapsed = time.perf_counter() - start
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error:") and message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert elapsed < 5
+
+
+def test_exponent_words_enumerate_in_lexicographic_order():
+    from itertools import product
+
+    from mzvkit.cli import _exponent_words
+
+    for r in (1, 2, 3):
+        for cap in range(6):
+            for odd_only in (False, True):
+                expected = [w for w in product(range(cap + 1), repeat=r)
+                            if sum(w) <= cap and (sum(w) % 2 or not odd_only)]
+                assert _exponent_words(r, cap, odd_only) == expected

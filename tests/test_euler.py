@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mzvkit.euler import (
+    MAX_CERTIFICATE_EXPONENT,
     certificate_from_json_dict,
     certificate_to_json_dict,
     coefficient_four_term_check,
@@ -17,7 +18,7 @@ from mzvkit.euler import (
     poly_eval,
     vanishing_check,
 )
-from mzvkit.exact import INFINITY, padic_valuation
+from mzvkit.exact import INFINITY, binomial, padic_valuation
 from mzvkit.measures import Coset, LevelMeasure, moment
 from mzvkit.series import LambdaTable
 from mzvkit.synth import four_term_kernel, random_kernel_measure
@@ -82,6 +83,32 @@ def test_certificate_replay_recovers_monomial(a):
     cert = make_certificate((*prefix, a))
     expected = tuple(Fraction(0) for _ in range(a)) + (Fraction(1),)
     assert cert.replay() == expected
+
+
+def recursive_combination(a, m_odd):
+    # the top-down recursion: x^a = P_{a+1} / (-2(a+1)) minus the lower terms
+    if a < 2:
+        return {2: Fraction(-1, 2) if a == 0 else Fraction(-1, 4)}
+    q = a + 1
+    combo = {q: Fraction(-1, 2 * q)}
+    for k in range(a - 2, -1, -2):
+        for q2, c2 in recursive_combination(k, m_odd).items():
+            combo[q2] = combo.get(q2, Fraction(0)) - Fraction(binomial(q, k), q) * c2
+    return {q2: c2 for q2, c2 in combo.items() if c2}
+
+
+@pytest.mark.parametrize("a", range(0, 25))
+def test_certificate_matches_recursive_oracle(a):
+    prefix = (1,) if a % 2 == 0 else (2,)
+    cert = make_certificate((*prefix, a))
+    assert cert.combination == tuple(sorted(recursive_combination(a, a % 2 == 0).items()))
+
+
+def test_certificate_exponent_bound_checked_first():
+    with pytest.raises(ValueError, match="limit"):
+        make_certificate((1, 100_000))
+    with pytest.raises(ValueError, match="limit"):
+        make_certificate((MAX_CERTIFICATE_EXPONENT + 1,))
 
 
 def test_certificate_parity_rejection():

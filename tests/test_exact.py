@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +37,32 @@ def test_is_prime_small_cases():
     assert is_prime(97)
 
 
+def trial_division_is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def test_is_prime_matches_trial_division_oracle():
+    for k in range(-5, 20_000):
+        assert is_prime(k) == trial_division_is_prime(k), k
+
+
+@given(st.integers(0, 10**9))
+def test_is_prime_matches_trial_division_on_large_values(k):
+    assert is_prime(k) == trial_division_is_prime(k)
+
+
+def test_is_prime_large_cases():
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**31 - 1)
+    assert not is_prime((2**31 - 1) * 1_000_000_007)
+    # strong pseudoprimes to every base up to 23 and up to 37
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    # the first strong pseudoprime to every base up to 41 is where the test stops deciding
+    with pytest.raises(ValueError, match="not decided"):
+        is_prime(3_317_044_064_679_887_385_961_981)
+
+
 def test_valuation_examples():
     assert padic_valuation(0, 3) == INFINITY
     assert padic_valuation(Fraction(1, 6), 2) == -1
@@ -49,6 +76,13 @@ def test_valuation_rejects_non_prime():
         padic_valuation(Fraction(1, 2), 4)
     with pytest.raises(ValueError):
         padic_valuation(Fraction(1, 2), 1)
+
+
+@given(k=st.integers(-10**30, 10**30), p=st.sampled_from([2, 3, 5, 7]))
+def test_integer_valuation_matches_fraction_path(k, p):
+    assert padic_valuation(k, p) == padic_valuation(Fraction(k), p)
+    with pytest.raises(ValueError):
+        padic_valuation(k, 9)
 
 
 @given(q=rationals, s=rationals, p=st.sampled_from([2, 3, 5, 7]))
