@@ -25,7 +25,7 @@ from .euler import (
     make_certificate,
     vanishing_sweep,
 )
-from .exact import INFINITY, format_rational, is_prime, padic_valuation
+from .exact import INFINITY, check_config, format_rational, padic_valuation
 from .measures import (
     LevelMeasure,
     factorial_norm,
@@ -53,32 +53,26 @@ DEFAULT_EXPONENT_CAP = 7
 MAX_SEED = 2**64 - 1
 # Largest exponent-word list a sweep may enumerate; checked before any work.
 MAX_EXPONENT_WORDS = 100_000
+# Largest series term-count estimate `report` may exponentiate; (2, 2, 2) at
+# degree 8 estimates 69 904 terms, (3, 2, 2) at degree 8 about 4.4e7.
+MAX_SERIES_TERMS = 100_000
 
 
-def _check_config(p: int, n: int, r: int) -> None:
-    if p < 2:  # checked first: the cell count below only grows for p >= 2
-        raise ValueError(f"--p must be prime, got {p}")
-    if n < 0:
-        raise ValueError("--level must be non-negative")
-    if r < 1:
-        raise ValueError("--depth must be at least 1")
-    cap = size_cap()
-    cells = 1
-    for _ in range(n * r):  # stops past the cap, so p**(n*r) is never built
-        cells *= p
-        if cells > cap:
-            raise ValueError(f"configuration needs {p}^{n * r} cells, above the cap {cap}")
-    if not is_prime(p):
-        raise ValueError(f"--p must be prime, got {p}")
+def _check_exponent_cap(cap: int) -> None:
+    if cap > MAX_CERTIFICATE_EXPONENT:
+        raise ValueError(f"exponent cap {cap} is above the certificate limit "
+                         f"{MAX_CERTIFICATE_EXPONENT}")
 
 
 def _exponent_words(r: int, cap: int, odd_only: bool) -> list[tuple[int, ...]]:
     """The length-r words with sum at most ``cap`` (odd sum if ``odd_only``),
-    in lexicographic order.  Their number is checked before any is built."""
+    in lexicographic order.  Their number, then the cap itself, which bounds
+    the powers every cell is raised to, are checked before any is built."""
     count = comb(cap + r, r)
     if count > MAX_EXPONENT_WORDS:
         raise ValueError(f"exponent cap {cap} gives {count} words of length {r}, "
                          f"above the limit {MAX_EXPONENT_WORDS}")
+    _check_exponent_cap(cap)
     words: list[tuple[int, ...]] = [()]
     for _ in range(r):
         words = [word + (e,) for word in words for e in range(cap - sum(word) + 1)]
@@ -88,10 +82,9 @@ def _exponent_words(r: int, cap: int, odd_only: bool) -> list[tuple[int, ...]]:
 
 
 def _vanish_words(r: int, cap: int) -> list[tuple[int, ...]]:
-    """The odd words of a vanish sweep; every one needs a certificate."""
-    if cap > MAX_CERTIFICATE_EXPONENT:
-        raise ValueError(f"exponent cap {cap} is above the certificate limit "
-                         f"{MAX_CERTIFICATE_EXPONENT}")
+    """The odd words of a vanish sweep; every one needs a certificate, so the
+    certificate limit is checked before the word count."""
+    _check_exponent_cap(cap)
     return _exponent_words(r, cap, odd_only=True)
 
 
@@ -123,12 +116,12 @@ def _load_measure(
         ):
             if got is not None and got != expected:
                 raise ValueError(f"{flag} {got} does not match the input file's {expected}")
-        _check_config(mu.p, mu.n, mu.r)
+        check_config(mu.p, mu.n, mu.r, size_cap())
         return mu, {"file": args.infile}, words_of(mu.r)
     for flag, got in (("--p", args.p), ("--level", args.level), ("--depth", args.depth)):
         if got is None:
             raise ValueError(f"{flag} is required when no input file is given")
-    _check_config(args.p, args.level, args.depth)
+    check_config(args.p, args.level, args.depth, size_cap())
     words = words_of(args.depth)
     mu = random_kernel_measure(args.p, args.level, args.depth, seed=args.seed)
     return mu, {"seed": args.seed}, words
@@ -184,7 +177,6 @@ def _rhombus_matches(table: LambdaTable) -> bool:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    _check_config(args.p, args.level, args.depth)
     basis = four_term_kernel(args.p, args.level, args.depth)
     report = {
         "command": "kernel",
@@ -207,15 +199,14 @@ def cmd_vanish(args: argparse.Namespace) -> int:
 
 
 def cmd_certificate(args: argparse.Namespace) -> int:
-    if not is_prime(args.p):
-        raise ValueError(f"--p must be prime, got {args.p}")
+    check_config(args.p, 0, 1)  # a certificate has no level or depth; this checks p
     cert = make_certificate(args.exponents)
     report = {"command": "certificate", "p": args.p, **certificate_to_json_dict(cert, args.p)}
     return _emit(report, args.out)
 
 
 def cmd_check_rhombus(args: argparse.Namespace) -> int:
-    _check_config(args.p, args.level, args.depth)
+    check_config(args.p, args.level, args.depth, size_cap())
     table = random_lambda_table(args.p, args.level, args.depth, seed=args.seed)
     matched = _rhombus_matches(table)
     report = {
@@ -263,10 +254,17 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    _check_config(args.p, args.level, args.depth)
+    check_config(args.p, args.level, args.depth, size_cap())
     if args.degree > DEGREE_CAP:
         raise ValueError(f"--degree is capped at {DEGREE_CAP}")
     p, n, r, seed = args.p, args.level, args.depth, args.seed
+    # exp and log of 1 + (the depth-r layer) reach every product of up to
+    # degree // r of its p^(n*r) words
+    cells = p ** (n * r)
+    terms = sum(cells**k for k in range(1, args.degree // r + 1))
+    if terms > MAX_SERIES_TERMS:
+        raise ValueError(f"--degree {args.degree} needs about {terms} series terms at "
+                         f"{cells} cells, above the limit {MAX_SERIES_TERMS}")
     vanish_words = _vanish_words(r, args.exp_cap)
     coset_words = _exponent_words(r, args.exp_cap, odd_only=False)
 

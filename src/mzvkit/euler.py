@@ -15,7 +15,8 @@ from math import factorial
 from operator import add, sub
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
-from .exact import INFINITY, binomial, bernoulli, format_rational, padic_valuation, parse_rational
+from .exact import (INFINITY, binomial, bernoulli, check_word, format_rational, padic_valuation,
+                    parse_rational)
 from .measures import (FOUR_TERM, Coset, LevelMeasure, _four_term_maps, _points, coset_moment,
                        coset_sums, factorial_norm, four_term_is_zero, moment, moment_sweep)
 from .series import LambdaTable
@@ -190,11 +191,7 @@ def _combination_step(a: int, m_odd: bool) -> tuple[tuple[int, Fraction], ...]:
 def make_certificate(exponents: Sequence[int]) -> VanishingCertificate:
     """Certificate for the exponent word (n_1, ..., n_{r-1}, a); m + a must be odd
     and a at most ``MAX_CERTIFICATE_EXPONENT``."""
-    target = tuple(int(e) for e in exponents)
-    if not target:
-        raise ValueError("exponent word must be non-empty")
-    if any(e < 0 for e in target):
-        raise ValueError("exponents must be non-negative")
+    target = check_word(exponents)
     a = target[-1]
     m_odd = bool(sum(target[:-1]) % 2)
     return VanishingCertificate(target, _combination(a, m_odd))
@@ -240,17 +237,8 @@ def _require_kernel_integer(mu: LevelMeasure) -> None:
         raise ValueError("measure must be integer-valued (rescale first)")
 
 
-def _check_word(mu: LevelMeasure, exponents: Sequence[int]) -> tuple[int, ...]:
-    exponents = tuple(int(e) for e in exponents)
-    if len(exponents) != mu.r:
-        raise ValueError(f"expected {mu.r} exponents, got {len(exponents)}")
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be non-negative")
-    return exponents
-
-
 def _odd_word(mu: LevelMeasure, exponents: Sequence[int]) -> tuple[int, ...]:
-    exponents = _check_word(mu, exponents)
+    exponents = check_word(exponents, mu.r)
     if sum(exponents) % 2 == 0:
         raise ValueError("the exponent sum must be odd")
     return exponents
@@ -322,7 +310,7 @@ def coset_four_term_check(
     +1, (-1)^{m+1}, (-1)^m, -1, where m is the sum of all the exponents; all
     three are derived from ``FOUR_TERM``.
     """
-    exponents = _check_word(mu, exponents)
+    exponents = check_word(exponents, mu.r)
     if validate:
         _require_kernel_integer(mu)
     sums = _identity_sums(mu, coset.base, coset.modulus_exponent, (0, *exponents))
@@ -367,7 +355,7 @@ def coset_identity_sweep(
     hypotheses are not checked here, so that a measure outside the kernel can
     be shown to fail.
     """
-    words = [_check_word(mu, word) for word in words]
+    words = [check_word(word, mu.r) for word in words]
     vectors = _identity_sum_vectors(mu, words, modulus_exponent)
     return (_identity_valuations(mu.p, sum(word), sums) for word, sums in zip(words, vectors))
 
@@ -381,7 +369,7 @@ def coset_lambda_tables(
     i, -i, -i+1, i-1 (with the matching shifted final factors), indexed by the
     base tuple.  These are the four summands of the signed coset identity in
     normalized-coefficient form."""
-    exponents = _check_word(mu, exponents)
+    exponents = check_word(exponents, mu.r)
     norm = factorial_norm(exponents)
     (sums,) = _identity_sum_vectors(mu, [exponents], modulus_exponent)
     bases = _points(mu.p**modulus_exponent, mu.r)

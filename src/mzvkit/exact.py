@@ -10,10 +10,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
+from operator import index
+from typing import Iterable
 
 __all__ = [
     "INFINITY",
     "is_prime",
+    "check_config",
+    "check_word",
     "padic_valuation",
     "bernoulli",
     "binomial",
@@ -60,6 +64,48 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def check_config(p: int, n: int, r: int, max_cells: int | None = None,
+                 bound: str = "the cap") -> int | None:
+    """Reject a configuration (p, n, r) unless p is prime, n >= 0 and r >= 1.
+
+    With ``max_cells``, the p^(n*r) cells are counted one factor of p at a
+    time, stopping as soon as the count exceeds ``max_cells``, so no large
+    power is built; the count is returned.  Primality is tested last, once
+    everything cheaper has passed.  ``bound`` names ``max_cells`` in the
+    error message.
+    """
+    if p < 2:  # checked first: the cell count below only grows for p >= 2
+        raise ValueError(f"p must be prime, got {p}")
+    if n < 0:
+        raise ValueError(f"level must be non-negative, got {n}")
+    if r < 1:
+        raise ValueError(f"depth must be at least 1, got {r}")
+    cells = None
+    if max_cells is not None:
+        cells = 1
+        for _ in range(n * r):
+            cells *= p
+            if cells > max_cells:
+                raise ValueError(f"configuration needs {p}^{n * r} cells, "
+                                 f"above {bound} {max_cells}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return cells
+
+
+def check_word(exponents: Iterable[int], length: int | None = None) -> tuple[int, ...]:
+    """An exponent word as a tuple of non-negative ints: ``length`` of them
+    when given, else at least one."""
+    word = tuple(map(index, exponents))
+    if not word:
+        raise ValueError("exponent word must be non-empty")
+    if length is not None and len(word) != length:
+        raise ValueError(f"exponent word must have length {length}, got {len(word)}")
+    if any(e < 0 for e in word):
+        raise ValueError("exponents must be non-negative")
+    return word
 
 
 @lru_cache(maxsize=64)

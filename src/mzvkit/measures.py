@@ -32,7 +32,7 @@ from math import factorial, prod
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exact import format_rational, is_prime, parse_rational
+from .exact import check_config, check_word, format_rational, parse_rational
 from .series import LambdaTable
 
 __all__ = [
@@ -107,18 +107,12 @@ class LevelMeasure:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"measure base must be prime, got {self.p}")
-        if self.n < 0:
-            raise ValueError("measure level must be non-negative")
-        if self.r < 1:
-            raise ValueError("measure depth must be at least 1")
-        expected = _cell_count(self.modulus, self.r)
         values = tuple(
             v if type(v) is Fraction else Fraction(v) for v in self.values
         )
-        if len(values) != expected:
-            raise ValueError(f"expected {expected} cells, got {len(values)}")
+        cells = check_config(self.p, self.n, self.r, len(values), "the number of values")
+        if cells != len(values):
+            raise ValueError(f"expected {cells} cells, got {len(values)}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -259,15 +253,6 @@ def four_term_is_zero(mu: LevelMeasure) -> bool:
     return not any(_four_term_cells(mu))
 
 
-def _check_exponents(exponents: Sequence[int], r: int) -> tuple[int, ...]:
-    exponents = tuple(int(e) for e in exponents)
-    if len(exponents) != r + 1:
-        raise ValueError(f"exponent word must have length {r + 1}, got {len(exponents)}")
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be non-negative")
-    return exponents
-
-
 def _integrand_value(xs: Sequence[int], exponents: Sequence[int], final_offset: int = 0) -> int:
     value = (-xs[0]) ** exponents[0]
     for k in range(1, len(xs)):
@@ -293,7 +278,7 @@ def moment(
     normalization is applied.  ``lifts`` optionally overrides the integer
     representative chosen for each residue.
     """
-    exponents = _check_exponents(exponents, mu.r)
+    exponents = check_word(exponents, mu.r + 1)
     q = mu.modulus
     if lifts is None:
         integrand = _integrand_vector(q, mu.r, exponents, 0)
@@ -372,7 +357,7 @@ def moment_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[Fract
     Each value is an int when the measure is integral, else a Fraction (or the
     int 0).  Any order is valid; lexicographic order shares the most work.
     """
-    words = [_check_exponents(w, mu.r) for w in words]
+    words = [check_word(w, mu.r + 1) for w in words]
     points, values = _support(mu)
     factors = _integrand_factors(points, mu.r, 0)
     return [sum(cells) for cells in _word_products(values, factors, words)]
@@ -401,7 +386,7 @@ def coset_sums(
     """
     if not 0 <= modulus_exponent <= mu.n:
         raise ValueError("coset modulus exponent must lie between 0 and the measure level")
-    words = [_check_exponents(w, mu.r) for w in words]
+    words = [check_word(w, mu.r + 1) for w in words]
     points, values = _support(mu)
     stride = mu.p**modulus_exponent
     buckets = [point_to_index(tuple(c % stride for c in x), stride) for x in points]
@@ -456,7 +441,7 @@ def coset_moment(
     the default 0 is the unrestricted-integrand contract, the shifted variants
     feed the signed coset identity check.
     """
-    exponents = _check_exponents(exponents, mu.r)
+    exponents = check_word(exponents, mu.r + 1)
     total = Fraction(0)
     for point in _coset_points(mu, coset):
         value = mu.value(point)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .exact import format_rational, is_prime, parse_rational
+from .exact import check_config, format_rational, parse_rational
 
 __all__ = [
     "X",
@@ -19,8 +19,6 @@ __all__ = [
     "Alphabet",
     "NCSeries",
     "LambdaTable",
-    "word_degree",
-    "y_degree",
     "exp",
     "log",
     "inverse",
@@ -39,14 +37,6 @@ Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
 
 
-def word_degree(word: Word) -> int:
-    return len(word)
-
-
-def y_degree(word: Word) -> int:
-    return sum(1 for letter in word if letter != X)
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """Letter set selector: X plus one cyclic letter per residue mod p^n."""
@@ -55,10 +45,7 @@ class Alphabet:
     n: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"alphabet base must be prime, got {self.p}")
-        if self.n < 0:
-            raise ValueError("alphabet level must be non-negative")
+        check_config(self.p, self.n, 1)  # an alphabet has no depth: r = 1 checks p and n
 
     @property
     def modulus(self) -> int:
@@ -345,31 +332,8 @@ def substitute(series: NCSeries, images: Mapping[int, NCSeries]) -> NCSeries:
     for letter in used:
         series._compatible(images[letter])
 
-    cap = self_cap = series.degree_cap
+    cap = series.degree_cap
     out: dict[Word, Fraction] = {}
-
-    single = all(images[letter].term_count() == 1 for letter in used)
-    if single:
-        # every image is a single scaled word: map words directly
-        replacement = {}
-        for letter in used:
-            ((word, coeff),) = images[letter]._terms.items()
-            replacement[letter] = (word, coeff)
-        for word, coeff in series._terms.items():
-            new_word: Word = EMPTY_WORD
-            new_coeff = coeff
-            for letter in word:
-                rep_word, rep_coeff = replacement[letter]
-                new_word = new_word + rep_word
-                new_coeff = new_coeff * rep_coeff
-            if len(new_word) > cap:
-                continue
-            if new_word in out:
-                out[new_word] += new_coeff
-            else:
-                out[new_word] = new_coeff
-        return NCSeries._raw(series.alphabet, self_cap, out)
-
     cache: dict[Word, NCSeries] = {EMPTY_WORD: NCSeries.one(series.alphabet, cap)}
 
     def image_of(word: Word) -> NCSeries:
@@ -386,7 +350,7 @@ def substitute(series: NCSeries, images: Mapping[int, NCSeries]) -> NCSeries:
                 out[new_word] += total
             else:
                 out[new_word] = total
-    return NCSeries._raw(series.alphabet, self_cap, out)
+    return NCSeries._raw(series.alphabet, cap, out)
 
 
 def depth_truncate(series: NCSeries, r: int) -> NCSeries:
@@ -423,12 +387,7 @@ class LambdaTable:
     coeffs: Mapping[tuple[int, ...], Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"table base must be prime, got {self.p}")
-        if self.n < 0:
-            raise ValueError("table level must be non-negative")
-        if self.r < 1:
-            raise ValueError("table depth must be at least 1")
+        check_config(self.p, self.n, self.r)
         modulus = self.p**self.n
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for idx, coeff in self.coeffs.items():

@@ -16,6 +16,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Sequence
 
+from .exact import check_config
 from .measures import LevelMeasure, _cell_count, _four_term_rows, index_to_point
 from .series import LambdaTable
 
@@ -173,15 +174,12 @@ def _cached_kernel(p: int, n: int, r: int) -> KernelBasis:
     return KernelBasis(p, n, r, vectors)
 
 
-def four_term_kernel(p: int, n: int, r: int, cell_cap: int | None = None) -> KernelBasis:
+def four_term_kernel(p: int, n: int, r: int) -> KernelBasis:
     """Primitive integer basis of {mu : four_term(mu) = 0}, deterministically ordered.
 
-    ``cell_cap`` bounds the number of cells; None means :func:`size_cap`.
+    The configuration is checked against :func:`size_cap` first.
     """
-    size = _cell_count(p**n, r)
-    cap = size_cap() if cell_cap is None else cell_cap
-    if size > cap:
-        raise ValueError(f"{size} cells exceed the configured cap {cap}")
+    check_config(p, n, r, size_cap())
     return _cached_kernel(p, n, r)
 
 

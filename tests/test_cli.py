@@ -273,11 +273,21 @@ GUARDED_INPUTS = [
     (("certificate", "1,100000", "--p", "3"), "limit"),
     (("kernel", "--p", "2305843009213693951", "--level", "1", "--depth", "1"), "above the cap"),
     (("kernel", "--p", "2", "--level", "100000000", "--depth", "1"), "above the cap"),
+    (("moments", "--in", "huge.json"), "cells"),
+    (("check-cosets", "--p", "7", "--level", "1", "--depth", "1", "--seed", "0",
+      "--exp-cap", "99998"), "certificate limit"),
+    (("report", "--p", "3", "--level", "2", "--depth", "2", "--seed", "1"), "series terms"),
 ]
+# "huge.json" in an argv names this measure file: one value, but a header
+# asking for 2^(200000 * 200000) cells
+HUGE_MEASURE = {"p": 2, "n": 200000, "r": 200000, "values": ["1"]}
 
 
 @pytest.mark.parametrize("argv,message", GUARDED_INPUTS, ids=[" ".join(c[0]) for c in GUARDED_INPUTS])
-def test_resource_guards_exit_two_before_work(argv, message):
+def test_resource_guards_exit_two_before_work(argv, message, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(HUGE_MEASURE), encoding="ascii")
+    argv = [str(huge) if arg == "huge.json" else arg for arg in argv]
     # a separate, memory-limited process, so that a missing guard fails here
     # with MemoryError or a timeout rather than exhausting the test runner
     start = time.perf_counter()

@@ -8,6 +8,8 @@ from mzvkit.exact import (
     INFINITY,
     bernoulli,
     binomial,
+    check_config,
+    check_word,
     format_rational,
     is_prime,
     padic_valuation,
@@ -142,3 +144,32 @@ def test_rational_formatting():
 @given(q=rationals)
 def test_rational_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+def test_check_config_runs_cheap_guards_first():
+    assert check_config(3, 2, 2, 81) == 81
+    assert check_config(3, 2, 2) is None
+    with pytest.raises(ValueError, match="above the cap 80"):
+        check_config(3, 2, 2, 80)
+    # the count stops past the bound, long before 2^(10^18) would be built
+    with pytest.raises(ValueError, match="cells"):
+        check_config(2, 10**9, 10**9, 1)
+    # primality comes last: a composite base over the bound reports the bound
+    with pytest.raises(ValueError, match="cells"):
+        check_config(4, 1, 2, 10)
+    with pytest.raises(ValueError, match="prime"):
+        check_config(4, 1, 2, 100)
+    for config, message in (((1, 10**9, 10**9), "prime"), ((3, -1, 1), "level"),
+                            ((3, 1, 0), "depth")):
+        with pytest.raises(ValueError, match=message):
+            check_config(*config, 10)
+
+
+def test_check_word_rules():
+    assert check_word([0, 3], 2) == (0, 3)
+    assert check_word((5,)) == (5,)
+    for word, length in (((), None), ((), 2), ((1, 2), 3), ((1, -1), 2)):
+        with pytest.raises(ValueError):
+            check_word(word, length)
+    with pytest.raises(TypeError):
+        check_word((1.5, 2), 2)

@@ -142,9 +142,10 @@ def test_kernel_result_is_cached_and_typed():
     assert (first.p, first.n, first.r) == (3, 1, 2)
 
 
-def test_cell_cap_rejects_oversized_configs():
+def test_cell_cap_rejects_oversized_configs(monkeypatch):
+    monkeypatch.setenv("MZV_CAP", "100")
     with pytest.raises(ValueError):
-        four_term_kernel(5, 2, 2, cell_cap=100)
+        four_term_kernel(5, 2, 2)
 
 
 def test_env_cap_applies_to_kernel_and_random_measure(monkeypatch):
