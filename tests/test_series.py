@@ -1,9 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzvkit.paths import rhombus_product
 from mzvkit.series import (
     Alphabet,
     LambdaTable,
@@ -20,6 +23,7 @@ from mzvkit.series import (
     to_lambda_table,
     y_pure_part,
 )
+from mzvkit.synth import random_lambda_table
 
 AB2 = Alphabet(2, 1)  # letters X, Y0, Y1
 AB3 = Alphabet(3, 1)  # letters X, Y0, Y1, Y2
@@ -236,3 +240,65 @@ def test_json_round_trip():
     assert data["p"] == 3 and data["n"] == 1 and data["D"] == 3
     assert data["terms"][0] == {"word": "", "coeff": "1"}
     assert series_from_json_dict(data) == s
+
+
+# sha256 of json.dumps(series_to_json_dict(x), sort_keys=True) for x in log(s),
+# exp(s - 1), inverse(s), inverse(-3/2 * s) and rhombus_product(table), where
+# s = from_lambda_table(table, degree_cap=D); recorded before the series
+# arithmetic moved to integer numerators.
+DIGEST_TABLES = {
+    "random-3-1-1": (lambda: random_lambda_table(3, 1, 1, seed=0), 8, {
+        "log": "3b590727369d2a9b75f0c664bdb81876c448d368bc2c6c384fb04547cf46d142",
+        "exp": "898a3efab16de6102271035ca05c901db37cea06997652d27b30ac1ecf5e1e45",
+        "inverse": "8444364eae154dc64e484c92938aaf79bc3d75851122a7a005198ebf97b101ce",
+        "inverse_scaled": "fa07196f97781ad2fdaf34abd3604f21d01f078a8096ddc3ced9d28b80944ce8",
+        "rhombus": "65c5c26e5c647004d61390e09656696dd809a46ea9323879d11a46e7647a3efc",
+    }),
+    "random-2-1-2": (lambda: random_lambda_table(2, 1, 2, seed=0), 6, {
+        "log": "3d2c897c3dc1d4cb11b2d2ab9b32b225917d38304d16918d9ce588103b6a1d15",
+        "exp": "1c485b5e74d82a1ba6c993678cc7ece4c1ec34c41064b8cb6dd2448b39b6ff05",
+        "inverse": "c56664a007af7c2cd77a3f43518ee96c5d4e5d208c34e0e2ebe877b0f3fd7a65",
+        "inverse_scaled": "64378968b1691f7d70f8e7e56369f65dbf36354ba57d55ba4e2d18101ece8860",
+        "rhombus": "92461dd52177959117eada42842e7426b8d4d77dc47383460f368a8c76d007c5",
+    }),
+    "random-2-1-3": (lambda: random_lambda_table(2, 1, 3, seed=0), 6, {
+        "log": "d782f0b3f93478c4808b9a4b85938f2c3b6f51c994cb81aadcd919d9bce1bc2e",
+        "exp": "a70a797f0182736e8b9a97e0f0662884b5d6b569e359e84a8929d9de2dcdec46",
+        "inverse": "3749418145da60a9fc3bfadd45c8fa4d1e6e45e64fb956b8f72eaea02af09e53",
+        "inverse_scaled": "3de7330c7510c5fc2f1c6f52c7e83a306528da1bc6a1980e7a45a4236ab23475",
+        "rhombus": "9f7d3949a066797ab7d3de64a01aac875aeb9f67134fdbcf18f2e1c9ecae8682",
+    }),
+    "fraction-3-1-2": (
+        lambda: LambdaTable(3, 1, 2, {(i, j): Fraction(3 * i + j - 4, i + 2 * j + 2)
+                                      for i in range(3) for j in range(3)}),
+        6,
+        {
+            "log": "4ef58a1fc80e616e3b2fb54f9a09003eb4e654fcf5d8fe184638ae36408628b2",
+            "exp": "a307c418e022c25be8a2be5579332384c5c877df9372754d80dc793e15bc5077",
+            "inverse": "a484f51907ee8a937faa6e55ecee2dbc06d034aeeb26d835d108113ed9d65ae0",
+            "inverse_scaled": "25fa80c7635fde6968b1614a724b8265e07fdfb4358aa68a52cb397bd218ed8a",
+            "rhombus": "ea65a169b955563f6001f806580fd70ff2c7b109b7534973784cec941a77de45",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_TABLES))
+def test_series_digests(name):
+    make_table, degree, expected = DIGEST_TABLES[name]
+    table = make_table()
+    s = from_lambda_table(table, degree_cap=degree)
+    one = NCSeries.one(s.alphabet, degree)
+
+    def digest(x):
+        text = json.dumps(series_to_json_dict(x), sort_keys=True)
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+    got = {
+        "log": digest(log(s)),
+        "exp": digest(exp(s - one)),
+        "inverse": digest(inverse(s)),
+        "inverse_scaled": digest(inverse(s * Fraction(-3, 2))),
+        "rhombus": digest(rhombus_product(table)),
+    }
+    assert got == expected
