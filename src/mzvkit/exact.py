@@ -166,8 +166,15 @@ def binomial(a: int, b: int) -> int:
 
 
 def format_rational(q: Fraction | int) -> str:
-    """Canonical string form: lowest terms, positive denominator, "n" or "n/d"."""
-    q = Fraction(q)
+    """Canonical string form: lowest terms, positive denominator, "n" or "n/d".
+
+    An int or a Fraction is formatted as it is; anything else (a bool, say)
+    is converted to a Fraction first.
+    """
+    if type(q) is int:
+        return str(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

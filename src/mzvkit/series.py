@@ -3,13 +3,18 @@
 Words are tuples of letter codes: X is the sentinel -1, the cyclic letters are
 their residues 0 <= i < p^n.  A series holds a map word -> Fraction up to a
 fixed truncation degree; all operations are exact and return new objects.
+
+Products, exp, log, inverse and substitution run on integer numerators over
+one common denominator (``_numerators``, ``_product``), and build one
+``Fraction`` per output word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from math import factorial, lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact import check_config, format_rational, parse_rational
 
@@ -35,6 +40,7 @@ X = -1
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
+IntBuckets = dict[int, dict[Word, int]]  # degree -> word -> integer numerator
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,30 @@ class NCSeries:
         return series
 
     @classmethod
+    def _from_numerators(
+        cls,
+        alphabet: Alphabet,
+        degree_cap: int,
+        numerators: IntBuckets,
+        scale: int,
+        denominator: int,
+    ) -> "NCSeries":
+        # trusted constructor: coefficient of each word is scale * numerator / denominator
+        terms: dict[Word, Fraction] = {}
+        buckets: dict[int, dict[Word, Fraction]] = {}
+        for degree, bucket in numerators.items():
+            kept = {word: Fraction(v * scale, denominator) for word, v in bucket.items() if v}
+            if kept:
+                buckets[degree] = kept
+                terms.update(kept)
+        series = cls.__new__(cls)
+        object.__setattr__(series, "alphabet", alphabet)
+        object.__setattr__(series, "degree_cap", degree_cap)
+        object.__setattr__(series, "_terms", terms)
+        object.__setattr__(series, "_buckets", buckets)
+        return series
+
+    @classmethod
     def zero(cls, alphabet: Alphabet, degree_cap: int) -> "NCSeries":
         return cls(alphabet, degree_cap)
 
@@ -226,29 +256,22 @@ class NCSeries:
         scalar = Fraction(scalar)
         if not scalar:
             return NCSeries.zero(self.alphabet, self.degree_cap)
-        return NCSeries._raw(
-            self.alphabet, self.degree_cap, {w: c * scalar for w, c in self._terms.items()}
+        numerators, denominator = _numerators(self._buckets)
+        return NCSeries._from_numerators(
+            self.alphabet, self.degree_cap, numerators, scalar.numerator,
+            denominator * scalar.denominator,
         )
 
     def __mul__(self, other: "NCSeries | Fraction | int") -> "NCSeries":
         if not isinstance(other, NCSeries):
             return self._scaled(other)
         self._compatible(other)
-        cap = self.degree_cap
-        out: dict[Word, Fraction] = {}
-        for deg_a, bucket_a in self._buckets.items():
-            for deg_b, bucket_b in other._buckets.items():
-                if deg_a + deg_b > cap:
-                    continue
-                for word_a, coeff_a in bucket_a.items():
-                    for word_b, coeff_b in bucket_b.items():
-                        word = word_a + word_b
-                        coeff = coeff_a * coeff_b
-                        if word in out:
-                            out[word] += coeff
-                        else:
-                            out[word] = coeff
-        return NCSeries._raw(self.alphabet, cap, out)
+        left, left_den = _numerators(self._buckets)
+        right, right_den = _numerators(other._buckets)
+        return NCSeries._from_numerators(
+            self.alphabet, self.degree_cap, _product(left, right, self.degree_cap), 1,
+            left_den * right_den,
+        )
 
     def __rmul__(self, scalar: Fraction | int) -> "NCSeries":
         return self._scaled(scalar)
@@ -272,18 +295,95 @@ def _bucket_by_degree(terms: dict[Word, Fraction]) -> dict[int, dict[Word, Fract
     return buckets
 
 
+def _numerators(buckets: dict[int, dict[Word, Fraction]]) -> tuple[IntBuckets, int]:
+    """Integer numerators over the lcm of the coefficients' denominators, and that lcm."""
+    denominator = lcm(*{c.denominator for bucket in buckets.values() for c in bucket.values()})
+    return {
+        degree: {word: c.numerator * (denominator // c.denominator) for word, c in bucket.items()}
+        for degree, bucket in buckets.items()
+    }, denominator
+
+
+def _product(left: IntBuckets, right: IntBuckets, cap: int) -> IntBuckets:
+    """Truncated product of two degree-bucketed integer series without zero entries.
+
+    Within one pair of degrees every concatenation is a distinct word, so the
+    first pair reaching an output degree fills its bucket directly; later pairs
+    add into it, and only those buckets can cancel to zero.
+    """
+    out: IntBuckets = {}
+    merged: set[int] = set()
+    for deg_a, bucket_a in left.items():
+        for deg_b, bucket_b in right.items():
+            degree = deg_a + deg_b
+            if degree > cap:
+                continue
+            target = out.get(degree)
+            if target is None:
+                out[degree] = {
+                    word_a + word_b: coeff_a * coeff_b
+                    for word_a, coeff_a in bucket_a.items()
+                    for word_b, coeff_b in bucket_b.items()
+                }
+                continue
+            merged.add(degree)
+            for word_a, coeff_a in bucket_a.items():
+                for word_b, coeff_b in bucket_b.items():
+                    word = word_a + word_b
+                    target[word] = target.get(word, 0) + coeff_a * coeff_b
+    for degree in merged:
+        kept = {word: v for word, v in out[degree].items() if v}
+        if kept:
+            out[degree] = kept
+        else:
+            del out[degree]
+    return out
+
+
+def _add_into(acc: IntBuckets, buckets: IntBuckets, factor: int) -> None:
+    """acc += factor * buckets, entrywise (zeros may remain in acc)."""
+    for degree, bucket in buckets.items():
+        target = acc.get(degree)
+        if target is None:
+            acc[degree] = {word: factor * v for word, v in bucket.items()}
+        else:
+            for word, v in bucket.items():
+                target[word] = target.get(word, 0) + factor * v
+
+
+def _power_sum(u: NCSeries, weights: Sequence[Fraction], scale: Fraction) -> NCSeries:
+    """scale * sum of weights[k] * u^k over k < len(weights), for u without a
+    constant term.
+
+    With u = U/c (U integral), every term has numerators over
+    C = lcm_k(den(weights[k]) * c^k), fixed before the loop; each power U^k is
+    added into one integer accumulator as soon as it is built, and the loop
+    stops at the first zero power.
+    """
+    cap = u.degree_cap
+    numerators, c = _numerators(u._buckets)
+    common = lcm(*(w.denominator * c**k for k, w in enumerate(weights) if w))
+    acc: IntBuckets = {}
+    power: IntBuckets = {0: {EMPTY_WORD: 1}}
+    for k, weight in enumerate(weights):
+        if k:
+            power = _product(power, numerators, cap)
+            if not power:
+                break
+        if weight:
+            factor = weight.numerator * (common // (weight.denominator * c**k))
+            _add_into(acc, power, factor)
+    return NCSeries._from_numerators(
+        u.alphabet, cap, acc, scale.numerator, common * scale.denominator
+    )
+
+
 def exp(series: NCSeries) -> NCSeries:
     """Truncated exponential; the argument must have zero constant term."""
     if series.constant_term:
         raise ValueError("exp requires zero constant term")
-    acc = NCSeries.one(series.alphabet, series.degree_cap)
-    power = acc
-    for k in range(1, series.degree_cap + 1):
-        power = (power * series) * Fraction(1, k)
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc
+    weights = [Fraction(1, factorial(k)) for k in range(series.degree_cap + 1)]
+    return _power_sum(series, weights, Fraction(1))
 
 
 def log(series: NCSeries) -> NCSeries:
@@ -291,38 +391,28 @@ def log(series: NCSeries) -> NCSeries:
     if series.constant_term != 1:
         raise ValueError("log requires constant term 1")
     u = series - NCSeries.one(series.alphabet, series.degree_cap)
-    acc = NCSeries.zero(series.alphabet, series.degree_cap)
-    power = None
-    for k in range(1, series.degree_cap + 1):
-        power = u if power is None else power * u
-        if power.is_zero():
-            break
-        acc = acc + power * Fraction((-1) ** (k + 1), k)
-    return acc
+    weights = [Fraction(0)] + [
+        Fraction((-1) ** (k + 1), k) for k in range(1, series.degree_cap + 1)
+    ]
+    return _power_sum(u, weights, Fraction(1))
 
 
 def inverse(series: NCSeries) -> NCSeries:
-    """Multiplicative inverse mod the truncation degree (constant term nonzero)."""
+    """Multiplicative inverse mod the truncation degree (constant term nonzero):
+    (1/c) * sum of u^k with u = 1 - series/c."""
     c = series.constant_term
     if not c:
         raise ValueError("series with zero constant term is not invertible")
-    one = NCSeries.one(series.alphabet, series.degree_cap)
-    u = one - series * (1 / c)
-    acc = one
-    power = one
-    for _ in range(series.degree_cap):
-        power = power * u
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc * (1 / c)
+    u = NCSeries.one(series.alphabet, series.degree_cap) - series * (1 / c)
+    return _power_sum(u, [Fraction(1)] * (series.degree_cap + 1), 1 / c)
 
 
 def substitute(series: NCSeries, images: Mapping[int, NCSeries]) -> NCSeries:
     """Apply the multiplicative extension of a letter -> series map.
 
     Every letter that actually occurs in ``series`` must have an image; images
-    must share the alphabet and truncation degree of ``series``.
+    must share the alphabet and truncation degree of ``series``.  The image of
+    each word is built on integer numerators from the image of its prefix.
     """
     used = {letter for word in series._terms for letter in word}
     missing = sorted(used - set(images))
@@ -333,24 +423,24 @@ def substitute(series: NCSeries, images: Mapping[int, NCSeries]) -> NCSeries:
         series._compatible(images[letter])
 
     cap = series.degree_cap
-    out: dict[Word, Fraction] = {}
-    cache: dict[Word, NCSeries] = {EMPTY_WORD: NCSeries.one(series.alphabet, cap)}
+    letter_images = {letter: _numerators(images[letter]._buckets) for letter in used}
+    cache: dict[Word, tuple[IntBuckets, int]] = {EMPTY_WORD: ({0: {EMPTY_WORD: 1}}, 1)}
 
-    def image_of(word: Word) -> NCSeries:
+    def image_of(word: Word) -> tuple[IntBuckets, int]:
         found = cache.get(word)
         if found is None:
-            found = image_of(word[:-1]) * images[word[-1]]
+            prefix, prefix_den = image_of(word[:-1])
+            last, last_den = letter_images[word[-1]]
+            found = (_product(prefix, last, cap), prefix_den * last_den)
             cache[word] = found
         return found
 
-    for word, coeff in series._terms.items():
-        for new_word, new_coeff in image_of(word)._terms.items():
-            total = coeff * new_coeff
-            if new_word in out:
-                out[new_word] += total
-            else:
-                out[new_word] = total
-    return NCSeries._raw(series.alphabet, cap, out)
+    parts = [(coeff, *image_of(word)) for word, coeff in series._terms.items()]
+    common = lcm(*(coeff.denominator * den for coeff, _, den in parts))
+    acc: IntBuckets = {}
+    for coeff, numerators, den in parts:
+        _add_into(acc, numerators, coeff.numerator * (common // (coeff.denominator * den)))
+    return NCSeries._from_numerators(series.alphabet, cap, acc, 1, common)
 
 
 def depth_truncate(series: NCSeries, r: int) -> NCSeries:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd
 
 from .exact import check_config
 from .measures import LevelMeasure, _cell_count, _four_term_rows, index_to_point
@@ -64,12 +63,24 @@ def _normalize_row(row: dict[int, int]) -> None:
             row[column] //= divisor
 
 
-def _nullspace(rows: list[dict[int, int]], ncols: int) -> list[tuple[Fraction, ...]]:
+def _nullspace(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, ...]]:
     """Right kernel of a sparse integer matrix, primitive integer vectors.
 
-    Forward pass: fraction-free elimination with gcd-normalized rows, pivoting
-    on the sparsest candidate row per column.  Back pass: assign 1 to each free
-    column in turn and solve the pivot rows in descending column order.
+    Forward pass (:func:`_eliminate`), then a back pass per free column
+    (:func:`_solve_free_column`), all in integers.
+    """
+    free_columns, pivot_rows = _eliminate(rows, ncols)
+    return [_solve_free_column(free, pivot_rows, ncols) for free in free_columns]
+
+
+def _eliminate(
+    rows: list[dict[int, int]], ncols: int
+) -> tuple[list[int], list[tuple[int, dict[int, int]]]]:
+    """Fraction-free elimination with gcd-normalized rows, pivoting on the
+    sparsest candidate row per column.
+
+    Returns the free columns in ascending order and the (pivot column, row)
+    pairs in descending column order, the order of the back pass.
     """
     work = [dict(row) for row in rows if row]
     column_rows: dict[int, set[int]] = {}
@@ -118,39 +129,47 @@ def _nullspace(rows: list[dict[int, int]], ncols: int) -> list[tuple[Fraction, .
         frozen.add(pivot_id)
 
     free_columns = [c for c in range(ncols) if c not in pivot_row_of]
-    pivot_columns_desc = sorted(pivot_row_of, reverse=True)
-    basis: list[tuple[Fraction, ...]] = []
-    for free in free_columns:
-        vector = [Fraction(0)] * ncols
-        vector[free] = Fraction(1)
-        for column in pivot_columns_desc:
-            row = work[pivot_row_of[column]]
-            acc = Fraction(0)
-            for col2, coeff in row.items():
-                if col2 != column:
-                    acc += coeff * vector[col2]
-            vector[column] = -acc / row[column]
-        basis.append(_primitive(vector))
-    return basis
+    pivot_rows_desc = [
+        (column, work[pivot_row_of[column]]) for column in sorted(pivot_row_of, reverse=True)
+    ]
+    return free_columns, pivot_rows_desc
 
 
-def _primitive(vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Clear denominators, divide by the content, make the first entry positive."""
-    denominator = 1
-    for value in vector:
-        denominator = lcm(denominator, value.denominator)
-    scaled = [int(value * denominator) for value in vector]
-    content = 0
-    for value in scaled:
-        content = gcd(content, value)
-    if content > 1:
-        scaled = [value // content for value in scaled]
-    for value in scaled:
-        if value:
-            if value < 0:
-                scaled = [-v for v in scaled]
-            break
-    return tuple(Fraction(value) for value in scaled)
+def _solve_free_column(
+    free: int, pivot_rows_desc: list[tuple[int, dict[int, int]]], ncols: int
+) -> tuple[int, ...]:
+    """The kernel vector with 1 at ``free`` and 0 at every other free column,
+    made primitive, solved in integers.
+
+    Each pivot row, in descending column order, fixes its pivot entry.  When
+    the pivot does not divide the row's sum, the whole vector is first scaled
+    by |pivot / gcd(sum, pivot)|; the vector stays a positive multiple of the
+    rational solution, so the primitive vector is the same.
+    """
+    vector = [0] * ncols
+    vector[free] = 1
+    for column, row in pivot_rows_desc:
+        acc = 0
+        for col2, coeff in row.items():
+            if col2 != column:
+                acc += coeff * vector[col2]
+        if not acc:
+            continue
+        pivot = row[column]
+        if acc % pivot:
+            scale = abs(pivot // gcd(acc, pivot))
+            vector = [value * scale for value in vector]
+            acc *= scale
+        vector[column] = -acc // pivot
+    return _primitive(vector)
+
+
+def _primitive(vector: list[int]) -> tuple[int, ...]:
+    """Divide by the content and make the first nonzero entry positive."""
+    content = gcd(*vector)
+    if next(value for value in vector if value) < 0:
+        content = -content
+    return tuple(vector) if content == 1 else tuple(value // content for value in vector)
 
 
 def size_cap() -> int:
@@ -168,10 +187,12 @@ def size_cap() -> int:
 @lru_cache(maxsize=32)
 def _cached_kernel(p: int, n: int, r: int) -> KernelBasis:
     rows = four_term_matrix(p, n, r)
-    vectors = tuple(
-        LevelMeasure(p, n, r, values) for values in _nullspace(rows, _cell_count(p**n, r))
-    )
-    return KernelBasis(p, n, r, vectors)
+    vectors = []
+    for values in _nullspace(rows, _cell_count(p**n, r)):
+        # one Fraction per distinct entry: the vectors are mostly zeros
+        as_fraction = {v: Fraction(v) for v in set(values)}
+        vectors.append(LevelMeasure(p, n, r, tuple(map(as_fraction.__getitem__, values))))
+    return KernelBasis(p, n, r, tuple(vectors))
 
 
 def four_term_kernel(p: int, n: int, r: int) -> KernelBasis:

@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzvkit.cli import main
 from mzvkit.measures import LevelMeasure, measure_to_json_dict
@@ -313,3 +314,98 @@ def test_exponent_words_enumerate_in_lexicographic_order():
                 expected = [w for w in product(range(cap + 1), repeat=r)
                             if sum(w) <= cap and (sum(w) % 2 or not odd_only)]
                 assert _exponent_words(r, cap, odd_only) == expected
+
+
+# -- exit-code contract under fuzzed argv and input files --
+
+FUZZ_FILES = {
+    "kernel.json": {"p": 3, "n": 1, "r": 1, "values": ["2", "5", "5"]},
+    "rational-kernel.json": {"p": 3, "n": 1, "r": 1, "values": ["1/3", "5", "5"]},
+    "non-kernel.json": {"p": 3, "n": 1, "r": 1, "values": ["0", "1", "0"]},
+    "kernel-2-1-2.json": {"p": 2, "n": 1, "r": 2, "values": ["1", "-4", "7", "0"]},
+    "zero-denominator.json": {"p": 3, "n": 1, "r": 1, "values": ["1/0", "0", "0"]},
+    "float-value.json": {"p": 3, "n": 1, "r": 1, "values": [1.5, "0", "0"]},
+    "wrong-length.json": {"p": 3, "n": 1, "r": 1, "values": ["1", "2"]},
+    "huge-header.json": {"p": 2, "n": 200000, "r": 200000, "values": ["1"]},
+    "string-header.json": {"p": "3", "n": 1, "r": 1, "values": ["0", "0", "0"]},
+    "missing-key.json": {"p": 3, "n": 1},
+    "list.json": [1, 2, 3],
+}
+FUZZ_TEXTS = {"bad.json": '{"p": 3,', "non-ascii.json": '{"p": 3, "values": ["\u00e9"]}'}
+FUZZ_CONFIGS = [(p, n, r) for p in (2, 3, 5, 7) for n in range(3) for r in range(1, 4)
+                if p ** (n * r) <= 64]
+# replacements and insertions: negative, non-numeric, empty, huge and stray flags
+BAD_TOKENS = ["-1", "-7", "x", "", "1.5", "0", "1,,2", "99999999999", "2305843009213693951",
+              "--bogus", "--perturb", "--seed", "--in", "--p", "--degree"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, data in FUZZ_FILES.items():
+        (root / name).write_text(json.dumps(data), encoding="ascii")
+    for name, text in FUZZ_TEXTS.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+@st.composite
+def fuzz_argv(draw, root):
+    command = draw(st.sampled_from(
+        ["kernel", "vanish", "certificate", "check-rhombus", "check-cosets", "moments", "report"]))
+    p, n, r = draw(st.sampled_from(FUZZ_CONFIGS))
+    config = ["--p", str(p), "--level", str(n), "--depth", str(r)]
+    optional = lambda flag, values: [flag, str(draw(values))] if draw(st.booleans()) else []
+    if command == "certificate":
+        word = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+        if sum(word) % 2 == 0 and draw(st.booleans()):
+            word[-1] += 1  # odd weight: a certificate exists
+        argv = [command, ",".join(map(str, word)), "--p", str(p)]
+    elif command in ("vanish", "check-cosets", "moments"):
+        if draw(st.booleans()):
+            name = draw(st.sampled_from([*FUZZ_FILES, *FUZZ_TEXTS, "absent.json"]))
+            argv = [command, *(config if draw(st.booleans()) else []), "--in", str(root / name)]
+        else:
+            argv = [command, *config, "--seed", str(draw(st.integers(0, 20)))]
+        argv += optional("--exp-cap", st.integers(0, 5))
+        if command == "check-cosets" and draw(st.booleans()):
+            argv.append("--perturb")
+    elif command == "kernel":
+        argv = [command, *config]
+    else:
+        argv = [command, *config, *optional("--seed", st.integers(0, 20))]
+        if command == "report":  # --degree always given: the default 8 is slow at 4+ cells
+            argv += ["--degree", str(draw(st.integers(r, 4)))]
+            argv += optional("--exp-cap", st.integers(0, 5))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):  # half the cases stay well formed
+        edit = draw(st.sampled_from(["replace", "drop", "insert"]))
+        index = draw(st.integers(1, len(argv))) if len(argv) > 1 else 1
+        if edit == "replace" and index < len(argv):
+            argv[index] = draw(st.sampled_from(BAD_TOKENS))
+        elif edit == "drop" and index < len(argv):
+            del argv[index]
+        else:
+            argv.insert(index, draw(st.sampled_from(BAD_TOKENS)))
+    return argv
+
+
+def test_exit_code_contract_under_fuzzed_input(fuzz_dir):
+    @settings(max_examples=150, deadline=None)
+    @given(argv=fuzz_argv(fuzz_dir))
+    def check(argv):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            report = json.loads(out.getvalue())
+            assert report.get("all_pass", report.get("pass")) is False, argv
+        elif code == 0:
+            report = json.loads(out.getvalue())
+            assert report.get("all_pass", report.get("pass", True)) is True, argv
+
+    check()

@@ -141,6 +141,21 @@ def test_rational_formatting():
     assert parse_rational("-5") == Fraction(-5)
 
 
+def test_rational_formatting_of_ints_and_bools():
+    assert format_rational(0) == "0"
+    assert format_rational(-12) == "-12"
+    assert format_rational(True) == "1"
+    assert format_rational(False) == "0"
+    assert format_rational(Fraction(-7, 1)) == "-7"
+
+
+@given(q=rationals)
+def test_rational_formatting_agrees_with_fraction_str(q):
+    assert format_rational(q) == str(Fraction(q))
+    if q.denominator == 1:
+        assert format_rational(q.numerator) == str(q.numerator)
+
+
 @given(q=rationals)
 def test_rational_round_trip(q):
     assert parse_rational(format_rational(q)) == q

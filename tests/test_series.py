@@ -50,6 +50,92 @@ def augmentation_series(alphabet, cap, max_terms=4):
     return series_terms(alphabet, cap, max_terms).map(strip_constant)
 
 
+# Oracles: the Fraction loops the series arithmetic ran on before it moved to
+# integer numerators; the product pairs every two terms of Fraction coefficients.
+def fraction_mul(a, b):
+    out = {}
+    for word_a, coeff_a in a.terms():
+        for word_b, coeff_b in b.terms():
+            if len(word_a) + len(word_b) <= a.degree_cap:
+                word = word_a + word_b
+                out[word] = out.get(word, 0) + coeff_a * coeff_b
+    return NCSeries(a.alphabet, a.degree_cap, out)
+
+
+def fraction_scale(a, scalar):
+    return NCSeries(a.alphabet, a.degree_cap, {word: c * scalar for word, c in a.terms()})
+
+
+def fraction_exp(u):
+    acc = power = NCSeries.one(u.alphabet, u.degree_cap)
+    for k in range(1, u.degree_cap + 1):
+        power = fraction_scale(fraction_mul(power, u), Fraction(1, k))
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc
+
+
+def fraction_log(s):
+    u = s - NCSeries.one(s.alphabet, s.degree_cap)
+    acc = NCSeries.zero(s.alphabet, s.degree_cap)
+    power = None
+    for k in range(1, s.degree_cap + 1):
+        power = u if power is None else fraction_mul(power, u)
+        if power.is_zero():
+            break
+        acc = acc + fraction_scale(power, Fraction((-1) ** (k + 1), k))
+    return acc
+
+
+def fraction_inverse(s):
+    c = s.constant_term
+    one = NCSeries.one(s.alphabet, s.degree_cap)
+    u = one - fraction_scale(s, 1 / c)
+    acc = power = one
+    for _ in range(s.degree_cap):
+        power = fraction_mul(power, u)
+        if power.is_zero():
+            break
+        acc = acc + power
+    return fraction_scale(acc, 1 / c)
+
+
+def fraction_substitute(s, images):
+    out = NCSeries.zero(s.alphabet, s.degree_cap)
+    for word, coeff in s.terms():
+        image = NCSeries.one(s.alphabet, s.degree_cap)
+        for letter in word:
+            image = fraction_mul(image, images[letter])
+        out = out + fraction_scale(image, coeff)
+    return out
+
+
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+SHAPES = st.tuples(st.sampled_from([AB2, AB3]), st.integers(0, 7))
+
+
+def series_of_shape(alphabet, cap, min_degree=1, constant=None):
+    """Up to 3 words of degree min_degree..cap with Fraction coefficients of
+    denominator 1..9, plus the given constant term."""
+    pairs = st.just([])
+    if min_degree <= cap:
+        word = st.lists(st.sampled_from(alphabet.letters()), min_size=min_degree, max_size=cap)
+        pairs = st.lists(st.tuples(word.map(tuple), SMALL_FRACTIONS), max_size=3)
+    extra = [] if constant is None else [((), constant)]
+    return pairs.map(lambda terms: NCSeries(alphabet, cap, terms + extra))
+
+
+def oracle_series(min_degree=1, constant=None):
+    """A series on AB2 or AB3 with degree cap 0..7 (see series_of_shape)."""
+    return SHAPES.flatmap(lambda shape: series_of_shape(*shape, min_degree, constant))
+
+
+def nilpotent_series():
+    """A series on AB2 or AB3 whose words all have degree above cap/2."""
+    return SHAPES.flatmap(lambda shape: series_of_shape(*shape, shape[1] // 2 + 1))
+
+
 def test_alphabet_letters_and_names():
     assert AB3.size == 4
     assert AB3.letters() == (X, 0, 1, 2)
@@ -302,3 +388,59 @@ def test_series_digests(name):
         "rhombus": digest(rhombus_product(table)),
     }
     assert got == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(u=oracle_series())
+def test_exp_matches_fraction_oracle(u):
+    assert exp(u) == fraction_exp(u)
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=oracle_series(constant=Fraction(1)))
+def test_log_matches_fraction_oracle(s):
+    assert log(s) == fraction_log(s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=oracle_series(), c=SMALL_FRACTIONS.filter(bool))
+def test_inverse_matches_fraction_oracle(s, c):
+    s = s + NCSeries(s.alphabet, s.degree_cap, {(): c})
+    assert inverse(s) == fraction_inverse(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=nilpotent_series(), c=SMALL_FRACTIONS.filter(bool))
+def test_nilpotent_power_sums_match_fraction_oracle(u, c):
+    # every word has degree above cap/2, so u*u = 0 and the power loops stop early
+    assert (u * u).is_zero()
+    one = NCSeries.one(u.alphabet, u.degree_cap)
+    assert exp(u) == fraction_exp(u) == one + u
+    assert log(one + u) == fraction_log(one + u) == u
+    constant = NCSeries(u.alphabet, u.degree_cap, {(): c})
+    assert inverse(constant + u) == fraction_inverse(constant + u)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pair=SHAPES.flatmap(lambda shape: st.tuples(series_of_shape(*shape, 0),
+                                                series_of_shape(*shape, 0))),
+    scalar=SMALL_FRACTIONS,
+)
+def test_mul_matches_fraction_oracle(pair, scalar):
+    a, b = pair
+    assert a * b == fraction_mul(a, b)
+    assert a * scalar == scalar * a == fraction_scale(a, scalar)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=oracle_series(min_degree=0))
+def test_substitute_matches_fraction_oracle(s):
+    alphabet, cap, modulus = s.alphabet, s.degree_cap, s.alphabet.modulus
+    images = {}  # at cap 0 no letter occurs
+    if cap:
+        for i in range(modulus):
+            terms = {(): Fraction(i, 2), ((i + 1) % modulus,): Fraction(i + 2, 3)}
+            images[i] = NCSeries(alphabet, cap, terms)
+        images[X] = NCSeries(alphabet, cap, {(): Fraction(1, 2), (X,): 1, (0,): Fraction(-1, 2)})
+    assert substitute(s, images) == fraction_substitute(s, images)

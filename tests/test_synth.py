@@ -1,12 +1,16 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzvkit.measures import LevelMeasure, affine_pushforward, four_term_is_zero, project
+from mzvkit.measures import _cell_count
 from mzvkit.synth import (
     KernelBasis,
+    _eliminate,
+    _nullspace,
     four_term_kernel,
     four_term_matrix,
     lift,
@@ -217,3 +221,69 @@ def test_kernel_invariant_under_negation(config):
     # the operator anti-commutes with the negation pushforward
     for vector in four_term_kernel(*config).vectors:
         assert four_term_is_zero(affine_pushforward(vector, -1, 0))
+
+
+def fraction_nullspace_oracle(rows, ncols):
+    """The kernel basis with the back pass on Fractions: set each free column
+    to 1, solve the pivot rows in descending column order, then clear
+    denominators, divide by the content and make the first entry positive."""
+    free_columns, pivot_rows = _eliminate(rows, ncols)
+    basis = []
+    for free in free_columns:
+        vector = [Fraction(0)] * ncols
+        vector[free] = Fraction(1)
+        for column, row in pivot_rows:
+            acc = Fraction(0)
+            for col2, coeff in row.items():
+                if col2 != column:
+                    acc += coeff * vector[col2]
+            vector[column] = -acc / row[column]
+        denominator = lcm(*(value.denominator for value in vector))
+        scaled = [int(value * denominator) for value in vector]
+        content = 0
+        for value in scaled:
+            content = gcd(content, value)
+        scaled = [value // content for value in scaled]
+        if next(value for value in scaled if value) < 0:
+            scaled = [-value for value in scaled]
+        basis.append(tuple(Fraction(value) for value in scaled))
+    return basis
+
+
+def assert_kernel_matches_oracle(rows, ncols):
+    basis = _nullspace(rows, ncols)
+    assert basis == fraction_nullspace_oracle(rows, ncols)
+    for vector in basis:
+        assert all(type(value) is int for value in vector)
+        assert all(sum(c * vector[col] for col, c in row.items()) == 0 for row in rows)
+
+
+@st.composite
+def sparse_matrices(draw):
+    ncols = draw(st.integers(1, 10))
+    entry = st.integers(-5, 5).filter(bool)
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=min(ncols, 4))
+    rows = draw(st.lists(row, max_size=8))  # empty dicts are empty rows
+    for index in draw(st.lists(st.integers(0, 7), max_size=3)):
+        if rows:
+            rows.append(dict(rows[index % len(rows)]))  # duplicate rows
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_nullspace_matches_fraction_oracle_on_random_matrices(matrix):
+    assert_kernel_matches_oracle(*matrix)
+
+
+def test_nullspace_oracle_covers_non_unit_pivots():
+    # 2x + 3y = 0 and 5y - 4z = 0: no pivot divides its row sum without a rescale
+    rows = [{0: 2, 1: 3}, {1: 5, 2: -4}, {}, {0: 2, 1: 3}]
+    assert _nullspace(rows, 3) == [(6, -4, -5)]
+    assert_kernel_matches_oracle(rows, 3)
+
+
+@pytest.mark.parametrize("config", SMALL_CONFIGS)
+def test_nullspace_matches_fraction_oracle_on_four_term_matrices(config):
+    p, n, r = config
+    assert_kernel_matches_oracle(four_term_matrix(p, n, r), _cell_count(p**n, r))
