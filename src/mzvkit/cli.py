@@ -40,10 +40,10 @@ from .measures import (
 from .paths import rhombus_product
 from .series import LambdaTable, NCSeries, exp, from_lambda_table, log
 from .synth import (
+    check_size,
     four_term_kernel,
     random_kernel_measure,
     random_lambda_table,
-    size_cap,
 )
 
 __all__ = ["main"]
@@ -119,12 +119,12 @@ def _load_measure(
         ):
             if got is not None and got != expected:
                 raise ValueError(f"{flag} {got} does not match the input file's {expected}")
-        check_config(mu.p, mu.n, mu.r, size_cap())
+        check_size(mu.p, mu.n, mu.r)
         return mu, {"file": args.infile}, words_of(mu.r)
     for flag, got in (("--p", args.p), ("--level", args.level), ("--depth", args.depth)):
         if got is None:
             raise ValueError(f"{flag} is required when no input file is given")
-    check_config(args.p, args.level, args.depth, size_cap())
+    check_size(args.p, args.level, args.depth)
     words = words_of(args.depth)
     mu = random_kernel_measure(args.p, args.level, args.depth, seed=args.seed)
     return mu, {"seed": args.seed}, words
@@ -209,7 +209,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 
 def cmd_check_rhombus(args: argparse.Namespace) -> int:
-    check_config(args.p, args.level, args.depth, size_cap())
+    check_size(args.p, args.level, args.depth)
     table = random_lambda_table(args.p, args.level, args.depth, seed=args.seed)
     matched = _rhombus_matches(table)
     report = {
@@ -257,7 +257,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    check_config(args.p, args.level, args.depth, size_cap())
+    check_size(args.p, args.level, args.depth)
     if args.degree > DEGREE_CAP:
         raise ValueError(f"--degree is capped at {DEGREE_CAP}")
     p, n, r, seed = args.p, args.level, args.depth, args.seed

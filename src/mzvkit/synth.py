@@ -25,6 +25,7 @@ __all__ = [
     "four_term_matrix",
     "four_term_kernel",
     "size_cap",
+    "check_size",
     "random_kernel_measure",
     "random_lambda_table",
     "lift",
@@ -184,6 +185,20 @@ def size_cap() -> int:
     return cap
 
 
+def check_size(p: int, n: int, r: int) -> int:
+    """Check a configuration against :func:`size_cap` and return its cell count.
+
+    The depth is bounded by the cap too: every cell is a point of r
+    coordinates, and at level 0 the single cell would otherwise admit any r.
+    For n >= 1 the cell bound already keeps r below log2 of the cap.
+    """
+    cap = size_cap()
+    cells = check_config(p, n, r, cap)
+    if r > cap:
+        raise ValueError(f"depth {r} is above the cap {cap}")
+    return cells
+
+
 @lru_cache(maxsize=32)
 def _cached_kernel(p: int, n: int, r: int) -> KernelBasis:
     rows = four_term_matrix(p, n, r)
@@ -198,9 +213,9 @@ def _cached_kernel(p: int, n: int, r: int) -> KernelBasis:
 def four_term_kernel(p: int, n: int, r: int) -> KernelBasis:
     """Primitive integer basis of {mu : four_term(mu) = 0}, deterministically ordered.
 
-    The configuration is checked against :func:`size_cap` first.
+    The configuration is checked by :func:`check_size` first.
     """
-    check_config(p, n, r, size_cap())
+    check_size(p, n, r)
     return _cached_kernel(p, n, r)
 
 

@@ -274,6 +274,8 @@ GUARDED_INPUTS = [
     (("certificate", "1,100000", "--p", "3"), "limit"),
     (("kernel", "--p", "2305843009213693951", "--level", "1", "--depth", "1"), "above the cap"),
     (("kernel", "--p", "2", "--level", "100000000", "--depth", "1"), "above the cap"),
+    (("kernel", "--p", "2", "--level", "0", "--depth", "99999999999"), "depth"),
+    (("check-rhombus", "--p", "3", "--level", "0", "--depth", "2305843009213693951"), "depth"),
     (("moments", "--in", "huge.json"), "cells"),
     (("check-cosets", "--p", "7", "--level", "1", "--depth", "1", "--seed", "0",
       "--exp-cap", "99998"), "certificate limit"),
