@@ -33,6 +33,9 @@ CASES = [
      "15954baeffa4f9301b2283ec153f4424456c3cf470b6e958e9a928edea0fe8d9"),
     (("kernel", "--p", "5", "--level", "1", "--depth", "1"), 0,
      "770efb9c9e4aaf7bf96a16e10cfa88cc9f809f8b519867e5d88d1d897a6dbb8b"),
+    # 4096 cells and 2178 basis vectors: 116 MB of stdout
+    (("kernel", "--p", "2", "--level", "4", "--depth", "3"), 0,
+     "0721f89e239641a178516e4c61ec8949ae222bc0aa22fda65ec23b7f94d5aee5"),
     (("vanish", "--p", "3", "--level", "1", "--depth", "2", "--seed", "9"), 0,
      "319c5c4b179793979215c68c28fe0741507b0c063f2d387664a8b859f0e55238"),
     (("vanish", "--p", "2", "--level", "2", "--depth", "3", "--seed", "4", "--exp-cap", "5"), 0,
