@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .euler import (
     MAX_CERTIFICATE_EXPONENT,
@@ -34,12 +34,12 @@ from .measures import (
     lambda_table_from_measure,
     measure_from_json_dict,
     measure_from_lambda_table,
-    measure_to_json_dict,
     moment_sweep,
 )
 from .paths import rhombus_product
 from .series import LambdaTable, NCSeries, exp, from_lambda_table, log
 from .synth import (
+    KernelBasis,
     check_size,
     four_term_kernel,
     random_kernel_measure,
@@ -95,12 +95,21 @@ def _valuation_json(value: int | float) -> int | str:
     return "inf" if value == INFINITY else int(value)
 
 
-def _emit(report: dict, out: str | None) -> int:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
-    if out:
-        Path(out).write_text(text, encoding="ascii")
+def _write(chunks: Iterable[str], out: str | None) -> int:
+    """Write the chunks to stdout and, with ``--out``, the same bytes to FILE."""
+    if not out:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return 0
+    with open(out, "w", encoding="ascii") as handle:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+            handle.write(chunk)
     return 0
+
+
+def _emit(report: dict, out: str | None) -> int:
+    return _write([json.dumps(report, indent=2, sort_keys=True) + "\n"], out)
 
 
 def _load_measure(
@@ -179,17 +188,37 @@ def _rhombus_matches(table: LambdaTable) -> bool:
     return rhombus_product(table) == from_lambda_table(combination, degree_cap=table.r)
 
 
+def _kernel_json(basis: KernelBasis) -> Iterator[str]:
+    """The kernel report as ``json.dumps(report, indent=2, sort_keys=True)``
+    would print it, one basis vector per chunk.
+
+    Each vector is the line ``        "0"`` once per cell, with its nonzero
+    entries dropped in; runs of zeros are sliced from one prepared block.
+    """
+    p, n, r = basis.p, basis.n, basis.r
+    zero_line = '        "0",\n'
+    width = len(zero_line)
+    zeros = zero_line * (p ** (n * r))
+    head = f'    {{\n      "n": {n},\n      "p": {p},\n      "r": {r},\n      "values": [\n'
+    yield '{\n  "basis": ['
+    separator = "\n"
+    for vector in basis.vectors:
+        pieces = [head]
+        start = 0
+        for column, value in vector.items():
+            pieces += (zeros[start:column * width], f'        "{value}",\n')
+            start = (column + 1) * width
+        pieces.append(zeros[start:])
+        # the last cell takes no comma
+        yield separator + "".join(pieces)[:-2] + "\n      ]\n    }"
+        separator = ",\n"
+    # never "[]": every negation orbit of cells gives a basis vector
+    yield (f'\n  ],\n  "command": "kernel",\n  "dimension": {basis.dimension},\n'
+           f'  "n": {n},\n  "p": {p},\n  "r": {r}\n}}\n')
+
+
 def cmd_kernel(args: argparse.Namespace) -> int:
-    basis = four_term_kernel(args.p, args.level, args.depth)
-    report = {
-        "command": "kernel",
-        "p": basis.p,
-        "n": basis.n,
-        "r": basis.r,
-        "dimension": basis.dimension,
-        "basis": [measure_to_json_dict(vector) for vector in basis.vectors],
-    }
-    return _emit(report, args.out)
+    return _write(_kernel_json(four_term_kernel(args.p, args.level, args.depth)), args.out)
 
 
 def cmd_vanish(args: argparse.Namespace) -> int:

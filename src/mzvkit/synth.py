@@ -3,10 +3,13 @@
 The kernel is computed by fraction-free (integer-pivot) Gaussian elimination
 on the sparse operator matrix: rows stay integral, are divided by their gcd
 after every update, and pivots are chosen by sparsity so fill-in stays small.
+The back pass visits only the pivot rows a basis vector reaches, and the basis
+vectors are kept sparse.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 from dataclasses import dataclass
@@ -36,16 +39,32 @@ DEFAULT_CELL_CAP = 10_000
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """Primitive integer basis of the exact four-term kernel at one level."""
+    """Primitive integer basis of the exact four-term kernel at one level.
+
+    Each vector maps its nonzero cells (row-major indices, ascending) to their
+    integer values.  The vectors are shared by every caller of the cached
+    kernel and must not be modified.
+    """
 
     p: int
     n: int
     r: int
-    vectors: tuple[LevelMeasure, ...]
+    vectors: tuple[dict[int, int], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
+
+    def measures(self) -> list[LevelMeasure]:
+        """The basis vectors as dense measures."""
+        zero = [Fraction(0)] * _cell_count(self.p**self.n, self.r)
+        result = []
+        for vector in self.vectors:
+            values = list(zero)
+            for column, value in vector.items():
+                values[column] = Fraction(value)
+            result.append(LevelMeasure(self.p, self.n, self.r, tuple(values)))
+        return result
 
 
 def four_term_matrix(p: int, n: int, r: int) -> list[dict[int, int]]:
@@ -64,14 +83,25 @@ def _normalize_row(row: dict[int, int]) -> None:
             row[column] //= divisor
 
 
-def _nullspace(rows: list[dict[int, int]], ncols: int) -> list[tuple[int, ...]]:
-    """Right kernel of a sparse integer matrix, primitive integer vectors.
+def _nullspace(
+    rows: list[dict[int, int]], ncols: int
+) -> tuple[list[int], list[dict[int, int]]]:
+    """Right kernel of a sparse integer matrix: the free columns in ascending
+    order and, for each, its primitive integer kernel vector as a sparse dict.
 
     Forward pass (:func:`_eliminate`), then a back pass per free column
     (:func:`_solve_free_column`), all in integers.
     """
     free_columns, pivot_rows = _eliminate(rows, ncols)
-    return [_solve_free_column(free, pivot_rows, ncols) for free in free_columns]
+    # column -> pivot columns of the other pivot rows with an entry there
+    touching: dict[int, list[int]] = {}
+    for column, row in pivot_rows:
+        for col2 in row:
+            if col2 != column:
+                touching.setdefault(col2, []).append(column)
+    pivot_row_of = dict(pivot_rows)
+    vectors = [_solve_free_column(free, pivot_row_of, touching) for free in free_columns]
+    return free_columns, vectors
 
 
 def _eliminate(
@@ -137,40 +167,65 @@ def _eliminate(
 
 
 def _solve_free_column(
-    free: int, pivot_rows_desc: list[tuple[int, dict[int, int]]], ncols: int
-) -> tuple[int, ...]:
+    free: int, pivot_row_of: dict[int, dict[int, int]], touching: dict[int, list[int]]
+) -> dict[int, int]:
     """The kernel vector with 1 at ``free`` and 0 at every other free column,
     made primitive, solved in integers.
 
-    Each pivot row, in descending column order, fixes its pivot entry.  When
-    the pivot does not divide the row's sum, the whole vector is first scaled
-    by |pivot / gcd(sum, pivot)|; the vector stays a positive multiple of the
+    Each pivot row, in descending column order, fixes its pivot entry.  Pivot
+    rows are upper triangular (a row has entries only at columns at or after
+    its pivot), so a row none of whose other columns is nonzero yet has a zero
+    sum and fixes a zero: only the rows ``touching`` a nonzero column are
+    visited, taken from a heap in descending pivot order.  When the pivot does
+    not divide the row's sum, the whole vector is first scaled by
+    |pivot / gcd(sum, pivot)|; the vector stays a positive multiple of the
     rational solution, so the primitive vector is the same.
     """
-    vector = [0] * ncols
-    vector[free] = 1
-    for column, row in pivot_rows_desc:
+    vector = {free: 1}
+    queued = set(touching.get(free, ()))
+    heap = [-column for column in queued]
+    heapq.heapify(heap)
+    while heap:
+        column = -heapq.heappop(heap)
+        row = pivot_row_of[column]
         acc = 0
         for col2, coeff in row.items():
             if col2 != column:
-                acc += coeff * vector[col2]
+                acc += coeff * vector.get(col2, 0)
         if not acc:
             continue
         pivot = row[column]
         if acc % pivot:
             scale = abs(pivot // gcd(acc, pivot))
-            vector = [value * scale for value in vector]
+            for col2 in vector:
+                vector[col2] *= scale
             acc *= scale
         vector[column] = -acc // pivot
+        for below in touching.get(column, ()):
+            if below not in queued:
+                queued.add(below)
+                heapq.heappush(heap, -below)
     return _primitive(vector)
 
 
-def _primitive(vector: list[int]) -> tuple[int, ...]:
-    """Divide by the content and make the first nonzero entry positive."""
-    content = gcd(*vector)
-    if next(value for value in vector if value) < 0:
+def _primitive(vector: dict[int, int]) -> dict[int, int]:
+    """Drop zeros, divide by the content and make the first nonzero entry
+    positive; the entries come out in ascending column order."""
+    entries = sorted((column, value) for column, value in vector.items() if value)
+    content = gcd(*(value for _, value in entries))
+    if entries[0][1] < 0:
         content = -content
-    return tuple(vector) if content == 1 else tuple(value // content for value in vector)
+    return {column: value // content for column, value in entries}
+
+
+def _check_saturated(free_columns: list[int], vectors: list[dict[int, int]]) -> None:
+    """Raise unless each vector is +-1 at its own free column and 0 at every
+    other free column, which makes the vectors a Z-basis of the integer
+    kernel lattice and not only of the rational kernel."""
+    free_set = set(free_columns)
+    for free, vector in zip(free_columns, vectors):
+        if vector.get(free) not in (1, -1) or free_set.intersection(vector) != {free}:
+            raise ArithmeticError(f"kernel vector of free column {free} is not saturated")
 
 
 def size_cap() -> int:
@@ -201,12 +256,8 @@ def check_size(p: int, n: int, r: int) -> int:
 
 @lru_cache(maxsize=32)
 def _cached_kernel(p: int, n: int, r: int) -> KernelBasis:
-    rows = four_term_matrix(p, n, r)
-    vectors = []
-    for values in _nullspace(rows, _cell_count(p**n, r)):
-        # one Fraction per distinct entry: the vectors are mostly zeros
-        as_fraction = {v: Fraction(v) for v in set(values)}
-        vectors.append(LevelMeasure(p, n, r, tuple(map(as_fraction.__getitem__, values))))
+    free_columns, vectors = _nullspace(four_term_matrix(p, n, r), _cell_count(p**n, r))
+    _check_saturated(free_columns, vectors)
     return KernelBasis(p, n, r, tuple(vectors))
 
 
@@ -229,10 +280,11 @@ def random_kernel_measure(
     for vector in basis.vectors:
         coefficient = rng.randint(-magnitude, magnitude)
         if coefficient:
-            for i, v in enumerate(vector.values):
-                if v:
-                    cells[i] += coefficient * v.numerator
-    return LevelMeasure(p, n, r, tuple(Fraction(c) for c in cells))
+            for column, value in vector.items():
+                cells[column] += coefficient * value
+    # one Fraction per distinct value: most cells share a few small values
+    as_fraction = {value: Fraction(value) for value in set(cells)}
+    return LevelMeasure(p, n, r, tuple(map(as_fraction.__getitem__, cells)))
 
 
 def random_lambda_table(p: int, n: int, r: int, seed: int, magnitude: int = 9) -> LambdaTable:

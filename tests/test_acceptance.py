@@ -125,7 +125,7 @@ def test_criterion_04_vanishing_congruences():
     for p, n, r in CONFIG_GRID:
         words = exponent_words(r, 7, odd_only=True)
         basis = four_term_kernel(p, n, r)
-        measures = list(basis.vectors)
+        measures = basis.measures()
         measures += [random_kernel_measure(p, n, r, seed=s) for s in range(50)]
         for mu in measures:
             assert four_term_is_zero(mu) and mu.is_integer_valued()
@@ -210,7 +210,7 @@ def test_criterion_07_tower_coherence():
     vectors = 0
     for p in (2, 3):
         for r in (1, 2):
-            for vector in four_term_kernel(p, 1, r).vectors:
+            for vector in four_term_kernel(p, 1, r).measures():
                 lifted = lift(vector)
                 ok = ok and project(lifted) == vector
                 ok = ok and four_term_is_zero(lifted)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mzvkit.cli import main
 from mzvkit.measures import LevelMeasure, measure_to_json_dict
-from mzvkit.synth import _cached_kernel
+from mzvkit.synth import _cached_kernel, four_term_kernel
 
 
 def run_cli(argv):
@@ -161,6 +162,32 @@ def test_out_file_matches_stdout(tmp_path):
     assert target.read_text(encoding="ascii") == out
 
 
+# the small configurations of tests/test_synth.py, a level-0 one and one
+# whose basis vectors have several nonzero cells
+KERNEL_CONFIGS = [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2), (2, 2, 1), (5, 1, 1),
+                  (2, 0, 3), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("config", KERNEL_CONFIGS)
+def test_streamed_kernel_matches_json_dumps(config, tmp_path):
+    p, n, r = config
+    target = tmp_path / "kernel.json"
+    code, out, err = run_cli(["kernel", "--p", str(p), "--level", str(n), "--depth", str(r),
+                              "--out", str(target)])
+    basis = four_term_kernel(p, n, r)
+    report = {
+        "command": "kernel",
+        "p": p,
+        "n": n,
+        "r": r,
+        "dimension": basis.dimension,
+        "basis": [measure_to_json_dict(vector) for vector in basis.measures()],
+    }
+    assert (code, err) == (0, "")
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert target.read_text(encoding="ascii") == out
+
+
 def test_malformed_input_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("not json", encoding="ascii")
@@ -303,6 +330,43 @@ def test_resource_guards_exit_two_before_work(argv, message, tmp_path):
     assert result.stderr.startswith("error:") and message in result.stderr
     assert "Traceback" not in result.stderr
     assert elapsed < 5
+
+
+# Configurations at the cell cap whose dense kernel basis took 0.5 to 4 GiB.
+# The `kernel` digest is that of json.dumps of the dense report; the
+# `check-cosets` digest was recorded with the dense basis.
+MEMORY_BOUND_INPUTS = [
+    (("kernel", "--p", "3", "--level", "2", "--depth", "4"),
+     "fa6b6d8300a00db2f1e43357214fd9d8cf012e25cd66dfed1098c9260e54e08f"),
+    (("check-cosets", "--p", "3", "--level", "2", "--depth", "4", "--seed", "0",
+      "--exp-cap", "3"),
+     "eb0b3c2ccbfa78bcfc545b16f71c6efce35f537dbec86dcd1eae06ca700b5fd8"),
+]
+
+
+def _limit_memory_and_cpu():
+    import resource
+
+    _limit_memory()
+    resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+
+@pytest.mark.parametrize("argv,digest", MEMORY_BOUND_INPUTS,
+                         ids=[" ".join(c[0]) for c in MEMORY_BOUND_INPUTS])
+def test_cap_sized_kernel_runs_within_memory_limit(argv, digest, tmp_path):
+    # stdout (311 MB for `kernel`) is hashed as it arrives, not held; the CPU
+    # limit ends the child, and so the read, if it never finishes
+    stderr_path = tmp_path / "stderr"
+    with open(stderr_path, "wb") as stderr:
+        process = subprocess.Popen([sys.executable, "-m", "mzvkit", *argv],
+                                   stdout=subprocess.PIPE, stderr=stderr,
+                                   preexec_fn=_limit_memory_and_cpu)
+        sha = hashlib.sha256()
+        with process.stdout:
+            while block := process.stdout.read(1 << 20):
+                sha.update(block)
+        code = process.wait(timeout=60)
+    assert (code, stderr_path.read_bytes(), sha.hexdigest()) == (0, b"", digest)
 
 
 def test_exponent_words_enumerate_in_lexicographic_order():

@@ -323,6 +323,6 @@ def test_depth_one_bernoulli_value_examples():
 
 def test_kernel_basis_elements_satisfy_vanishing():
     basis = four_term_kernel(3, 1, 2)
-    for vector in basis.vectors:
+    for vector in basis.measures():
         for exponents in [(0, 1), (1, 2), (3, 0)]:
             assert vanishing_check(vector, exponents).passed

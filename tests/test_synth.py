@@ -9,6 +9,7 @@ from mzvkit.measures import LevelMeasure, affine_pushforward, four_term_is_zero,
 from mzvkit.measures import _cell_count
 from mzvkit.synth import (
     KernelBasis,
+    _check_saturated,
     _eliminate,
     _nullspace,
     four_term_kernel,
@@ -122,13 +123,13 @@ def test_kernel_against_dense_elimination(config):
     size = (p**n) ** r
     basis = four_term_kernel(p, n, r)
     assert basis.dimension == size - dense_rank(dense_operator(p, n, r))
-    assert dense_rank([v.values for v in basis.vectors]) == basis.dimension
+    assert dense_rank([v.values for v in basis.measures()]) == basis.dimension
 
 
 @pytest.mark.parametrize("config", sorted(KNOWN_DIMENSIONS))
 def test_basis_vectors_are_kernel_and_primitive(config):
     basis = four_term_kernel(*config)
-    for vector in basis.vectors:
+    for vector in basis.measures():
         assert four_term_is_zero(vector)
         assert vector.is_integer_valued()
         entries = [v.numerator for v in vector.values]
@@ -212,14 +213,14 @@ def test_project_undoes_lift():
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("r", [1, 2])
 def test_lift_preserves_kernel_membership(p, r):
-    for vector in four_term_kernel(p, 1, r).vectors:
+    for vector in four_term_kernel(p, 1, r).measures():
         assert four_term_is_zero(lift(vector))
 
 
 @pytest.mark.parametrize("config", SMALL_CONFIGS)
 def test_kernel_invariant_under_negation(config):
     # the operator anti-commutes with the negation pushforward
-    for vector in four_term_kernel(*config).vectors:
+    for vector in four_term_kernel(*config).measures():
         assert four_term_is_zero(affine_pushforward(vector, -1, 0))
 
 
@@ -250,9 +251,52 @@ def fraction_nullspace_oracle(rows, ncols):
     return basis
 
 
+def dense_nullspace_oracle(rows, ncols):
+    """The kernel basis with the integer back pass on dense vectors: every
+    pivot row is visited, in descending column order; when the pivot does not
+    divide the row's sum, the whole vector is first scaled by
+    |pivot / gcd(sum, pivot)|.  Then divide by the content and make the first
+    entry positive."""
+    free_columns, pivot_rows = _eliminate(rows, ncols)
+    basis = []
+    for free in free_columns:
+        vector = [0] * ncols
+        vector[free] = 1
+        for column, row in pivot_rows:
+            acc = 0
+            for col2, coeff in row.items():
+                if col2 != column:
+                    acc += coeff * vector[col2]
+            if not acc:
+                continue
+            pivot = row[column]
+            if acc % pivot:
+                scale = abs(pivot // gcd(acc, pivot))
+                vector = [value * scale for value in vector]
+                acc *= scale
+            vector[column] = -acc // pivot
+        content = gcd(*vector)
+        if next(value for value in vector if value) < 0:
+            content = -content
+        basis.append(tuple(value // content for value in vector))
+    return basis
+
+
+def dense(vector, ncols):
+    values = [0] * ncols
+    for column, value in vector.items():
+        values[column] = value
+    return tuple(values)
+
+
 def assert_kernel_matches_oracle(rows, ncols):
-    basis = _nullspace(rows, ncols)
+    free_columns, vectors = _nullspace(rows, ncols)
+    basis = [dense(vector, ncols) for vector in vectors]
+    assert basis == dense_nullspace_oracle(rows, ncols)
     assert basis == fraction_nullspace_oracle(rows, ncols)
+    assert free_columns == _eliminate(rows, ncols)[0]
+    for vector in vectors:
+        assert list(vector) == sorted(vector) and all(vector.values())
     for vector in basis:
         assert all(type(value) is int for value in vector)
         assert all(sum(c * vector[col] for col, c in row.items()) == 0 for row in rows)
@@ -279,11 +323,34 @@ def test_nullspace_matches_fraction_oracle_on_random_matrices(matrix):
 def test_nullspace_oracle_covers_non_unit_pivots():
     # 2x + 3y = 0 and 5y - 4z = 0: no pivot divides its row sum without a rescale
     rows = [{0: 2, 1: 3}, {1: 5, 2: -4}, {}, {0: 2, 1: 3}]
-    assert _nullspace(rows, 3) == [(6, -4, -5)]
+    assert _nullspace(rows, 3) == ([2], [{0: 6, 1: -4, 2: -5}])
     assert_kernel_matches_oracle(rows, 3)
+    # -5 at its free column: a basis of the rational kernel, not of the lattice
+    with pytest.raises(ArithmeticError, match="free column 2"):
+        _check_saturated(*_nullspace(rows, 3))
 
 
 @pytest.mark.parametrize("config", SMALL_CONFIGS)
 def test_nullspace_matches_fraction_oracle_on_four_term_matrices(config):
     p, n, r = config
     assert_kernel_matches_oracle(four_term_matrix(p, n, r), _cell_count(p**n, r))
+
+
+@pytest.mark.parametrize("config", sorted(KNOWN_DIMENSIONS))
+def test_four_term_kernel_basis_is_saturated(config):
+    # +-1 at its own free column (-1 where the sign rule flips the vector)
+    # and 0 at every other free column: a Z-basis of the kernel lattice
+    p, n, r = config
+    free_columns, vectors = _nullspace(four_term_matrix(p, n, r), _cell_count(p**n, r))
+    free_set = set(free_columns)
+    for free, vector in zip(free_columns, vectors):
+        assert vector[free] in (1, -1)
+        assert free_set & set(vector) == {free}
+    _check_saturated(free_columns, vectors)
+    assert four_term_kernel(p, n, r).vectors == tuple(vectors)
+
+
+def test_saturation_check_rejects_other_free_columns():
+    with pytest.raises(ArithmeticError):
+        _check_saturated([0, 1], [{0: 1}, {0: 1, 1: 1}])
+    _check_saturated([0, 1], [{0: -1, 2: 3}, {1: 1}])
