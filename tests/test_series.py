@@ -331,7 +331,8 @@ def test_json_round_trip():
 # sha256 of json.dumps(series_to_json_dict(x), sort_keys=True) for x in log(s),
 # exp(s - 1), inverse(s), inverse(-3/2 * s) and rhombus_product(table), where
 # s = from_lambda_table(table, degree_cap=D); recorded before the series
-# arithmetic moved to integer numerators.
+# arithmetic moved to integer numerators, and random-2-2-2 before words moved to
+# integer codes.  An entry may pin a subset of these.
 DIGEST_TABLES = {
     "random-3-1-1": (lambda: random_lambda_table(3, 1, 1, seed=0), 8, {
         "log": "3b590727369d2a9b75f0c664bdb81876c448d368bc2c6c384fb04547cf46d142",
@@ -366,6 +367,12 @@ DIGEST_TABLES = {
             "rhombus": "ea65a169b955563f6001f806580fd70ff2c7b109b7534973784cec941a77de45",
         },
     ),
+    # full support (all 16 entries nonzero): log(s) and exp(s - 1) carry every
+    # Y word of even degree up to 8, 69 904 and 69 905 terms
+    "random-2-2-2": (lambda: random_lambda_table(2, 2, 2, seed=1), 8, {
+        "log": "6c6a354f0895e9b2a3c32aa7be45b5d72d4fe9c0007189f49cc6d967ed418925",
+        "exp": "f3ff3f5e13d1fa8fad75009367d14c32e1ae920344e93dd2adc6ce8a10f4cdd0",
+    }),
 }
 
 
@@ -380,13 +387,14 @@ def test_series_digests(name):
         text = json.dumps(series_to_json_dict(x), sort_keys=True)
         return hashlib.sha256(text.encode("ascii")).hexdigest()
 
-    got = {
-        "log": digest(log(s)),
-        "exp": digest(exp(s - one)),
-        "inverse": digest(inverse(s)),
-        "inverse_scaled": digest(inverse(s * Fraction(-3, 2))),
-        "rhombus": digest(rhombus_product(table)),
+    compute = {
+        "log": lambda: log(s),
+        "exp": lambda: exp(s - one),
+        "inverse": lambda: inverse(s),
+        "inverse_scaled": lambda: inverse(s * Fraction(-3, 2)),
+        "rhombus": lambda: rhombus_product(table),
     }
+    got = {key: digest(compute[key]()) for key in expected}
     assert got == expected
 
 
