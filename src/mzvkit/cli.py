@@ -55,8 +55,8 @@ MAX_SEED = 2**64 - 1
 MAX_EXPONENT_WORDS = 100_000
 # Largest series term-count estimate `report` may exponentiate; (2, 2, 2) at
 # degree 8 estimates 69 904 terms, (3, 2, 2) at degree 8 about 4.4e7.  Measured
-# with Python 3.11 on 2 cores, `report --seed 0` takes about 1.4 s at (2, 2, 2)
-# degree 8 and 5.4 s at (5, 1, 1) degree 7 (97 655 terms, the costliest
+# with Python 3.11 on 2 cores, `report --seed 0` takes about 0.3 s at (2, 2, 2)
+# degree 8 and 0.8-0.9 s at (5, 1, 1) degree 7 (97 655 terms, the costliest
 # admitted case measured).
 MAX_SERIES_TERMS = 100_000
 

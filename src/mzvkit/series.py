@@ -1,19 +1,24 @@
 """Truncated non-commutative power series over the letters X, Y_0, ..., Y_{p^n - 1}.
 
-Words are tuples of letter codes: X is the sentinel -1, the cyclic letters are
-their residues 0 <= i < p^n.  A series holds a map word -> Fraction up to a
-fixed truncation degree; all operations are exact and return new objects.
+At the public boundary words are tuples of letter codes: X is the sentinel -1,
+the cyclic letters are their residues 0 <= i < p^n.  A series is exact up to a
+fixed truncation degree, and every operation returns a new object.
 
-Products, exp, log, inverse and substitution run on integer numerators over
-one common denominator (``_numerators``, ``_product``), and build one
-``Fraction`` per output word.
+Inside, a series is ``{degree: {word code: int numerator}}`` over one positive
+``int`` denominator, kept canonical: no zero entries, no empty buckets, and gcd
+1 between the denominator and all numerators, so equal series hold equal dicts.
+A degree-d word is coded as the int whose base-(p^n + 1) digits are its letters,
+first letter most significant, with X -> 0 and Y_i -> i + 1.  Concatenation is
+``code_a * base**deg_b + code_b``, and within one degree code order is tuple
+order.  Tuples and ``Fraction``s are built only by ``coeff``, ``terms``,
+``repr``, the JSON form and ``to_lambda_table``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact import check_config, format_rational, parse_rational
@@ -40,7 +45,7 @@ X = -1
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
-IntBuckets = dict[int, dict[Word, int]]  # degree -> word -> integer numerator
+IntBuckets = dict[int, dict[int, int]]  # degree -> word code -> integer numerator
 
 
 @dataclass(frozen=True)
@@ -93,25 +98,50 @@ class Alphabet:
         return tuple(self.parse_letter(part) for part in text.split("."))
 
 
+def _exact(value: object) -> Fraction | int:
+    """An int or Fraction coefficient; a float, say, would be stored as its
+    binary fraction, so anything else is a TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficient must be an int or Fraction, not {type(value).__name__}")
+    return value
+
+
+def _encode(word: Word, base: int) -> int:
+    code = 0
+    for letter in word:
+        code = code * base + letter + 1
+    return code
+
+
+def _decode(code: int, degree: int, base: int) -> Word:
+    letters = []
+    for _ in range(degree):
+        code, digit = divmod(code, base)
+        letters.append(digit - 1)
+    return tuple(reversed(letters))
+
+
 class NCSeries:
     """Exact series truncated at a fixed total degree.
 
     Binary operations require both operands to carry the same alphabet and the
-    same truncation degree; nothing is coerced silently.
+    same truncation degree; nothing is coerced silently.  Coefficients and
+    scalars are ints or Fractions.
     """
 
-    __slots__ = ("alphabet", "degree_cap", "_terms", "_buckets")
+    __slots__ = ("alphabet", "degree_cap", "_num", "_den")
 
     def __init__(
         self,
         alphabet: Alphabet,
         degree_cap: int,
-        terms: Mapping[Word, Fraction] | Iterable[tuple[Word, Fraction]] = (),
+        terms: Mapping[Word, Fraction | int] | Iterable[tuple[Word, Fraction | int]] = (),
     ) -> None:
         if degree_cap < 0:
             raise ValueError("truncation degree must be non-negative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        collected: dict[Word, Fraction] = {}
+        base = alphabet.size
+        collected: dict[int, dict[int, Fraction | int]] = {}
         for word, coeff in items:
             word = tuple(word)
             if len(word) > degree_cap:
@@ -120,54 +150,39 @@ class NCSeries:
                 )
             for letter in word:
                 alphabet.check_letter(letter)
-            coeff = Fraction(coeff)
-            if word in collected:
-                coeff = collected[word] + coeff
-            if coeff:
-                collected[word] = coeff
-            else:
-                collected.pop(word, None)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "degree_cap", degree_cap)
-        object.__setattr__(self, "_terms", collected)
-        object.__setattr__(self, "_buckets", _bucket_by_degree(collected))
+            bucket = collected.setdefault(len(word), {})
+            code = _encode(word, base)
+            bucket[code] = bucket.get(code, 0) + _exact(coeff)
+        # over the lcm of the reduced denominators the numerators are coprime to it
+        den = lcm(*(c.denominator for bucket in collected.values() for c in bucket.values()))
+        num = _nonzero({
+            degree: {code: c.numerator * (den // c.denominator) for code, c in bucket.items()}
+            for degree, bucket in collected.items()
+        })
+        self._assign(alphabet, degree_cap, num, den)
+
+    def _assign(self, alphabet: Alphabet, degree_cap: int, num: IntBuckets, den: int) -> None:
+        for name, value in zip(self.__slots__, (alphabet, degree_cap, num, den)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NCSeries is immutable")
 
     @classmethod
-    def _raw(cls, alphabet: Alphabet, degree_cap: int, terms: dict[Word, Fraction]) -> "NCSeries":
-        # trusted constructor: words already validated, zeros possibly present
+    def _reduced(cls, alphabet: Alphabet, degree_cap: int, num: IntBuckets, den: int) -> "NCSeries":
+        # trusted constructor: valid codes, no zero entries or empty buckets,
+        # den > 0; divides out the gcd of den and the numerators
+        g = den
+        for bucket in num.values():
+            if g == 1:
+                break
+            g = gcd(g, *bucket.values())
+        if g > 1:
+            num = {degree: {code: v // g for code, v in bucket.items()}
+                   for degree, bucket in num.items()}
+            den //= g
         series = cls.__new__(cls)
-        cleaned = {word: coeff for word, coeff in terms.items() if coeff}
-        object.__setattr__(series, "alphabet", alphabet)
-        object.__setattr__(series, "degree_cap", degree_cap)
-        object.__setattr__(series, "_terms", cleaned)
-        object.__setattr__(series, "_buckets", _bucket_by_degree(cleaned))
-        return series
-
-    @classmethod
-    def _from_numerators(
-        cls,
-        alphabet: Alphabet,
-        degree_cap: int,
-        numerators: IntBuckets,
-        scale: int,
-        denominator: int,
-    ) -> "NCSeries":
-        # trusted constructor: coefficient of each word is scale * numerator / denominator
-        terms: dict[Word, Fraction] = {}
-        buckets: dict[int, dict[Word, Fraction]] = {}
-        for degree, bucket in numerators.items():
-            kept = {word: Fraction(v * scale, denominator) for word, v in bucket.items() if v}
-            if kept:
-                buckets[degree] = kept
-                terms.update(kept)
-        series = cls.__new__(cls)
-        object.__setattr__(series, "alphabet", alphabet)
-        object.__setattr__(series, "degree_cap", degree_cap)
-        object.__setattr__(series, "_terms", terms)
-        object.__setattr__(series, "_buckets", buckets)
+        series._assign(alphabet, degree_cap, num, den)
         return series
 
     @classmethod
@@ -176,17 +191,17 @@ class NCSeries:
 
     @classmethod
     def one(cls, alphabet: Alphabet, degree_cap: int) -> "NCSeries":
-        return cls(alphabet, degree_cap, {EMPTY_WORD: Fraction(1)})
+        return cls(alphabet, degree_cap, {EMPTY_WORD: 1})
 
     @classmethod
     def letter(
         cls, alphabet: Alphabet, degree_cap: int, letter: int, coeff: Fraction | int = 1
     ) -> "NCSeries":
-        return cls(alphabet, degree_cap, {(letter,): Fraction(coeff)})
+        return cls(alphabet, degree_cap, {(letter,): coeff})
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get(EMPTY_WORD, Fraction(0))
+        return self.coeff(EMPTY_WORD)
 
     def coeff(self, word: Word) -> Fraction:
         """Coefficient of a word; asking beyond the truncation degree is an error."""
@@ -197,18 +212,22 @@ class NCSeries:
             )
         for letter in word:
             self.alphabet.check_letter(letter)
-        return self._terms.get(word, Fraction(0))
+        value = self._num.get(len(word), {}).get(_encode(word, self.alphabet.size), 0)
+        return Fraction(value, self._den)
 
     def terms(self) -> Iterator[tuple[Word, Fraction]]:
         """Deterministic iteration: by degree, then lexicographically."""
-        for word in sorted(self._terms, key=lambda w: (len(w), w)):
-            yield word, self._terms[word]
+        base = self.alphabet.size
+        for degree in sorted(self._num):
+            bucket = self._num[degree]
+            for code in sorted(bucket):
+                yield _decode(code, degree, base), Fraction(bucket[code], self._den)
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return sum(map(len, self._num.values()))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def _compatible(self, other: "NCSeries") -> None:
         if self.alphabet != other.alphabet:
@@ -222,56 +241,47 @@ class NCSeries:
         return (
             self.alphabet == other.alphabet
             and self.degree_cap == other.degree_cap
-            and self._terms == other._terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __add__(self, other: "NCSeries") -> "NCSeries":
+    def _combined(self, other: "NCSeries", sign: int) -> "NCSeries":
+        # self + sign * other
         self._compatible(other)
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            if word in out:
-                out[word] += coeff
-            else:
-                out[word] = coeff
-        return NCSeries._raw(self.alphabet, self.degree_cap, out)
+        den = lcm(self._den, other._den)
+        acc: IntBuckets = {}
+        _add_into(acc, self._num, den // self._den)
+        _add_into(acc, other._num, sign * (den // other._den))
+        return NCSeries._reduced(self.alphabet, self.degree_cap, _nonzero(acc), den)
+
+    def __add__(self, other: "NCSeries") -> "NCSeries":
+        return self._combined(other, 1)
 
     def __sub__(self, other: "NCSeries") -> "NCSeries":
-        self._compatible(other)
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            if word in out:
-                out[word] -= coeff
-            else:
-                out[word] = -coeff
-        return NCSeries._raw(self.alphabet, self.degree_cap, out)
+        return self._combined(other, -1)
 
     def __neg__(self) -> "NCSeries":
-        return NCSeries._raw(
-            self.alphabet, self.degree_cap, {w: -c for w, c in self._terms.items()}
-        )
+        return self._scaled(-1)
 
     def _scaled(self, scalar: Fraction | int) -> "NCSeries":
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         if not scalar:
             return NCSeries.zero(self.alphabet, self.degree_cap)
-        numerators, denominator = _numerators(self._buckets)
-        return NCSeries._from_numerators(
-            self.alphabet, self.degree_cap, numerators, scalar.numerator,
-            denominator * scalar.denominator,
-        )
+        factor = scalar.numerator
+        num = {degree: {code: factor * v for code, v in bucket.items()}
+               for degree, bucket in self._num.items()}
+        return NCSeries._reduced(self.alphabet, self.degree_cap, num,
+                                 self._den * scalar.denominator)
 
     def __mul__(self, other: "NCSeries | Fraction | int") -> "NCSeries":
         if not isinstance(other, NCSeries):
             return self._scaled(other)
         self._compatible(other)
-        left, left_den = _numerators(self._buckets)
-        right, right_den = _numerators(other._buckets)
-        return NCSeries._from_numerators(
-            self.alphabet, self.degree_cap, _product(left, right, self.degree_cap), 1,
-            left_den * right_den,
-        )
+        product = _product(self._num, other._num, self.degree_cap, self.alphabet.size)
+        return NCSeries._reduced(self.alphabet, self.degree_cap, product,
+                                 self._den * other._den)
 
     def __rmul__(self, scalar: Fraction | int) -> "NCSeries":
         return self._scaled(scalar)
@@ -288,24 +298,19 @@ class NCSeries:
         return f"NCSeries(p={self.alphabet.p}, n={self.alphabet.n}, D={self.degree_cap}: {body})"
 
 
-def _bucket_by_degree(terms: dict[Word, Fraction]) -> dict[int, dict[Word, Fraction]]:
-    buckets: dict[int, dict[Word, Fraction]] = {}
-    for word, coeff in terms.items():
-        buckets.setdefault(len(word), {})[word] = coeff
-    return buckets
+def _nonzero(buckets: IntBuckets) -> IntBuckets:
+    """The buckets without zero entries, and without the buckets left empty."""
+    out: IntBuckets = {}
+    for degree, bucket in buckets.items():
+        kept = {code: v for code, v in bucket.items() if v}
+        if kept:
+            out[degree] = kept
+    return out
 
 
-def _numerators(buckets: dict[int, dict[Word, Fraction]]) -> tuple[IntBuckets, int]:
-    """Integer numerators over the lcm of the coefficients' denominators, and that lcm."""
-    denominator = lcm(*{c.denominator for bucket in buckets.values() for c in bucket.values()})
-    return {
-        degree: {word: c.numerator * (denominator // c.denominator) for word, c in bucket.items()}
-        for degree, bucket in buckets.items()
-    }, denominator
-
-
-def _product(left: IntBuckets, right: IntBuckets, cap: int) -> IntBuckets:
-    """Truncated product of two degree-bucketed integer series without zero entries.
+def _product(left: IntBuckets, right: IntBuckets, cap: int, base: int) -> IntBuckets:
+    """Product of two integer series without zero entries, truncated at degree
+    ``cap``, on word codes in ``base``.
 
     Within one pair of degrees every concatenation is a distinct word, so the
     first pair reaching an output degree fills its bucket directly; later pairs
@@ -318,21 +323,24 @@ def _product(left: IntBuckets, right: IntBuckets, cap: int) -> IntBuckets:
             degree = deg_a + deg_b
             if degree > cap:
                 continue
+            shift = base**deg_b
             target = out.get(degree)
             if target is None:
                 out[degree] = {
-                    word_a + word_b: coeff_a * coeff_b
-                    for word_a, coeff_a in bucket_a.items()
-                    for word_b, coeff_b in bucket_b.items()
+                    offset + code_b: coeff_a * coeff_b
+                    for code_a, coeff_a in bucket_a.items()
+                    for offset in [code_a * shift]
+                    for code_b, coeff_b in bucket_b.items()
                 }
                 continue
             merged.add(degree)
-            for word_a, coeff_a in bucket_a.items():
-                for word_b, coeff_b in bucket_b.items():
-                    word = word_a + word_b
-                    target[word] = target.get(word, 0) + coeff_a * coeff_b
+            for code_a, coeff_a in bucket_a.items():
+                offset = code_a * shift
+                for code_b, coeff_b in bucket_b.items():
+                    code = offset + code_b
+                    target[code] = target.get(code, 0) + coeff_a * coeff_b
     for degree in merged:
-        kept = {word: v for word, v in out[degree].items() if v}
+        kept = {code: v for code, v in out[degree].items() if v}
         if kept:
             out[degree] = kept
         else:
@@ -345,66 +353,76 @@ def _add_into(acc: IntBuckets, buckets: IntBuckets, factor: int) -> None:
     for degree, bucket in buckets.items():
         target = acc.get(degree)
         if target is None:
-            acc[degree] = {word: factor * v for word, v in bucket.items()}
+            acc[degree] = {code: factor * v for code, v in bucket.items()}
         else:
-            for word, v in bucket.items():
-                target[word] = target.get(word, 0) + factor * v
+            for code, v in bucket.items():
+                target[code] = target.get(code, 0) + factor * v
 
 
-def _power_sum(u: NCSeries, weights: Sequence[Fraction], scale: Fraction) -> NCSeries:
-    """scale * sum of weights[k] * u^k over k < len(weights), for u without a
-    constant term.
+def _power_sum(
+    like: NCSeries,
+    u: IntBuckets,
+    c: int,
+    weights: Sequence[tuple[int, int]],
+    scale: tuple[int, int] = (1, 1),
+) -> NCSeries:
+    """scale * sum over k of w_k * (u/c)^k, with u integral without a constant
+    term, c > 0 and w_k = num_k/den_k given as ``weights[k] = (num_k, den_k)``;
+    ``like`` gives the alphabet and truncation degree, ``scale`` is (num, den).
 
-    With u = U/c (U integral), every term has numerators over
-    C = lcm_k(den(weights[k]) * c^k), fixed before the loop; each power U^k is
-    added into one integer accumulator as soon as it is built, and the loop
-    stops at the first zero power.
+    With m the lowest degree in u, only k <= K = cap // m contribute.  Over
+    C = lcm_k(den_k * c^k) each weight becomes the integer
+    W_k = num_k * C / (den_k * c^k), and Horner's rule h_K = W_K,
+    h_k = W_k + u * h_{k+1} yields h_0 = sum of W_k * u^k.  As u^k lifts h_k by
+    at least k*m degrees, h_k is kept only up to degree cap - k*m.
     """
-    cap = u.degree_cap
-    numerators, c = _numerators(u._buckets)
-    common = lcm(*(w.denominator * c**k for k, w in enumerate(weights) if w))
-    acc: IntBuckets = {}
-    power: IntBuckets = {0: {EMPTY_WORD: 1}}
-    for k, weight in enumerate(weights):
-        if k:
-            power = _product(power, numerators, cap)
-            if not power:
-                break
-        if weight:
-            factor = weight.numerator * (common // (weight.denominator * c**k))
-            _add_into(acc, power, factor)
-    return NCSeries._from_numerators(
-        u.alphabet, cap, acc, scale.numerator, common * scale.denominator
-    )
+    cap, base = like.degree_cap, like.alphabet.size
+    low = min(u, default=0)
+    weights = weights[: cap // low + 1 if low else 1]
+    common = lcm(*(den * c**k for k, (num, den) in enumerate(weights) if num))
+    horner: IntBuckets = {}
+    for k in reversed(range(len(weights))):
+        horner = _product(u, horner, cap - k * low, base)
+        num, den = weights[k]
+        if num:
+            horner[0] = {0: num * (common // (den * c**k))}  # u has no constant term
+    factor, scale_den = scale
+    if factor != 1:
+        horner = {degree: {code: factor * v for code, v in bucket.items()}
+                  for degree, bucket in horner.items()}
+    return NCSeries._reduced(like.alphabet, cap, horner, common * scale_den)
 
 
 def exp(series: NCSeries) -> NCSeries:
     """Truncated exponential; the argument must have zero constant term."""
-    if series.constant_term:
+    if 0 in series._num:
         raise ValueError("exp requires zero constant term")
-    weights = [Fraction(1, factorial(k)) for k in range(series.degree_cap + 1)]
-    return _power_sum(series, weights, Fraction(1))
+    weights = [(1, factorial(k)) for k in range(series.degree_cap + 1)]
+    return _power_sum(series, series._num, series._den, weights)
 
 
 def log(series: NCSeries) -> NCSeries:
     """Truncated logarithm; the argument must have constant term 1."""
-    if series.constant_term != 1:
+    if series._num.get(0) != {0: series._den}:
         raise ValueError("log requires constant term 1")
-    u = series - NCSeries.one(series.alphabet, series.degree_cap)
-    weights = [Fraction(0)] + [
-        Fraction((-1) ** (k + 1), k) for k in range(1, series.degree_cap + 1)
-    ]
-    return _power_sum(u, weights, Fraction(1))
+    u = {degree: bucket for degree, bucket in series._num.items() if degree}
+    weights = [(0, 1)] + [((-1) ** (k + 1), k) for k in range(1, series.degree_cap + 1)]
+    return _power_sum(series, u, series._den, weights)
 
 
 def inverse(series: NCSeries) -> NCSeries:
     """Multiplicative inverse mod the truncation degree (constant term nonzero):
     (1/c) * sum of u^k with u = 1 - series/c."""
-    c = series.constant_term
-    if not c:
+    constant = series._num.get(0)
+    if constant is None:
         raise ValueError("series with zero constant term is not invertible")
-    u = NCSeries.one(series.alphabet, series.degree_cap) - series * (1 / c)
-    return _power_sum(u, [Fraction(1)] * (series.degree_cap + 1), 1 / c)
+    # series = S/d with constant term c = c0/d, so u = -(S - c0)/c0
+    c0 = constant[0]
+    sign = 1 if c0 > 0 else -1
+    u = {degree: {code: -sign * v for code, v in bucket.items()}
+         for degree, bucket in series._num.items() if degree}
+    weights = [(1, 1)] * (series.degree_cap + 1)
+    return _power_sum(series, u, abs(c0), weights, (sign * series._den, abs(c0)))
 
 
 def substitute(series: NCSeries, images: Mapping[int, NCSeries]) -> NCSeries:
@@ -414,7 +432,13 @@ def substitute(series: NCSeries, images: Mapping[int, NCSeries]) -> NCSeries:
     must share the alphabet and truncation degree of ``series``.  The image of
     each word is built on integer numerators from the image of its prefix.
     """
-    used = {letter for word in series._terms for letter in word}
+    cap, base = series.degree_cap, series.alphabet.size
+    used = {
+        letter
+        for degree, bucket in series._num.items()
+        for code in bucket
+        for letter in _decode(code, degree, base)
+    }
     missing = sorted(used - set(images))
     if missing:
         names = ", ".join(series.alphabet.letter_name(letter) for letter in missing)
@@ -422,45 +446,54 @@ def substitute(series: NCSeries, images: Mapping[int, NCSeries]) -> NCSeries:
     for letter in used:
         series._compatible(images[letter])
 
-    cap = series.degree_cap
-    letter_images = {letter: _numerators(images[letter]._buckets) for letter in used}
-    cache: dict[Word, tuple[IntBuckets, int]] = {EMPTY_WORD: ({0: {EMPTY_WORD: 1}}, 1)}
+    letter_images = {letter + 1: (images[letter]._num, images[letter]._den) for letter in used}
+    cache: dict[tuple[int, int], tuple[IntBuckets, int]] = {(0, 0): ({0: {0: 1}}, 1)}
 
-    def image_of(word: Word) -> tuple[IntBuckets, int]:
-        found = cache.get(word)
+    def image_of(degree: int, code: int) -> tuple[IntBuckets, int]:
+        found = cache.get((degree, code))
         if found is None:
-            prefix, prefix_den = image_of(word[:-1])
-            last, last_den = letter_images[word[-1]]
-            found = (_product(prefix, last, cap), prefix_den * last_den)
-            cache[word] = found
+            prefix, prefix_den = image_of(degree - 1, code // base)
+            last, last_den = letter_images[code % base]
+            found = (_product(prefix, last, cap, base), prefix_den * last_den)
+            cache[degree, code] = found
         return found
 
-    parts = [(coeff, *image_of(word)) for word, coeff in series._terms.items()]
-    common = lcm(*(coeff.denominator * den for coeff, _, den in parts))
+    parts = [
+        (v, *image_of(degree, code))
+        for degree, bucket in series._num.items()
+        for code, v in bucket.items()
+    ]
+    common = lcm(*(den for _, _, den in parts))
     acc: IntBuckets = {}
-    for coeff, numerators, den in parts:
-        _add_into(acc, numerators, coeff.numerator * (common // (coeff.denominator * den)))
-    return NCSeries._from_numerators(series.alphabet, cap, acc, 1, common)
+    for v, numerators, den in parts:
+        _add_into(acc, numerators, v * (common // den))
+    return NCSeries._reduced(series.alphabet, cap, _nonzero(acc), common * series._den)
+
+
+def _x_free(series: NCSeries, degree: int) -> dict[int, int]:
+    """The numerators of the X-free words of one degree, by word code."""
+    base = series.alphabet.size
+    return {
+        code: v
+        for code, v in series._num.get(degree, {}).items()
+        if X not in _decode(code, degree, base)
+    }
 
 
 def depth_truncate(series: NCSeries, r: int) -> NCSeries:
     """Discard all words of degree above r (the truncation degree is kept)."""
     if r < 0:
         raise ValueError("depth bound must be non-negative")
-    kept = {word: coeff for word, coeff in series._terms.items() if len(word) <= r}
-    return NCSeries._raw(series.alphabet, series.degree_cap, kept)
+    kept = {degree: bucket for degree, bucket in series._num.items() if degree <= r}
+    return NCSeries._reduced(series.alphabet, series.degree_cap, kept, series._den)
 
 
 def y_pure_part(series: NCSeries, r: int) -> NCSeries:
     """Keep only X-free words of degree at most r (the constant term qualifies)."""
     if r < 0:
         raise ValueError("depth bound must be non-negative")
-    kept = {
-        word: coeff
-        for word, coeff in series._terms.items()
-        if len(word) <= r and all(letter != X for letter in word)
-    }
-    return NCSeries._raw(series.alphabet, series.degree_cap, kept)
+    kept = _nonzero({degree: _x_free(series, degree) for degree in series._num if degree <= r})
+    return NCSeries._reduced(series.alphabet, series.degree_cap, kept, series._den)
 
 
 @dataclass(frozen=True)
@@ -486,7 +519,7 @@ class LambdaTable:
                 raise ValueError(f"index {idx} does not have depth {self.r}")
             if any(not 0 <= i < modulus for i in idx):
                 raise ValueError(f"index {idx} outside range mod {modulus}")
-            coeff = Fraction(coeff)
+            coeff = Fraction(_exact(coeff))
             if coeff:
                 cleaned[idx] = coeff
         object.__setattr__(self, "coeffs", cleaned)
@@ -522,7 +555,7 @@ def from_lambda_table(table: LambdaTable, degree_cap: int | None = None) -> NCSe
     if cap < table.r:
         raise ValueError("truncation degree below table depth")
     alphabet = Alphabet(table.p, table.n)
-    terms: dict[Word, Fraction] = {EMPTY_WORD: Fraction(1)}
+    terms: dict[Word, Fraction | int] = {EMPTY_WORD: 1}
     for idx, coeff in table.coeffs.items():
         terms[idx] = coeff
     return NCSeries(alphabet, cap, terms)
@@ -534,10 +567,10 @@ def to_lambda_table(series: NCSeries, r: int) -> LambdaTable:
         raise ValueError("table depth must be at least 1")
     if r > series.degree_cap:
         raise ValueError("depth above the series truncation degree")
+    base = series.alphabet.size
     coeffs = {
-        word: coeff
-        for word, coeff in series._terms.items()
-        if len(word) == r and all(letter != X for letter in word)
+        _decode(code, r, base): Fraction(v, series._den)
+        for code, v in _x_free(series, r).items()
     }
     return LambdaTable(series.alphabet.p, series.alphabet.n, r, coeffs)
 

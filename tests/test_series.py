@@ -1,7 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,12 +115,14 @@ SMALL_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 SHAPES = st.tuples(st.sampled_from([AB2, AB3]), st.integers(0, 7))
 
 
-def series_of_shape(alphabet, cap, min_degree=1, constant=None):
-    """Up to 3 words of degree min_degree..cap with Fraction coefficients of
-    denominator 1..9, plus the given constant term."""
+def series_of_shape(alphabet, cap, min_degree=1, constant=None, max_degree=None):
+    """Up to 3 words of degree min_degree..max_degree (default cap) with
+    Fraction coefficients of denominator 1..9, plus the given constant term."""
+    max_degree = cap if max_degree is None else max_degree
     pairs = st.just([])
-    if min_degree <= cap:
-        word = st.lists(st.sampled_from(alphabet.letters()), min_size=min_degree, max_size=cap)
+    if min_degree <= max_degree:
+        word = st.lists(st.sampled_from(alphabet.letters()), min_size=min_degree,
+                        max_size=max_degree)
         pairs = st.lists(st.tuples(word.map(tuple), SMALL_FRACTIONS), max_size=3)
     extra = [] if constant is None else [((), constant)]
     return pairs.map(lambda terms: NCSeries(alphabet, cap, terms + extra))
@@ -134,6 +136,22 @@ def oracle_series(min_degree=1, constant=None):
 def nilpotent_series():
     """A series on AB2 or AB3 whose words all have degree above cap/2."""
     return SHAPES.flatmap(lambda shape: series_of_shape(*shape, shape[1] // 2 + 1))
+
+
+def one_bucket_above_half():
+    """A series on AB2 or AB3 whose words all have one degree above cap/2."""
+    return SHAPES.filter(lambda shape: shape[1] > 0).flatmap(
+        lambda shape: st.integers(shape[1] // 2 + 1, shape[1]).flatmap(
+            lambda degree: series_of_shape(*shape, degree, max_degree=degree)))
+
+
+# Horner's rule keeps h_k only up to degree cap - k*m, m the lowest degree of u
+HORNER_CASES = {
+    "min-degree-2": oracle_series(min_degree=2),
+    "min-degree-3": oracle_series(min_degree=3),
+    "one-bucket-above-half": one_bucket_above_half(),
+    "zero": SHAPES.map(lambda shape: NCSeries.zero(*shape)),
+}
 
 
 def test_alphabet_letters_and_names():
@@ -151,6 +169,50 @@ def test_alphabet_letters_and_names():
 def test_constructor_rejects_words_above_cap():
     with pytest.raises(ValueError):
         NCSeries(AB2, 2, {(0, 0, 0): Fraction(1)})
+
+
+def test_float_coefficients_are_rejected():
+    # a float would be stored as its binary fraction, e.g. 0.1 as
+    # 3602879701896397/36028797018963968
+    s = NCSeries.letter(AB2, 2, 0)
+    with pytest.raises(TypeError):
+        NCSeries(AB2, 2, {(0,): 0.1})
+    with pytest.raises(TypeError):
+        NCSeries.letter(AB2, 2, X, 0.5)
+    with pytest.raises(TypeError):
+        s * 0.5
+    with pytest.raises(TypeError):
+        0.5 * s
+    with pytest.raises(TypeError):
+        LambdaTable(2, 1, 1, {(0,): 0.1})
+    assert NCSeries(AB2, 2, {(0,): 1, (X,): Fraction(1, 10)}).coeff((X,)) == Fraction(1, 10)
+
+
+@settings(max_examples=40)
+@given(a=series_terms(AB3, 4, 4), b=series_terms(AB3, 4, 4))
+def test_canonical_form_makes_equal_series_equal(a, b):
+    assert (a * 3) * Fraction(1, 3) == a
+    assert a + b - b == a
+    assert a - a == NCSeries.zero(AB3, 4)
+    for word, coeff in (a * Fraction(6, 4)).terms():
+        assert type(coeff) is Fraction and coeff.denominator > 0
+        assert gcd(coeff.numerator, coeff.denominator) == 1
+
+
+def test_terms_order_and_repr_of_mixed_words():
+    s = NCSeries(AB3, 4, {
+        (2, 2, X): Fraction(-7, 3), (0, 1, 2, X): 5, (X, 1): 1, (0, X): Fraction(4, 6),
+        (2,): 3, (X,): Fraction(-1, 2), (): 2, (1,): 0, (X, 2, 0, 1): Fraction(1, 9),
+    })
+    assert [(word, str(coeff)) for word, coeff in s.terms()] == [
+        ((), "2"), ((X,), "-1/2"), ((2,), "3"), ((X, 1), "1"), ((0, X), "2/3"),
+        ((2, 2, X), "-7/3"), ((X, 2, 0, 1), "1/9"), ((0, 1, 2, X), "5"),
+    ]
+    assert repr(s) == (
+        "NCSeries(p=3, n=1, D=4: 2*1 + -1/2*X + 3*Y2 + 1*X.Y1 + 2/3*Y0.X + "
+        "-7/3*Y2.Y2.X + 1/9*X.Y2.Y0.Y1 + 5*Y0.Y1.Y2.X)"
+    )
+    assert s.coeff((0, X)) == Fraction(2, 3) and s.coeff((1,)) == 0
 
 
 def test_mul_distinct_letters():
@@ -425,6 +487,18 @@ def test_nilpotent_power_sums_match_fraction_oracle(u, c):
     one = NCSeries.one(u.alphabet, u.degree_cap)
     assert exp(u) == fraction_exp(u) == one + u
     assert log(one + u) == fraction_log(one + u) == u
+    constant = NCSeries(u.alphabet, u.degree_cap, {(): c})
+    assert inverse(constant + u) == fraction_inverse(constant + u)
+
+
+@pytest.mark.parametrize("case", sorted(HORNER_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), c=SMALL_FRACTIONS.filter(bool))
+def test_horner_truncation_matches_fraction_oracle(case, data, c):
+    u = data.draw(HORNER_CASES[case])
+    one = NCSeries.one(u.alphabet, u.degree_cap)
+    assert exp(u) == fraction_exp(u)
+    assert log(one + u) == fraction_log(one + u)
     constant = NCSeries(u.alphabet, u.degree_cap, {(): c})
     assert inverse(constant + u) == fraction_inverse(constant + u)
 
