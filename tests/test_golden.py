@@ -14,6 +14,12 @@ import pytest
 
 from mzvkit.cli import main
 
+
+def sparse_values(cells, entries):
+    """Row-major values with the given {cell: value} entries and zeros elsewhere."""
+    return [entries.get(cell, "0") for cell in range(cells)]
+
+
 MEASURE_FILES = {
     # integer four-term kernel measures
     "kernel-3-1-2.json": {"p": 3, "n": 1, "r": 2,
@@ -23,6 +29,10 @@ MEASURE_FILES = {
     # rational values, outside the kernel: only `moments` and `check-cosets --perturb` accept it
     "rational-2-1-2.json": {"p": 2, "n": 1, "r": 2,
                             "values": ["1/3", "-2", "0", "5/7"]},
+    # one four-term kernel basis vector at (3, 2, 4): 9 nonzero cells of 6561
+    "basis-3-2-4.json": {"p": 3, "n": 2, "r": 4, "values": sparse_values(6561, {
+        374: "1", 1194: "1", 1265: "-1", 2014: "1", 2085: "-1", 2834: "1", 2905: "-1",
+        2996: "-1", 3726: "-1"})},
 }
 
 CASES = [
@@ -39,6 +49,8 @@ CASES = [
      "319c5c4b179793979215c68c28fe0741507b0c063f2d387664a8b859f0e55238"),
     (("vanish", "--p", "2", "--level", "2", "--depth", "3", "--seed", "4", "--exp-cap", "5"), 0,
      "e2f6afac1eb379be794e94802af6d28b9064f37a0721a96bfc2141388c0e0200"),
+    (("vanish", "--in", "basis-3-2-4.json"), 0,
+     "2f995eca4df9188437faacbf878850f6f4990140487cf71254fb372cb3bf6c24"),
     (("vanish", "--in", "kernel-3-1-2.json"), 0,
      "562168eb8add770b2e8992f71e6f137f020ab507514c5e30454259df66700550"),
     (("certificate", "1,2,4", "--p", "2"), 0,
@@ -59,12 +71,17 @@ CASES = [
      "96a5029a2d614415049a3afeef563f4eabfc0d0a8aae5c141c70b3ed3ae81be5"),
     (("moments", "--p", "2", "--level", "2", "--depth", "1", "--seed", "4", "--exp-cap", "4"), 0,
      "c9437673106ac67e542ca171f14c872c539a740ff254a44f66abbacc4108936e"),
+    (("moments", "--p", "3", "--level", "2", "--depth", "3", "--seed", "2", "--exp-cap", "9"), 0,
+     "5dfe21fc5c470fe55a25b6292a9653d046e9f6b6c338622d37c8361c2069da8e"),
     (("moments", "--in", "rational-2-1-2.json", "--exp-cap", "3"), 0,
      "3e4a7efc33c47fa7894d4c7d5c44d7972e37f927018999966c4424d3c436be2e"),
     (("moments", "--in", "kernel-5-1-1.json", "--exp-cap", "5"), 0,
      "33b3ee966bc599bf6f318612ad09b0011d6102823c6cb9eee0277e963553a122"),
     (("check-cosets", "--p", "5", "--level", "1", "--depth", "2", "--seed", "7", "--exp-cap", "3"), 0,
      "38df6fca3f3e9195c87aaf4a8d1fa563a42680f7f1144752b00f2709026a0d1a"),
+    # modulus exponents 1 and 3, with 4 residues per coordinate in each coset at exponent 1
+    (("check-cosets", "--p", "2", "--level", "3", "--depth", "2", "--seed", "1"), 0,
+     "c6e0d47780c7b1679e02b590444604caefb006602104bede7047feaab07d4923"),
     # a Fraction-valued measure through the coset sweep, and a level-0 measure (one coset)
     (("check-cosets", "--in", "rational-2-1-2.json", "--perturb"), 0,
      "0cefb6a9a7b36e04a39479d19b61b3c8362486f3a347ba9b61d303fdf68f50da"),
