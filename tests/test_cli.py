@@ -332,15 +332,19 @@ def test_resource_guards_exit_two_before_work(argv, message, tmp_path):
     assert elapsed < 5
 
 
-# Configurations at the cell cap whose dense kernel basis took 0.5 to 4 GiB.
-# The `kernel` digest is that of json.dumps of the dense report; the
-# `check-cosets` digest was recorded with the dense basis.
+# Configurations at the cell cap whose dense kernel basis took 0.5 to 4 GiB,
+# and a cap-sized moment table.  The `kernel` digest is that of json.dumps of
+# the dense report; the `check-cosets` digest was recorded with the dense
+# basis, the `moments` digest with the cell-by-cell sweep.
 MEMORY_BOUND_INPUTS = [
     (("kernel", "--p", "3", "--level", "2", "--depth", "4"),
      "fa6b6d8300a00db2f1e43357214fd9d8cf012e25cd66dfed1098c9260e54e08f"),
     (("check-cosets", "--p", "3", "--level", "2", "--depth", "4", "--seed", "0",
       "--exp-cap", "3"),
      "eb0b3c2ccbfa78bcfc545b16f71c6efce35f537dbec86dcd1eae06ca700b5fd8"),
+    # 6188 words over 6262 nonzero cells of 6561
+    (("moments", "--p", "3", "--level", "2", "--depth", "4", "--seed", "0", "--exp-cap", "12"),
+     "b135768fdc1f46356290244d5455dced25f6bb7e315ff1c188ca4a52e5eb7a92"),
 ]
 
 
