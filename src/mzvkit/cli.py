@@ -164,12 +164,13 @@ def _coset_sweep(mu: LevelMeasure,
     failures = []
     worst: int | float = INFINITY
     for modulus_exponent in sorted({1, mu.n}) if mu.n >= 1 else [0]:
+        total += len(words) * mu.p ** (modulus_exponent * mu.r)
         failed = []
-        for word_index, valuations in enumerate(coset_identity_sweep(mu, words, modulus_exponent)):
-            total += len(valuations)
-            worst = min(worst, min(valuations))
+        sweep = coset_identity_sweep(mu, words, modulus_exponent)
+        for word_index, (word_worst, word_failures) in enumerate(sweep):
+            worst = min(worst, word_worst)
             failed += [(base_index, word_index, valuation)
-                       for base_index, valuation in enumerate(valuations) if valuation < mu.n]
+                       for base_index, valuation in word_failures]
         for base_index, word_index, valuation in sorted(failed):
             failures.append(
                 {

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 from operator import add, sub
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
@@ -334,30 +334,58 @@ def _identity_sum_vectors(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
             for sums in stream)
 
 
-def _identity_valuations(p: int, exponent_sum: int,
-                         sums: Sequence[list[Fraction | int]]) -> list[int | float]:
-    totals: list = [0] * len(sums[0])
-    for sign, vector in zip(_identity_signs(exponent_sum), sums):
-        totals = list(map(add if sign > 0 else sub, totals, vector))
-    return [padic_valuation(total, p) for total in totals]
+def _identity_totals(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
+                     modulus_exponent: int) -> Iterator[list[Fraction | int]]:
+    """Per word (n_1, ..., n_r), the coset identity's signed totals at the
+    bases in row-major order."""
+    vectors = _identity_sum_vectors(mu, words, modulus_exponent)
+    for word, sums in zip(words, vectors):
+        totals: list = [0] * len(sums[0])
+        for sign, vector in zip(_identity_signs(sum(word)), sums):
+            totals = list(map(add if sign > 0 else sub, totals, vector))
+        yield totals
+
+
+def _screened_failures(totals: list[int], p: int,
+                       n: int) -> tuple[int | float, list[tuple[int, int]]]:
+    """The worst valuation of integer totals and the (index, valuation) of
+    each total below the threshold n, from one gcd: v_p of the gcd is the
+    worst valuation, and only when p^n does not divide it is any total's own
+    valuation taken."""
+    common = gcd(*totals)
+    if not common:
+        return INFINITY, []
+    modulus = p**n
+    failures = [] if common % modulus == 0 else [
+        (index, padic_valuation(total, p)) for index, total in enumerate(totals) if total % modulus
+    ]
+    return padic_valuation(common, p), failures
+
+
+def _per_total_failures(totals: list[Fraction | int], p: int,
+                        n: int) -> tuple[int | float, list[tuple[int, int | float]]]:
+    """What :func:`_screened_failures` returns, from every total's own valuation."""
+    valuations = [padic_valuation(total, p) for total in totals]
+    return min(valuations), [(index, v) for index, v in enumerate(valuations) if v < n]
 
 
 def coset_identity_sweep(
     mu: LevelMeasure,
     words: Iterable[Sequence[int]],
     modulus_exponent: int,
-) -> Iterator[list[int | float]]:
+) -> Iterator[tuple[int | float, list[tuple[int, int | float]]]]:
     """:func:`coset_four_term_check` at every coset of one modulus, per word.
 
-    Yields, for each exponent word in order, the valuations of the signed
-    totals at the bases of (Z/p^modulus_exponent)^r in row-major order; a
-    check passes when its valuation is at least the measure's level.  The
-    hypotheses are not checked here, so that a measure outside the kernel can
-    be shown to fail.
+    Yields, for each exponent word in order, the worst valuation of the signed
+    totals over the bases of (Z/p^modulus_exponent)^r and the failing checks,
+    as (row-major base index, valuation) pairs in base order; a check fails
+    when its valuation is below the measure's level.  The hypotheses are not
+    checked here, so that a measure outside the kernel can be shown to fail.
     """
     words = [check_word(word, mu.r) for word in words]
-    vectors = _identity_sum_vectors(mu, words, modulus_exponent)
-    return (_identity_valuations(mu.p, sum(word), sums) for word, sums in zip(words, vectors))
+    failures = _screened_failures if mu.is_integer_valued() else _per_total_failures
+    return (failures(totals, mu.p, mu.n)
+            for totals in _identity_totals(mu, words, modulus_exponent))
 
 
 def coset_lambda_tables(

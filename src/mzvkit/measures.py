@@ -14,12 +14,17 @@ with final factor (x_r - offset)^{e_r} and sign sign * scale^m, m the exponent
 sum: x -> scale*x + offset scales each of its m linear factors by scale.  The
 rhombus product reindexes along the inverse map j -> scale*j - scale*offset.
 
-Sweeps run on one engine with two primitives, :func:`moment_sweep` and
-:func:`coset_sums`.  Both work over the nonzero cells only, on
-``integer_values`` when the measure is integral and on the ``Fraction`` values
-otherwise, and share partial products between words with a common prefix.
-:func:`moment` and :func:`coset_moment` evaluate one cell at a time and stay
-as their independent oracles.
+Sweeps run on one engine, :func:`coset_sums`, of which :func:`moment_sweep`
+is the case of modulus exponent 0 and final offset 0.  It eliminates the
+integrand's variables along the difference chain: factor k reads x_k and
+x_{k+1} only, so once factors 0..k are multiplied into the table, x_k is
+summed out of it, keeping x_k mod p^e for coset sums at modulus p^e and
+nothing for moments.  The first table holds only the nonzero cells, on
+``integer_values`` when the measure is integral and on the ``Fraction``
+values otherwise, and each later table only the keys that some cell reaches.
+Words with a common prefix share its stages, and the final offsets share all
+stages but the last.  :func:`moment` and :func:`coset_moment` evaluate one
+cell at a time and stay as their independent oracles.
 """
 
 from __future__ import annotations
@@ -306,68 +311,141 @@ def _support(mu: LevelMeasure) -> tuple[list[tuple[int, ...]], list[Fraction | i
     return [points[i] for i in cells], [values[i] for i in cells]
 
 
-def _integrand_factors(points: Sequence[tuple[int, ...]], r: int,
-                       final_offset: int) -> list[list[int]]:
-    """The integrand's r + 1 factors over ``points``, one column each:
-    -x_1, x_1 - x_2, ..., x_{r-1} - x_r, x_r + final_offset."""
-    columns = [[-x[0] for x in points]]
-    columns += [[x[k - 1] - x[k] for x in points] for k in range(1, r)]
-    columns.append([x[-1] + final_offset for x in points])
-    return columns
+_Stage = tuple[list[int], int, list[slice] | None]
+
+
+def _elimination_plan(
+    points: Sequence[tuple[int, ...]], r: int, stride: int, final_offsets: Sequence[int],
+) -> tuple[list[int], list[_Stage], list[slice] | None, list[list[tuple[slice, slice]]]]:
+    """The stages that multiply the integrand's r + 1 factors into a table
+    over ``points`` and sum each coordinate out after the last factor that
+    reads it.
+
+    Factor 0 is -x_1, factor k (0 < k < r) is x_k - x_{k+1}, and factor r is
+    x_r + o, once per final offset o.  With s = ``stride``, a point's key is
+    (x_1 % s, ..., x_r % s, x_r // s, ..., x_1 // s).  Stage k > 0 sums out
+    x_k // s, the last component of every key, so the points are sorted by
+    key and every sum runs over a contiguous slice; what is left of x_k is
+    x_k % s.  A stage is (column, copies, slices): the factor per entry, the
+    number of copies of the incoming table it multiplies (one per final offset
+    at stage r, else one), and the slices to sum, or None where no two entries
+    share a key.  Only keys that some point reaches are held.
+
+    Returns the order of ``points`` that the first stage expects, the stages,
+    the slices of the last stage apart (its sum is left to the caller, and at
+    s = 1 it is the sum of the whole product), and per final offset the
+    placements of the last sums among the bases of (Z/s)^r in row-major
+    order: (bases, sums) slice pairs, one per run of consecutive bases that
+    some point reaches.
+    """
+
+    def key(x: tuple[int, ...]) -> tuple[int, ...]:
+        return (*(c % stride for c in x), *(c // stride for c in reversed(x)))
+
+    keyed = sorted((key(x), i) for i, x in enumerate(points))
+    order = [i for _, i in keyed]
+    keys = [k for k, _ in keyed]
+    reps = [points[i] for i in order]
+    stages: list[_Stage] = [([-x[0] for x in reps], 1, None)]
+    for k in range(1, r + 1):
+        if k < r:
+            column, copies = [x[k - 1] - x[k] for x in reps], 1
+        else:
+            column = [x[-1] + offset for offset in final_offsets for x in reps]
+            copies = len(final_offsets)
+        size = len(keys)
+        starts = [i for i in range(size) if i == 0 or keys[i][:-1] != keys[i - 1][:-1]]
+        slices = None
+        if len(starts) < size:
+            bounds = list(zip(starts, starts[1:] + [size]))
+            slices = [slice(a + copy * size, b + copy * size)
+                      for copy in range(copies) for a, b in bounds]
+        stages.append((column, copies, slices if k < r else None))
+        reps = [reps[i] for i in starts]
+        keys = [keys[i][:-1] for i in starts]
+    bases = [point_to_index(base, stride) for base in keys]
+    starts = [i for i in range(len(bases)) if i == 0 or bases[i] != bases[i - 1] + 1]
+    runs = list(zip(starts, starts[1:] + [len(bases)]))
+    placements = [
+        [(slice(bases[a], bases[a] + b - a), slice(a + copy * len(keys), b + copy * len(keys)))
+         for a, b in runs]
+        for copy in range(len(final_offsets))
+    ]
+    return order, stages, slices, placements
 
 
 def _times_power(vector: list, column: list[int], e: int) -> list:
+    if e == 0:
+        return vector
     if e == 1:
         return list(map(mul, vector, column))
     return list(map(mul, vector, map(pow, column, repeat(e))))
 
 
-def _word_products(values: list, factors: Sequence[list[int]],
-                   words: Iterable[tuple[int, ...]]) -> Iterator[list]:
-    """For each word w, the cellwise product values * prod_k factors[k] ** w[k].
+def _chain_products(values: list, stages: Sequence[_Stage],
+                    words: Iterable[tuple[int, ...]]) -> Iterator[list]:
+    """For each word w, the last stage's product, before its sum, of the
+    table ``values`` times every factor k to the power w[k].
 
-    ``stack[k]`` holds the product over the first k factors for the current
-    word.  A word keeps the entries below the first exponent where it differs
-    from the previous word; there, an exponent that grew by d multiplies the
-    previous word's entry by the factor's d-th power.  In lexicographic order
-    every word thus costs one elementwise multiply.  The yielded lists are
-    shared with the stack and must not be modified.
+    ``after[k]`` holds the table that stage k multiplies and ``before[k]``
+    stage k's product, kept from before its sum, for the current word.  A
+    word keeps the stages below the first exponent where it differs from the
+    previous word; there, an exponent that grew by d multiplies the previous
+    word's product by the factor's d-th power.  In lexicographic order every
+    word thus costs one multiply, on the smallest tables that its new
+    exponents reach.  The yielded lists are shared with the stages and must
+    not be modified.
     """
-    length = len(factors)
-    stack: list = [values] + [None] * length
+    depth = len(stages)
+    before: list = [None] * depth
+    after: list = [values] + [None] * depth
     previous: tuple[int, ...] | None = None
     for word in words:
         k = 0
         if previous is not None:
-            while k < length and word[k] == previous[k]:
+            while k < depth and word[k] == previous[k]:
                 k += 1
-        for i in range(k, length):
+        for i in range(k, depth):
+            column, copies, slices = stages[i]
             e = word[i]
-            base = stack[i]
             if i == k and previous is not None and e > previous[i]:
-                base, e = stack[i + 1], e - previous[i]
-            stack[i + 1] = _times_power(base, factors[i], e) if e else base
+                before[i] = _times_power(before[i], column, e - previous[i])
+            else:
+                before[i] = _times_power(after[i] * copies if copies > 1 else after[i], column, e)
+            table = before[i]
+            if slices is not None:
+                table = list(map(sum, map(table.__getitem__, slices)))
+            after[i + 1] = table
         previous = word
-        yield stack[length]
+        yield before[-1]
 
 
-def moment_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[Fraction | int]:
-    """``moment(mu, w)`` for every exponent word w, in the given order.
-
-    Each value is an int when the measure is integral, else a Fraction (or the
-    int 0).  Any order is valid; lexicographic order shares the most work.
-    """
+def _sweep(mu: LevelMeasure, words: Iterable[Sequence[int]], modulus_exponent: int,
+           final_offsets: Sequence[int],
+           ) -> tuple[Iterator[list], list[slice] | None, list[list[tuple[slice, slice]]]]:
+    """The checked words' last products over the measure's nonzero cells,
+    with the last slices and the placements of :func:`_elimination_plan`."""
+    if not 0 <= modulus_exponent <= mu.n:
+        raise ValueError("coset modulus exponent must lie between 0 and the measure level")
     words = [check_word(w, mu.r + 1) for w in words]
     points, values = _support(mu)
-    factors = _integrand_factors(points, mu.r, 0)
-    return [sum(cells) for cells in _word_products(values, factors, words)]
+    order, stages, last, placements = _elimination_plan(points, mu.r, mu.p**modulus_exponent,
+                                                        final_offsets)
+    return _chain_products([values[i] for i in order], stages, words), last, placements
 
 
-def _bucket_sums(buckets: Sequence[int], cells: Iterable, size: int) -> list[Fraction | int]:
-    sums: list = [0] * size
-    for bucket, value in zip(buckets, cells):
-        sums[bucket] += value
-    return sums
+def _placed(product: list, last: list[slice] | None,
+            placements: Sequence[list[tuple[slice, slice]]],
+            size: int) -> tuple[list[Fraction | int], ...]:
+    """The last product summed and laid out over the ``size`` bases, per final offset."""
+    sums = product if last is None else list(map(sum, map(product.__getitem__, last)))
+    tables = []
+    for runs in placements:
+        table: list = [0] * size
+        for bases, cells in runs:
+            table[bases] = sums[cells]
+        tables.append(table)
+    return tuple(tables)
 
 
 def coset_sums(
@@ -380,25 +458,21 @@ def coset_sums(
 
     Yields, per exponent word and then per final offset o, the list whose entry
     at the row-major index of a base b (in (Z/p^modulus_exponent)^r) equals
-    ``coset_moment(mu, Coset(b, modulus_exponent), word, o)``.  Each cell's
-    integrand times value is added into the bucket of its point mod
-    p^modulus_exponent.  Values are typed as in :func:`moment_sweep`.
+    ``coset_moment(mu, Coset(b, modulus_exponent), word, o)``.  Each value is
+    an int when the measure is integral, else a Fraction (or the int 0).  Any
+    word order is valid; lexicographic order shares the most work.
     """
-    if not 0 <= modulus_exponent <= mu.n:
-        raise ValueError("coset modulus exponent must lie between 0 and the measure level")
-    words = [check_word(w, mu.r + 1) for w in words]
-    points, values = _support(mu)
-    stride = mu.p**modulus_exponent
-    buckets = [point_to_index(tuple(c % stride for c in x), stride) for x in points]
-    size = _cell_count(stride, mu.r)
-    streams = [
-        _word_products(values, _integrand_factors(points, mu.r, offset), words)
-        for offset in final_offsets
-    ]
-    return (
-        tuple(_bucket_sums(buckets, cells, size) for cells in products)
-        for products in zip(*streams)
-    )
+    products, last, placements = _sweep(mu, words, modulus_exponent, final_offsets)
+    size = _cell_count(mu.p**modulus_exponent, mu.r)
+    return (_placed(product, last, placements, size) for product in products)
+
+
+def moment_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[Fraction | int]:
+    """``moment(mu, w)`` for every exponent word w, in the given order: the
+    coset sums at modulus 1 with final offset 0, typed as there."""
+    products, _, _ = _sweep(mu, words, 0, (0,))
+    # at modulus 1 every entry of the last product has the same key
+    return [sum(product) for product in products]
 
 
 def factorial_norm(exponents: Sequence[int]) -> int:

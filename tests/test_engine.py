@@ -1,23 +1,34 @@
-"""The bucketed, prefix-shared sweeps against their one-cell-at-a-time oracles.
+"""The elimination sweeps against their one-cell-at-a-time oracles.
 
-``moment``, ``coset_moment``, ``coset_four_term_check`` and
-``vanishing_check`` evaluate one cell (or one coset) at a time; the sweeps
-must agree with them for integer kernel measures, perturbed measures outside
-the kernel and Fraction-valued measures, and for word lists in any order.
+``moment_sweep`` and ``coset_sums`` multiply the integrand's factors into a
+table over the nonzero cells and sum each coordinate out after the last factor
+that reads it, keeping it mod p^e for coset sums.  ``moment``,
+``coset_moment``, ``coset_four_term_check`` and ``vanishing_check`` evaluate
+one cell (or one coset) at a time; the sweeps must agree with them for integer
+kernel measures, single sparse kernel basis vectors, perturbed measures
+outside the kernel and Fraction-valued measures, at every modulus exponent
+0..n, and for word lists in any order, with repeats, or with the gaps of a
+``vanish`` sweep.  The coset sweep's gcd screen must agree with every total's
+own valuation.
 """
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mzvkit.euler import (
+    _identity_totals,
+    _per_total_failures,
+    _screened_failures,
     coset_four_term_check,
     coset_identity_sweep,
     coset_lambda_tables,
     vanishing_check,
     vanishing_sweep,
 )
+from mzvkit.exact import INFINITY, padic_valuation
 from mzvkit.measures import (
     FOUR_TERM,
     Coset,
@@ -28,20 +39,28 @@ from mzvkit.measures import (
     moment,
     moment_sweep,
 )
-from mzvkit.synth import random_kernel_measure
+from mzvkit.synth import four_term_kernel, random_kernel_measure
 
+# level 3 at p = 2 leaves 8, 4, 2 or 1 residues of a coordinate in a coset
 CONFIGS = [(p, n, r) for p in (2, 3, 5) for n in (0, 1, 2) for r in (1, 2, 3)
-           if p ** (n * r) <= 125]
-KINDS = ("kernel", "perturbed", "fraction")
+           if p ** (n * r) <= 125] + [(2, 3, 1), (2, 3, 2)]
+KINDS = ("kernel", "perturbed", "fraction", "sparse", "sparse perturbed")
 
 
 def build_measure(p, n, r, kind, seed):
+    """A measure of the given kind; a sparse one is a single four-term kernel
+    basis vector, chosen by the seed."""
     if kind == "fraction":
         values = [Fraction((seed * 7 + 13 * i) % 11 - 5, 1 + (seed + i) % 4)
                   for i in range(p ** (n * r))]
         return LevelMeasure(p, n, r, tuple(values))
-    mu = random_kernel_measure(p, n, r, seed=seed)
-    if kind == "perturbed":
+    if kind.startswith("sparse"):
+        basis = four_term_kernel(p, n, r)
+        vector = basis.vectors[seed % basis.dimension]
+        mu = LevelMeasure(p, n, r, tuple(vector.get(cell, 0) for cell in range(p ** (n * r))))
+    else:
+        mu = random_kernel_measure(p, n, r, seed=seed)
+    if kind.endswith("perturbed"):
         mu = mu + LevelMeasure.point_mass(p, n, r, (1,) * r)
     return mu
 
@@ -65,16 +84,23 @@ def test_moment_sweep_matches_moment_in_any_order(case):
 
 
 @settings(max_examples=30, deadline=None)
-@given(measures_and_words(extra=1, max_words=6))
-def test_coset_sums_match_coset_moment(case):
+@given(measures_and_words(extra=1, max_words=6),
+       st.lists(st.integers(-2, 2), max_size=2))
+def test_coset_sums_match_coset_moment(case, extra_offsets):
     mu, words = case
-    offsets = (0, -1, 1)
+    offsets = (0, -1, 1, *extra_offsets)
     for e in range(mu.n + 1):
         bases = [tuple(b) for b in LevelMeasure.zero(mu.p, e, mu.r).points()]
-        for word, sums in zip(words, coset_sums(mu, words, e, offsets)):
+        swept = list(coset_sums(mu, words, e, offsets))
+        assert len(swept) == len(words)
+        for word, sums in zip(words, swept):
+            assert len(sums) == len(offsets)
             for offset, vector in zip(offsets, sums):
                 assert vector == [coset_moment(mu, Coset(base, e), word, offset)
                                   for base in bases]
+    # modulus 1 with final offset 0 is the moment sweep
+    assert [vector for (vector,) in coset_sums(mu, words, 0, (0,))] == [
+        [value] for value in moment_sweep(mu, words)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -85,11 +111,61 @@ def test_coset_sweep_matches_coset_four_term_check(case):
         bases = LevelMeasure.zero(mu.p, e, mu.r).points()
         swept = list(coset_identity_sweep(mu, words, e))
         assert len(swept) == len(words)
-        for word, valuations in zip(words, swept):
-            assert valuations == [
+        for word, (worst, failures) in zip(words, swept):
+            valuations = [
                 coset_four_term_check(mu, Coset(base, e), word, validate=False).valuation
                 for base in bases
             ]
+            assert worst == min(valuations)
+            assert failures == [(i, v) for i, v in enumerate(valuations) if v < mu.n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(measures_and_words(extra=0, max_words=30), st.data())
+def test_sweeps_match_oracles_on_vanish_word_lists(case, data):
+    """Sorted odd words behind a zero exponent, as ``vanish`` builds them: the
+    first factor never changes and later exponents jump over the gaps."""
+    mu, raw = case
+    words = [(0, *word) for word in sorted(set(raw)) if sum(word) % 2]
+    assert moment_sweep(mu, words) == [moment(mu, word) for word in words]
+    e = data.draw(st.integers(0, mu.n))
+    bases = [tuple(b) for b in LevelMeasure.zero(mu.p, e, mu.r).points()]
+    for word, (vector,) in zip(words, coset_sums(mu, words, e, (-1,))):
+        assert vector == [coset_moment(mu, Coset(base, e), word, -1) for base in bases]
+
+
+@settings(max_examples=40, deadline=None)
+@given(measures_and_words(extra=0, max_words=6), st.data())
+def test_gcd_screen_matches_per_total_valuations(case, data):
+    mu, words = case
+    e = data.draw(st.integers(0, mu.n))
+    swept = list(coset_identity_sweep(mu, words, e))
+    for totals, result in zip(_identity_totals(mu, words, e), swept):
+        valuations = [padic_valuation(total, mu.p) for total in totals]
+        expected = (min(valuations), [(i, v) for i, v in enumerate(valuations) if v < mu.n])
+        assert result == expected
+        assert _per_total_failures(totals, mu.p, mu.n) == expected
+        if mu.is_integer_valued():
+            assert all(type(total) is int for total in totals)
+            assert _screened_failures(totals, mu.p, mu.n) == expected
+
+
+@st.composite
+def integer_totals(draw):
+    """A prime, a level and integer totals that are multiples of p^0..p^(n+1), or zero."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 3))
+    power = st.integers(0, n + 1).map(lambda k: p**k)
+    return p, n, draw(st.lists(st.builds(mul, st.integers(-50, 50), power), min_size=1))
+
+
+@given(integer_totals())
+def test_gcd_screen_on_integer_totals(case):
+    p, n, totals = case
+    assert _screened_failures(totals, p, n) == _per_total_failures(totals, p, n)
+    scaled = [total * p**n for total in totals]
+    assert _screened_failures(scaled, p, n) == _per_total_failures(scaled, p, n)
+    assert _screened_failures([0] * len(totals), p, n) == (INFINITY, [])
 
 
 @settings(max_examples=20, deadline=None)
@@ -112,7 +188,7 @@ def test_coset_lambda_tables_match_coset_moment(case):
        st.lists(st.lists(st.integers(0, 5), min_size=3, max_size=3), max_size=10))
 def test_vanishing_sweep_matches_vanishing_check(config, seed, raw):
     p, n, r = config
-    mu = random_kernel_measure(p, n, r, seed=seed)
+    mu = build_measure(p, n, r, ("kernel", "sparse")[seed % 2], seed)
     words = [tuple(w[:r]) for w in raw if sum(w[:r]) % 2]
     assert vanishing_sweep(mu, words) == [vanishing_check(mu, word) for word in words]
 
