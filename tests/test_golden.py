@@ -29,6 +29,9 @@ MEASURE_FILES = {
     # rational values, outside the kernel: only `moments` and `check-cosets --perturb` accept it
     "rational-2-1-2.json": {"p": 2, "n": 1, "r": 2,
                             "values": ["1/3", "-2", "0", "5/7"]},
+    # rational values whose denominators 3, 6 and 9 are divisible by p = 3
+    "rational-3-2-1.json": {"p": 3, "n": 2, "r": 1,
+                            "values": ["1/3", "2/9", "0", "-1", "5/6", "0", "7", "-2/9", "4"]},
     # one four-term kernel basis vector at (3, 2, 4): 9 nonzero cells of 6561
     "basis-3-2-4.json": {"p": 3, "n": 2, "r": 4, "values": sparse_values(6561, {
         374: "1", 1194: "1", 1265: "-1", 2014: "1", 2085: "-1", 2834: "1", 2905: "-1",
@@ -87,6 +90,11 @@ CASES = [
      "0cefb6a9a7b36e04a39479d19b61b3c8362486f3a347ba9b61d303fdf68f50da"),
     (("check-cosets", "--p", "3", "--level", "0", "--depth", "2", "--seed", "0"), 0,
      "f95f9b2fbfda0a9abc99951ba50658252e34284c90a4722cd93493500abf6706"),
+    # p divides the denominators: valuations from -2 to 1 against threshold 2, 5 of 48 checks pass
+    (("moments", "--in", "rational-3-2-1.json", "--exp-cap", "5"), 0,
+     "fc3d9296dcaff320bd0ddf8c950ff40c5bf947aba105af376da103136e18c30b"),
+    (("check-cosets", "--in", "rational-3-2-1.json", "--perturb", "--exp-cap", "3"), 1,
+     "7c276c360482e5c18d3aeba94c1f65e9b08105da40d33a96d703d8f7831971d7"),
     (("report", "--p", "3", "--level", "1", "--depth", "1", "--seed", "5", "--degree", "4"), 0,
      "d5d8f0ce5afb3158e4a4cb27a0691a483b9c8aee0befb5a56c7f6c2ed82c21a2"),
     (("report", "--p", "5", "--level", "1", "--depth", "1", "--seed", "2", "--degree", "3"), 0,
