@@ -322,10 +322,11 @@ def coset_four_term_check(
 
 
 def _identity_sum_vectors(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
-                          modulus_exponent: int) -> Iterator[list[list[Fraction | int]]]:
+                          modulus_exponent: int) -> Iterator[list[list[int]]]:
     """Per word (n_1, ..., n_r), the coset identity's four unsigned sums in
     ``FOUR_TERM`` order, each as a list over the bases in row-major order: the
-    values of :func:`_identity_sums` for every base at once."""
+    values of :func:`_identity_sums` for every base at once, times
+    ``mu.denominator``."""
     offsets = sorted({-offset for _, _, offset in FOUR_TERM})
     stream = coset_sums(mu, [(0, *word) for word in words], modulus_exponent, offsets)
     slots = [offsets.index(-offset) for _, _, offset in FOUR_TERM]
@@ -335,9 +336,9 @@ def _identity_sum_vectors(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
 
 
 def _identity_totals(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
-                     modulus_exponent: int) -> Iterator[list[Fraction | int]]:
+                     modulus_exponent: int) -> Iterator[list[int]]:
     """Per word (n_1, ..., n_r), the coset identity's signed totals at the
-    bases in row-major order."""
+    bases in row-major order, times ``mu.denominator``."""
     vectors = _identity_sum_vectors(mu, words, modulus_exponent)
     for word, sums in zip(words, vectors):
         totals: list = [0] * len(sums[0])
@@ -346,45 +347,42 @@ def _identity_totals(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
         yield totals
 
 
-def _screened_failures(totals: list[int], p: int,
-                       n: int) -> tuple[int | float, list[tuple[int, int]]]:
-    """The worst valuation of integer totals and the (index, valuation) of
-    each total below the threshold n, from one gcd: v_p of the gcd is the
-    worst valuation, and only when p^n does not divide it is any total's own
-    valuation taken."""
+def _screened_failures(totals: list[int], p: int, n: int,
+                       shift: int = 0) -> tuple[int | float, list[tuple[int, int]]]:
+    """The worst valuation of the rationals t / d, for the integer totals t
+    and a d with v_p(d) = ``shift``, and the (index, valuation) of each below
+    the threshold n, from one gcd: v_p(t / d) = v_p(t) - shift, so v_p of the
+    gcd less the shift is the worst valuation, and only when p^(n + shift)
+    does not divide the gcd is any total's own valuation taken."""
     common = gcd(*totals)
     if not common:
         return INFINITY, []
-    modulus = p**n
+    modulus = p ** (n + shift)
     failures = [] if common % modulus == 0 else [
-        (index, padic_valuation(total, p)) for index, total in enumerate(totals) if total % modulus
+        (index, padic_valuation(total, p) - shift)
+        for index, total in enumerate(totals) if total % modulus
     ]
-    return padic_valuation(common, p), failures
-
-
-def _per_total_failures(totals: list[Fraction | int], p: int,
-                        n: int) -> tuple[int | float, list[tuple[int, int | float]]]:
-    """What :func:`_screened_failures` returns, from every total's own valuation."""
-    valuations = [padic_valuation(total, p) for total in totals]
-    return min(valuations), [(index, v) for index, v in enumerate(valuations) if v < n]
+    return padic_valuation(common, p) - shift, failures
 
 
 def coset_identity_sweep(
     mu: LevelMeasure,
     words: Iterable[Sequence[int]],
     modulus_exponent: int,
-) -> Iterator[tuple[int | float, list[tuple[int, int | float]]]]:
+) -> Iterator[tuple[int | float, list[tuple[int, int]]]]:
     """:func:`coset_four_term_check` at every coset of one modulus, per word.
 
     Yields, for each exponent word in order, the worst valuation of the signed
     totals over the bases of (Z/p^modulus_exponent)^r and the failing checks,
     as (row-major base index, valuation) pairs in base order; a check fails
-    when its valuation is below the measure's level.  The hypotheses are not
-    checked here, so that a measure outside the kernel can be shown to fail.
+    when its valuation is below the measure's level.  The totals are summed as
+    numerators over ``mu.denominator`` and screened by one gcd per word.  The
+    hypotheses are not checked here, so that a measure outside the kernel can
+    be shown to fail.
     """
     words = [check_word(word, mu.r) for word in words]
-    failures = _screened_failures if mu.is_integer_valued() else _per_total_failures
-    return (failures(totals, mu.p, mu.n)
+    shift = padic_valuation(mu.denominator, mu.p)
+    return (_screened_failures(totals, mu.p, mu.n, shift)
             for totals in _identity_totals(mu, words, modulus_exponent))
 
 
@@ -398,7 +396,7 @@ def coset_lambda_tables(
     base tuple.  These are the four summands of the signed coset identity in
     normalized-coefficient form."""
     exponents = check_word(exponents, mu.r)
-    norm = factorial_norm(exponents)
+    norm = factorial_norm(exponents) * mu.denominator
     (sums,) = _identity_sum_vectors(mu, [exponents], modulus_exponent)
     bases = _points(mu.p**modulus_exponent, mu.r)
     return tuple(

@@ -1,6 +1,8 @@
 """Finite-level measures on (Z/p^n Z)^r with exact rational values.
 
-A measure level is a dense row-major table over residue tuples; polynomial
+A measure level is a dense row-major table over residue tuples, held as int
+numerators over one int denominator, so every measure, integral or not, is
+read one way: sums run over the numerators and are divided once.  Polynomial
 moments are plain finite sums evaluated at the canonical representatives in
 [0, p^n).  Affine reindexing follows the composition convention: the value of
 the reindexed table at j is the original table at the mapped index.
@@ -19,9 +21,8 @@ is the case of modulus exponent 0 and final offset 0.  It eliminates the
 integrand's variables along the difference chain: factor k reads x_k and
 x_{k+1} only, so once factors 0..k are multiplied into the table, x_k is
 summed out of it, keeping x_k mod p^e for coset sums at modulus p^e and
-nothing for moments.  The first table holds only the nonzero cells, on
-``integer_values`` when the measure is integral and on the ``Fraction``
-values otherwise, and each later table only the keys that some cell reaches.
+nothing for moments.  The first table holds the numerators of the nonzero
+cells, and each later table only the keys that some cell reaches.
 Words with a common prefix share its stages, and the final offsets share all
 stages but the last.  :func:`moment` and :func:`coset_moment` evaluate one
 cell at a time and stay as their independent oracles.
@@ -33,12 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product, repeat
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact import check_config, check_word, format_rational, parse_rational
-from .series import LambdaTable
+from .series import LambdaTable, _exact
 
 __all__ = [
     "FOUR_TERM",
@@ -102,23 +103,47 @@ class Coset:
         object.__setattr__(self, "base", tuple(self.base))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LevelMeasure:
-    """Dense rational table on (Z/p^n Z)^r, row-major."""
+    """Rational table on (Z/p^n Z)^r, row-major: one int numerator per cell
+    over one positive int denominator, the lcm of the values' reduced
+    denominators, so the gcd of all of them is 1 and equal measures hold equal
+    fields.  Values are ints or Fractions (a float is a TypeError); ``values``
+    reads them back as Fractions, built on first read.
+    """
 
     p: int
     n: int
     r: int
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        values = tuple(
-            v if type(v) is Fraction else Fraction(v) for v in self.values
-        )
-        cells = check_config(self.p, self.n, self.r, len(values), "the number of values")
+    def __init__(self, p: int, n: int, r: int, values: Iterable[Fraction | int]) -> None:
+        values = tuple(values)
+        cells = check_config(p, n, r, len(values), "the number of values")
         if cells != len(values):
             raise ValueError(f"expected {cells} cells, got {len(values)}")
-        object.__setattr__(self, "values", values)
+        values = tuple(map(_exact, values))
+        den = lcm(*(v.denominator for v in values))
+        self._set(p, n, r, [v.numerator * (den // v.denominator) for v in values], den)
+
+    def _set(self, p: int, n: int, r: int, numerators: Sequence[int], denominator: int) -> None:
+        g = gcd(denominator, *numerators)
+        for name, value in zip(("p", "n", "r", "numerators", "denominator"),
+                               (p, n, r, tuple(v // g for v in numerators), denominator // g)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _reduced(cls, p: int, n: int, r: int, numerators: Sequence[int],
+                 denominator: int) -> "LevelMeasure":
+        """Trusted constructor: one numerator per cell over a positive denominator."""
+        mu = cls.__new__(cls)
+        mu._set(p, n, r, numerators, denominator)
+        return mu
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.denominator) for v in self.numerators)
 
     @property
     def modulus(self) -> int:
@@ -126,18 +151,18 @@ class LevelMeasure:
 
     @classmethod
     def zero(cls, p: int, n: int, r: int) -> "LevelMeasure":
-        return cls(p, n, r, (Fraction(0),) * _cell_count(p**n, r))
+        return cls(p, n, r, (0,) * _cell_count(p**n, r))
 
     @classmethod
     def constant(cls, p: int, n: int, r: int, value: Fraction | int = 1) -> "LevelMeasure":
-        return cls(p, n, r, (Fraction(value),) * _cell_count(p**n, r))
+        return cls(p, n, r, (value,) * _cell_count(p**n, r))
 
     @classmethod
     def point_mass(cls, p: int, n: int, r: int, point: Sequence[int], mass: Fraction | int = 1) -> "LevelMeasure":
         q = p**n
-        cells = [Fraction(0)] * _cell_count(q, r)
-        cells[point_to_index(tuple(c % q for c in point), q)] = Fraction(mass)
-        return cls(p, n, r, tuple(cells))
+        cells: list[Fraction | int] = [0] * _cell_count(q, r)
+        cells[point_to_index(tuple(c % q for c in point), q)] = mass
+        return cls(p, n, r, cells)
 
     def value(self, point: Sequence[int]) -> Fraction:
         q = self.modulus
@@ -147,43 +172,32 @@ class LevelMeasure:
         return _points(self.modulus, self.r)
 
     def is_zero(self) -> bool:
-        return not any(self.values)
-
-    @cached_property
-    def integer_values(self) -> tuple[int, ...] | None:
-        """The cells as ints when every value is an integer, else None."""
-        if all(v.denominator == 1 for v in self.values):
-            return tuple(v.numerator for v in self.values)
-        return None
+        return not any(self.numerators)
 
     def is_integer_valued(self) -> bool:
-        return self.integer_values is not None
-
-    def _shape(self, other: "LevelMeasure") -> None:
-        if (self.p, self.n, self.r) != (other.p, other.n, other.r):
-            raise ValueError("measures with different base, level, or depth")
+        return self.denominator == 1
 
     def __add__(self, other: "LevelMeasure") -> "LevelMeasure":
-        self._shape(other)
-        return LevelMeasure(
-            self.p, self.n, self.r, tuple(a + b for a, b in zip(self.values, other.values))
+        if (self.p, self.n, self.r) != (other.p, other.n, other.r):
+            raise ValueError("measures with different base, level, or depth")
+        den = lcm(self.denominator, other.denominator)
+        a, b = den // self.denominator, den // other.denominator
+        return LevelMeasure._reduced(
+            self.p, self.n, self.r,
+            [a * x + b * y for x, y in zip(self.numerators, other.numerators)], den,
         )
 
     def __sub__(self, other: "LevelMeasure") -> "LevelMeasure":
-        self._shape(other)
-        return LevelMeasure(
-            self.p, self.n, self.r, tuple(a - b for a, b in zip(self.values, other.values))
-        )
+        return self + -other
 
     def __neg__(self) -> "LevelMeasure":
-        return LevelMeasure(self.p, self.n, self.r, tuple(-a for a in self.values))
-
-    def _scaled(self, scalar: Fraction | int) -> "LevelMeasure":
-        scalar = Fraction(scalar)
-        return LevelMeasure(self.p, self.n, self.r, tuple(a * scalar for a in self.values))
+        return self * -1
 
     def __mul__(self, scalar: Fraction | int) -> "LevelMeasure":
-        return self._scaled(scalar)
+        scalar = _exact(scalar)
+        return LevelMeasure._reduced(self.p, self.n, self.r,
+                                     [scalar.numerator * v for v in self.numerators],
+                                     self.denominator * scalar.denominator)
 
     __rmul__ = __mul__
 
@@ -193,11 +207,11 @@ def project(mu: LevelMeasure) -> LevelMeasure:
     if mu.n == 0:
         raise ValueError("cannot project below level 0")
     q_new = mu.p ** (mu.n - 1)
-    cells = [Fraction(0)] * _cell_count(q_new, mu.r)
-    for point, value in zip(mu.points(), mu.values):
+    cells = [0] * _cell_count(q_new, mu.r)
+    for point, value in zip(mu.points(), mu.numerators):
         if value:
             cells[point_to_index(tuple(c % q_new for c in point), q_new)] += value
-    return LevelMeasure(mu.p, mu.n - 1, mu.r, tuple(cells))
+    return LevelMeasure._reduced(mu.p, mu.n - 1, mu.r, cells, mu.denominator)
 
 
 def affine_pushforward(mu: LevelMeasure, scale: int, offset: int) -> LevelMeasure:
@@ -209,12 +223,12 @@ def affine_pushforward(mu: LevelMeasure, scale: int, offset: int) -> LevelMeasur
     if scale not in (1, -1):
         raise ValueError("scale must be +1 or -1")
     q = mu.modulus
-    values = mu.values
+    values = mu.numerators
     cells = [
         values[point_to_index(tuple((scale * c + offset) % q for c in point), q)]
         for point in mu.points()
     ]
-    return LevelMeasure(mu.p, mu.n, mu.r, tuple(cells))
+    return LevelMeasure._reduced(mu.p, mu.n, mu.r, cells, mu.denominator)
 
 
 @lru_cache(maxsize=64)
@@ -242,15 +256,16 @@ def _four_term_rows(q: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-def _four_term_cells(mu: LevelMeasure) -> Iterator[Fraction | int]:
-    values = mu.values if mu.integer_values is None else mu.integer_values
+def _four_term_cells(mu: LevelMeasure) -> Iterator[int]:
+    """The combination's numerators over ``mu.denominator``."""
+    values = mu.numerators
     for row in _four_term_rows(mu.modulus, mu.r):
         yield sum(coeff * values[cell] for cell, coeff in row)
 
 
 def four_term(mu: LevelMeasure) -> LevelMeasure:
     """Signed combination j -> mu(j) - mu(-j) + mu(1-j) - mu(j-1), coordinate-wise."""
-    return LevelMeasure(mu.p, mu.n, mu.r, tuple(_four_term_cells(mu)))
+    return LevelMeasure._reduced(mu.p, mu.n, mu.r, list(_four_term_cells(mu)), mu.denominator)
 
 
 def four_term_is_zero(mu: LevelMeasure) -> bool:
@@ -292,23 +307,7 @@ def moment(
         integrand = tuple(
             _integrand_value([table[c] for c in point], exponents) for point in mu.points()
         )
-    ints = mu.integer_values
-    if ints is not None:
-        return Fraction(sum(f * v for f, v in zip(integrand, ints)))
-    total = Fraction(0)
-    for f, v in zip(integrand, mu.values):
-        if f and v:
-            total += v * f
-    return total
-
-
-def _support(mu: LevelMeasure) -> tuple[list[tuple[int, ...]], list[Fraction | int]]:
-    """The points of the nonzero cells and their values: ints when the
-    measure is integral, else Fractions."""
-    values = mu.values if mu.integer_values is None else mu.integer_values
-    points = mu.points()
-    cells = [i for i, v in enumerate(values) if v]
-    return [points[i] for i in cells], [values[i] for i in cells]
+    return Fraction(sum(map(mul, integrand, mu.numerators)), mu.denominator)
 
 
 _Stage = tuple[list[int], int, list[slice] | None]
@@ -428,15 +427,15 @@ def _sweep(mu: LevelMeasure, words: Iterable[Sequence[int]], modulus_exponent: i
     if not 0 <= modulus_exponent <= mu.n:
         raise ValueError("coset modulus exponent must lie between 0 and the measure level")
     words = [check_word(w, mu.r + 1) for w in words]
-    points, values = _support(mu)
-    order, stages, last, placements = _elimination_plan(points, mu.r, mu.p**modulus_exponent,
-                                                        final_offsets)
-    return _chain_products([values[i] for i in order], stages, words), last, placements
+    support = [(x, v) for x, v in zip(mu.points(), mu.numerators) if v]
+    order, stages, last, placements = _elimination_plan([x for x, _ in support], mu.r,
+                                                        mu.p**modulus_exponent, final_offsets)
+    return _chain_products([support[i][1] for i in order], stages, words), last, placements
 
 
 def _placed(product: list, last: list[slice] | None,
             placements: Sequence[list[tuple[slice, slice]]],
-            size: int) -> tuple[list[Fraction | int], ...]:
+            size: int) -> tuple[list[int], ...]:
     """The last product summed and laid out over the ``size`` bases, per final offset."""
     sums = product if last is None else list(map(sum, map(product.__getitem__, last)))
     tables = []
@@ -453,14 +452,15 @@ def coset_sums(
     words: Iterable[Sequence[int]],
     modulus_exponent: int,
     final_offsets: Sequence[int],
-) -> Iterator[tuple[list[Fraction | int], ...]]:
-    """Every coset sum at modulus p^modulus_exponent at once.
+) -> Iterator[tuple[list[int], ...]]:
+    """Every coset sum at modulus p^modulus_exponent at once, times
+    ``mu.denominator``.
 
-    Yields, per exponent word and then per final offset o, the list whose entry
-    at the row-major index of a base b (in (Z/p^modulus_exponent)^r) equals
-    ``coset_moment(mu, Coset(b, modulus_exponent), word, o)``.  Each value is
-    an int when the measure is integral, else a Fraction (or the int 0).  Any
-    word order is valid; lexicographic order shares the most work.
+    Yields, per exponent word and then per final offset o, the list of ints
+    whose entry at the row-major index of a base b (in
+    (Z/p^modulus_exponent)^r) equals ``mu.denominator`` times
+    ``coset_moment(mu, Coset(b, modulus_exponent), word, o)``.  Any word order
+    is valid; lexicographic order shares the most work.
     """
     products, last, placements = _sweep(mu, words, modulus_exponent, final_offsets)
     size = _cell_count(mu.p**modulus_exponent, mu.r)
@@ -469,10 +469,12 @@ def coset_sums(
 
 def moment_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[Fraction | int]:
     """``moment(mu, w)`` for every exponent word w, in the given order: the
-    coset sums at modulus 1 with final offset 0, typed as there."""
+    coset sums at modulus 1 with final offset 0, over ``mu.denominator``.
+    The values are ints when the denominator is 1, else Fractions."""
     products, _, _ = _sweep(mu, words, 0, (0,))
     # at modulus 1 every entry of the last product has the same key
-    return [sum(product) for product in products]
+    sums = [sum(product) for product in products]
+    return sums if mu.denominator == 1 else [Fraction(s, mu.denominator) for s in sums]
 
 
 def factorial_norm(exponents: Sequence[int]) -> int:
@@ -516,12 +518,13 @@ def coset_moment(
     feed the signed coset identity check.
     """
     exponents = check_word(exponents, mu.r + 1)
-    total = Fraction(0)
+    q = mu.modulus
+    total = 0
     for point in _coset_points(mu, coset):
-        value = mu.value(point)
+        value = mu.numerators[point_to_index(point, q)]
         if value:
             total += value * _integrand_value(point, exponents, final_offset)
-    return total
+    return Fraction(total, mu.denominator)
 
 
 def measure_from_lambda_table(table: LambdaTable) -> LevelMeasure:

@@ -57,14 +57,9 @@ class KernelBasis:
 
     def measures(self) -> list[LevelMeasure]:
         """The basis vectors as dense measures."""
-        zero = [Fraction(0)] * _cell_count(self.p**self.n, self.r)
-        result = []
-        for vector in self.vectors:
-            values = list(zero)
-            for column, value in vector.items():
-                values[column] = Fraction(value)
-            result.append(LevelMeasure(self.p, self.n, self.r, tuple(values)))
-        return result
+        cells = range(_cell_count(self.p**self.n, self.r))
+        return [LevelMeasure(self.p, self.n, self.r, [vector.get(i, 0) for i in cells])
+                for vector in self.vectors]
 
 
 def four_term_matrix(p: int, n: int, r: int) -> list[dict[int, int]]:
@@ -282,9 +277,7 @@ def random_kernel_measure(
         if coefficient:
             for column, value in vector.items():
                 cells[column] += coefficient * value
-    # one Fraction per distinct value: most cells share a few small values
-    as_fraction = {value: Fraction(value) for value in set(cells)}
-    return LevelMeasure(p, n, r, tuple(map(as_fraction.__getitem__, cells)))
+    return LevelMeasure(p, n, r, cells)
 
 
 def random_lambda_table(p: int, n: int, r: int, seed: int, magnitude: int = 9) -> LambdaTable:

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from mzvkit.euler import (
     _identity_totals,
-    _per_total_failures,
     _screened_failures,
     coset_four_term_check,
     coset_identity_sweep,
@@ -65,6 +64,12 @@ def build_measure(p, n, r, kind, seed):
     return mu
 
 
+def _per_total_failures(totals, p, n):
+    """What ``_screened_failures`` returns, from every total's own valuation."""
+    valuations = [padic_valuation(total, p) for total in totals]
+    return min(valuations), [(index, v) for index, v in enumerate(valuations) if v < n]
+
+
 @st.composite
 def measures_and_words(draw, extra=0, max_words=12):
     """A measure and an unsorted list of words (repeats allowed) of length r + extra."""
@@ -75,12 +80,16 @@ def measures_and_words(draw, extra=0, max_words=12):
 
 
 @settings(max_examples=60, deadline=None)
-@given(measures_and_words(extra=1, max_words=30))
-def test_moment_sweep_matches_moment_in_any_order(case):
+@given(measures_and_words(extra=1, max_words=30), st.fractions(max_denominator=50))
+def test_moment_sweep_matches_moment_in_any_order(case, c):
     mu, words = case
     words = words + words[:3]  # repeated words, also out of order
-    assert moment_sweep(mu, words) == [moment(mu, word) for word in words]
+    swept = moment_sweep(mu, words)
+    assert swept == [moment(mu, word) for word in words]
     assert moment_sweep(mu, sorted(words)) == [moment(mu, word) for word in sorted(words)]
+    # ints exactly when the measure is integral
+    assert {type(value) for value in swept} <= {int if mu.is_integer_valued() else Fraction}
+    assert moment_sweep(c * mu, words) == [c * value for value in swept]
 
 
 @settings(max_examples=30, deadline=None)
@@ -96,11 +105,11 @@ def test_coset_sums_match_coset_moment(case, extra_offsets):
         for word, sums in zip(words, swept):
             assert len(sums) == len(offsets)
             for offset, vector in zip(offsets, sums):
-                assert vector == [coset_moment(mu, Coset(base, e), word, offset)
+                assert vector == [coset_moment(mu, Coset(base, e), word, offset) * mu.denominator
                                   for base in bases]
     # modulus 1 with final offset 0 is the moment sweep
     assert [vector for (vector,) in coset_sums(mu, words, 0, (0,))] == [
-        [value] for value in moment_sweep(mu, words)]
+        [value * mu.denominator] for value in moment_sweep(mu, words)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -131,23 +140,29 @@ def test_sweeps_match_oracles_on_vanish_word_lists(case, data):
     e = data.draw(st.integers(0, mu.n))
     bases = [tuple(b) for b in LevelMeasure.zero(mu.p, e, mu.r).points()]
     for word, (vector,) in zip(words, coset_sums(mu, words, e, (-1,))):
-        assert vector == [coset_moment(mu, Coset(base, e), word, -1) for base in bases]
+        assert vector == [coset_moment(mu, Coset(base, e), word, -1) * mu.denominator
+                          for base in bases]
 
 
 @settings(max_examples=40, deadline=None)
-@given(measures_and_words(extra=0, max_words=6), st.data())
-def test_gcd_screen_matches_per_total_valuations(case, data):
+@given(measures_and_words(extra=0, max_words=6), st.data(), st.integers(0, 3))
+def test_gcd_screen_matches_per_total_valuations(case, data, k):
+    """The screen against each total's own valuation, on the measure and on
+    the measure divided by p^k, whose valuations are all k lower."""
     mu, words = case
     e = data.draw(st.integers(0, mu.n))
     swept = list(coset_identity_sweep(mu, words, e))
-    for totals, result in zip(_identity_totals(mu, words, e), swept):
-        valuations = [padic_valuation(total, mu.p) for total in totals]
+    scaled = list(coset_identity_sweep(mu * Fraction(1, mu.p**k), words, e))
+    for totals, result, scaled_result in zip(_identity_totals(mu, words, e), swept, scaled):
+        assert all(type(total) is int for total in totals)
+        rationals = [Fraction(total, mu.denominator) for total in totals]
+        valuations = [padic_valuation(total, mu.p) for total in rationals]
         expected = (min(valuations), [(i, v) for i, v in enumerate(valuations) if v < mu.n])
         assert result == expected
-        assert _per_total_failures(totals, mu.p, mu.n) == expected
-        if mu.is_integer_valued():
-            assert all(type(total) is int for total in totals)
-            assert _screened_failures(totals, mu.p, mu.n) == expected
+        assert _per_total_failures(rationals, mu.p, mu.n) == expected
+        lowered = [v - k for v in valuations]
+        assert scaled_result == (result[0] - k,
+                                 [(i, v) for i, v in enumerate(lowered) if v < mu.n])
 
 
 @st.composite

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +57,42 @@ def test_measure_shape_validation():
         LevelMeasure(4, 1, 1, (Fraction(0),) * 4)
     with pytest.raises(ValueError):
         LevelMeasure(2, 1, 2, (Fraction(0),) * 3)
+
+
+def test_values_must_be_exact():
+    # a float would be stored as its binary fraction, as series refuse to do
+    with pytest.raises(TypeError):
+        LevelMeasure(2, 0, 1, (0.1,))
+    with pytest.raises(TypeError):
+        LevelMeasure.constant(2, 1, 1, 0.5)
+    with pytest.raises(TypeError):
+        delta(3, 1, 1, (1,)) * 0.5
+
+
+def test_numerators_over_one_denominator():
+    mu = LevelMeasure(3, 1, 1, (Fraction(1, 3), Fraction(2, 9), Fraction(4, 2)))
+    assert (mu.numerators, mu.denominator) == ((3, 2, 18), 9)
+    assert mu.values == (Fraction(1, 3), Fraction(2, 9), Fraction(2))
+    assert LevelMeasure(3, 1, 1, (3, 0, Fraction(-6, 2))).numerators == (3, 0, -3)
+    assert (mu * 9).is_integer_valued() and not mu.is_integer_valued()
+    assert (mu - mu) == LevelMeasure.zero(3, 1, 1) and (mu - mu).denominator == 1
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(CONFIGS), st.data(), st.fractions(max_denominator=30))
+def test_arithmetic_matches_fraction_values(config, data, scalar):
+    p, n, r = config
+    cells = st.lists(st.fractions(max_denominator=30), min_size=p ** (n * r), max_size=p ** (n * r))
+    a, b = data.draw(cells), data.draw(cells)
+    mu, nu = LevelMeasure(p, n, r, a), LevelMeasure(p, n, r, b)
+    assert mu.values == tuple(a)
+    assert gcd(mu.denominator, *mu.numerators) == 1
+    for result, expected in ((mu + nu, [x + y for x, y in zip(a, b)]),
+                             (mu - nu, [x - y for x, y in zip(a, b)]),
+                             (-mu, [-x for x in a]),
+                             (mu * scalar, [x * scalar for x in a])):
+        assert result == LevelMeasure(p, n, r, expected)
+        assert result.values == tuple(expected)
 
 
 def test_value_reduces_modulo_level():
