@@ -167,13 +167,14 @@ def _combination(a: int, m_odd: bool) -> tuple[tuple[int, Fraction], ...]:
         raise ValueError(f"certificate exponent {a} is above the limit {MAX_CERTIFICATE_EXPONENT}")
     # bottom-up over a's parity, so each step finds every lower exponent cached
     for k in range(a % 2, a + 1, 2):
-        combination = _combination_step(k, m_odd)
+        combination = _combination_step(k)
     return combination
 
 
 @lru_cache(maxsize=None)
-def _combination_step(a: int, m_odd: bool) -> tuple[tuple[int, Fraction], ...]:
-    """The combination for ``a``; the ones for a-2, a-4, ... must be cached."""
+def _combination_step(a: int) -> tuple[tuple[int, Fraction], ...]:
+    """The combination for ``a``; the ones for a-2, a-4, ... must be cached.
+    It does not depend on m: m + a odd fixes m's parity."""
     if a == 0:
         return ((2, Fraction(-1, 2)),)
     if a == 1:
@@ -183,7 +184,7 @@ def _combination_step(a: int, m_odd: bool) -> tuple[tuple[int, Fraction], ...]:
     for k in range(a - 2, -1, -2):
         # the expansion's x^k coefficient is -2 C(q, k); divide out the leading -2(a+1)
         carried = Fraction(binomial(q, k), q)
-        for q2, c2 in _combination_step(k, m_odd):
+        for q2, c2 in _combination_step(k):
             combo[q2] = combo.get(q2, Fraction(0)) - carried * c2
     return tuple(sorted((q2, c2) for q2, c2 in combo.items() if c2))
 
@@ -244,11 +245,8 @@ def _odd_word(mu: LevelMeasure, exponents: Sequence[int]) -> tuple[int, ...]:
     return exponents
 
 
-def _vanishing_verdict(mu: LevelMeasure, exponents: tuple[int, ...],
-                       value: Fraction | int) -> CongruenceVerdict:
-    """Verdict for the moment ``value`` of the word (0, *exponents)."""
-    valuation = padic_valuation(value, mu.p)
-    threshold = mu.n - make_certificate(exponents).slack(mu.p)
+def _vanishing_verdict(value: Fraction | int, p: int, threshold: int) -> CongruenceVerdict:
+    valuation = padic_valuation(value, p)
     return CongruenceVerdict(valuation, threshold, valuation >= threshold)
 
 
@@ -267,18 +265,24 @@ def vanishing_check(
     exponents = _odd_word(mu, exponents)
     if validate:
         _require_kernel_integer(mu)
-    return _vanishing_verdict(mu, exponents, moment(mu, (0, *exponents)))
+    threshold = mu.n - make_certificate(exponents).slack(mu.p)
+    return _vanishing_verdict(moment(mu, (0, *exponents)), mu.p, threshold)
 
 
 def vanishing_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[CongruenceVerdict]:
     """:func:`vanishing_check` for every word, in order, from one moment sweep.
 
-    The kernel and integrality hypotheses are checked once, first.
+    The kernel and integrality hypotheses are checked once, first.  The slack
+    depends only on the final exponent, so one certificate is built per final
+    exponent, before the sweep.
     """
     words = [_odd_word(mu, word) for word in words]
     _require_kernel_integer(mu)
+    by_final = {word[-1]: word for word in words}
+    slack = {a: make_certificate(word).slack(mu.p) for a, word in by_final.items()}
     values = moment_sweep(mu, [(0, *word) for word in words])
-    return [_vanishing_verdict(mu, word, value) for word, value in zip(words, values)]
+    return [_vanishing_verdict(value, mu.p, mu.n - slack[word[-1]])
+            for word, value in zip(words, values)]
 
 
 def _identity_signs(m: int) -> list[int]:
