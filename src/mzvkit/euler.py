@@ -351,22 +351,20 @@ def _identity_totals(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
         yield totals
 
 
-def _screened_failures(totals: list[int], p: int, n: int,
-                       shift: int = 0) -> tuple[int | float, list[tuple[int, int]]]:
-    """The worst valuation of the rationals t / d, for the integer totals t
-    and a d with v_p(d) = ``shift``, and the (index, valuation) of each below
-    the threshold n, from one gcd: v_p(t / d) = v_p(t) - shift, so v_p of the
-    gcd less the shift is the worst valuation, and only when p^(n + shift)
-    does not divide the gcd is any total's own valuation taken."""
+def _screened_failures(totals: list[int], p: int,
+                       n: int) -> tuple[int | float, list[tuple[int, int]]]:
+    """The worst valuation of integer totals and the (index, valuation) of
+    each total below the threshold n, from one gcd: v_p of the gcd is the
+    worst valuation, and only when p^n does not divide it is any total's own
+    valuation taken."""
     common = gcd(*totals)
     if not common:
         return INFINITY, []
-    modulus = p ** (n + shift)
+    modulus = p**n
     failures = [] if common % modulus == 0 else [
-        (index, padic_valuation(total, p) - shift)
-        for index, total in enumerate(totals) if total % modulus
+        (index, padic_valuation(total, p)) for index, total in enumerate(totals) if total % modulus
     ]
-    return padic_valuation(common, p) - shift, failures
+    return padic_valuation(common, p), failures
 
 
 def coset_identity_sweep(
@@ -379,15 +377,16 @@ def coset_identity_sweep(
     Yields, for each exponent word in order, the worst valuation of the signed
     totals over the bases of (Z/p^modulus_exponent)^r and the failing checks,
     as (row-major base index, valuation) pairs in base order; a check fails
-    when its valuation is below the measure's level.  The totals are summed as
-    numerators over ``mu.denominator`` and screened by one gcd per word.  The
-    hypotheses are not checked here, so that a measure outside the kernel can
-    be shown to fail.
+    when its valuation is below the measure's level.  The hypotheses are not
+    checked here, so that a measure outside the kernel can be shown to fail.
     """
     words = [check_word(word, mu.r) for word in words]
+    # the totals T are numerators over d = mu.denominator and v_p(T/d) = v_p(T) - v_p(d)
     shift = padic_valuation(mu.denominator, mu.p)
-    return (_screened_failures(totals, mu.p, mu.n, shift)
-            for totals in _identity_totals(mu, words, modulus_exponent))
+    screened = (_screened_failures(totals, mu.p, mu.n + shift)
+                for totals in _identity_totals(mu, words, modulus_exponent))
+    return ((worst - shift, [(index, v - shift) for index, v in failures])
+            for worst, failures in screened)
 
 
 def coset_lambda_tables(

@@ -128,6 +128,7 @@ class LevelMeasure:
         self._set(p, n, r, [v.numerator * (den // v.denominator) for v in values], den)
 
     def _set(self, p: int, n: int, r: int, numerators: Sequence[int], denominator: int) -> None:
+        """Set the fields, with the gcd of the numerators and the denominator divided out."""
         g = gcd(denominator, *numerators)
         for name, value in zip(("p", "n", "r", "numerators", "denominator"),
                                (p, n, r, tuple(v // g for v in numerators), denominator // g)):
