@@ -95,6 +95,11 @@ CASES = [
      "fc3d9296dcaff320bd0ddf8c950ff40c5bf947aba105af376da103136e18c30b"),
     (("check-cosets", "--in", "rational-3-2-1.json", "--perturb", "--exp-cap", "3"), 1,
      "7c276c360482e5c18d3aeba94c1f65e9b08105da40d33a96d703d8f7831971d7"),
+    # no odd word at cap 0, so an empty `checks` list; a single moment row
+    (("vanish", "--in", "kernel-3-1-2.json", "--exp-cap", "0"), 0,
+     "f1d60f59d9c824764f801c1b91de2cb4e49dd2fd37121d73f4e66a2372446720"),
+    (("moments", "--in", "kernel-5-1-1.json", "--exp-cap", "0"), 0,
+     "e88bdba36344157888278756cc94243736dae7aa3e2eab93cb304c8e4e044459"),
     (("report", "--p", "3", "--level", "1", "--depth", "1", "--seed", "5", "--degree", "4"), 0,
      "d5d8f0ce5afb3158e4a4cb27a0691a483b9c8aee0befb5a56c7f6c2ed82c21a2"),
     (("report", "--p", "5", "--level", "1", "--depth", "1", "--seed", "2", "--degree", "3"), 0,
