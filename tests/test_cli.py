@@ -1,17 +1,21 @@
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mzvkit.cli import main
-from mzvkit.measures import LevelMeasure, measure_to_json_dict
-from mzvkit.synth import _cached_kernel, four_term_kernel
+from mzvkit.euler import vanishing_check
+from mzvkit.exact import INFINITY, format_rational, padic_valuation
+from mzvkit.measures import LevelMeasure, lambda_coefficient, measure_to_json_dict, moment
+from mzvkit.synth import _cached_kernel, four_term_kernel, random_kernel_measure
 
 
 def run_cli(argv):
@@ -185,6 +189,61 @@ def test_streamed_kernel_matches_json_dumps(config, tmp_path):
     }
     assert (code, err) == (0, "")
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert target.read_text(encoding="ascii") == out
+
+
+def _words(length, cap, odd):
+    """Words of the given length and sum at most ``cap``, lexicographically."""
+    return [word for word in itertools.product(range(cap + 1), repeat=length)
+            if sum(word) <= cap and (not odd or sum(word) % 2)]
+
+
+def _valuation(value, p):
+    valuation = padic_valuation(value, p)
+    return "inf" if valuation == INFINITY else valuation
+
+
+def _table_report(command, mu, path, cap):
+    """The `moments` or `vanish` report as json.dumps prints it, from the
+    one-word-at-a-time library calls, and the exit code it implies."""
+    report = {"command": command, "p": mu.p, "n": mu.n, "r": mu.r, "source": {"file": path},
+              "exponent_cap": cap}
+    if command == "moments":
+        report["moments"] = [
+            {"exponents": list(word), "moment": format_rational(moment(mu, word)),
+             "lambda": format_rational(lambda_coefficient(mu, word)),
+             "valuation": _valuation(moment(mu, word), mu.p)}
+            for word in _words(mu.r + 1, cap, odd=False)
+        ]
+        code = 0
+    else:
+        report["checks"] = [{"exponents": list(word), **vanishing_check(mu, word).to_json_dict()}
+                            for word in _words(mu.r, cap, odd=True)]
+        report["all_pass"] = all(row["pass"] for row in report["checks"])
+        code = 0 if report["all_pass"] else 1
+    return code, json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+# (command, measure, exponent cap): a kernel measure, a rational one, the
+# zero measure (every valuation "inf"), one moment row and no vanish row
+TABLE_REPORTS = [
+    ("moments", random_kernel_measure(3, 1, 2, seed=1), 4),
+    ("moments", LevelMeasure(3, 1, 1, [Fraction(1, 3), 0, -2]), 3),
+    ("moments", LevelMeasure.zero(2, 1, 2), 2),
+    ("moments", random_kernel_measure(5, 1, 1, seed=2), 0),
+    ("vanish", random_kernel_measure(3, 1, 2, seed=1), 5),
+    ("vanish", random_kernel_measure(2, 2, 1, seed=3), 7),
+    ("vanish", LevelMeasure.zero(2, 1, 2), 3),
+    ("vanish", random_kernel_measure(3, 1, 2, seed=1), 0),
+]
+
+
+@pytest.mark.parametrize("command,mu,cap", TABLE_REPORTS)
+def test_table_reports_match_json_dumps_and_out_file(command, mu, cap, tmp_path):
+    path = write_measure(tmp_path, mu)
+    target = tmp_path / "report.json"
+    code, out, err = run_cli([command, "--in", path, "--exp-cap", str(cap), "--out", str(target)])
+    assert (code, out, err) == (*_table_report(command, mu, path, cap), "")
     assert target.read_text(encoding="ascii") == out
 
 
