@@ -8,15 +8,14 @@ power) with exact Fraction entries and no trailing zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 from operator import add, sub
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
-from .exact import (INFINITY, binomial, bernoulli, check_word, format_rational, padic_valuation,
-                    parse_rational)
+from .exact import (INFINITY, Immutable, binomial, bernoulli, check_word, format_rational,
+                    padic_valuation, parse_rational)
 from .measures import (FOUR_TERM, Coset, LevelMeasure, _four_term_maps, _points, coset_moment,
                        coset_sums, factorial_norm, four_term_is_zero, moment, moment_sweep)
 from .series import LambdaTable
@@ -119,16 +118,18 @@ def four_term_poly_coeffs(a: int, m_parity: Parity) -> Poly:
     return _trim(coeffs)
 
 
-@dataclass(frozen=True)
-class VanishingCertificate:
+class VanishingCertificate(Immutable):
     """Exact combination sum_q coeff_q * P_q(x) = x^a for a target exponent word.
 
     ``target`` is (n_1, ..., n_{r-1}, a); the relevant parity is that of
     m = n_1 + ... + n_{r-1}, and the combination exists exactly when m + a is odd.
     """
 
-    target: tuple[int, ...]
-    combination: tuple[tuple[int, Fraction], ...]
+    _fields = ("target", "combination")
+
+    def __init__(self, target: tuple[int, ...],
+                 combination: tuple[tuple[int, Fraction], ...]) -> None:
+        self._assign(target, combination)
 
     @property
     def final_exponent(self) -> int:
@@ -217,11 +218,11 @@ def certificate_from_json_dict(data: Mapping) -> VanishingCertificate:
     )
 
 
-@dataclass(frozen=True)
-class CongruenceVerdict:
-    valuation: int | float
-    threshold: int
-    passed: bool
+class CongruenceVerdict(Immutable):
+    _fields = ("valuation", "threshold", "passed")
+
+    def __init__(self, valuation: int | float, threshold: int, passed: bool) -> None:
+        self._assign(valuation, threshold, passed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -430,8 +431,7 @@ def coefficient_four_term_check(
     return CongruenceVerdict(worst, threshold, worst >= threshold)
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(Immutable):
     """Zero-ness of pure-letter coefficient layers, by (level, depth).
 
     ``cumulative`` verdicts ask that every recorded depth <= k vanish at a
@@ -439,9 +439,11 @@ class FiltrationReport:
     holding at all recorded levels implies it at each single level.
     """
 
-    levels: tuple[int, ...]
-    depths: tuple[int, ...]
-    zero_cells: Mapping[tuple[int, int], bool]
+    _fields = ("levels", "depths", "zero_cells")
+
+    def __init__(self, levels: tuple[int, ...], depths: tuple[int, ...],
+                 zero_cells: Mapping[tuple[int, int], bool]) -> None:
+        self._assign(levels, depths, zero_cells)
 
     def exact_verdict(self, level: int, k: int) -> bool:
         return all(flag for (lv, depth), flag in self.zero_cells.items()

@@ -3,6 +3,7 @@
 Every quantity in this package is a ``fractions.Fraction`` or an int; nothing
 here ever rounds.  The only non-rational value is the valuation of zero,
 reported as ``INFINITY`` so that threshold comparisons work unchanged.
+:class:`Immutable` is the base of every value class in the package.
 """
 
 from __future__ import annotations
@@ -26,6 +27,48 @@ __all__ = [
 ]
 
 INFINITY = inf
+
+
+class Immutable:
+    """Base of the value classes: ``_fields`` names the fields, which
+    ``_assign`` sets once.  Instances of one class with equal fields are
+    equal and hash alike (a dict field makes ``hash`` a TypeError), the repr
+    is ``Name(field=value, ...)``, and assignment raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _new(cls, *values: object):
+        """Trusted constructor: the fields as given, without ``__init__``'s checks."""
+        instance = cls.__new__(cls)
+        instance._assign(*values)
+        return instance
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _field_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound

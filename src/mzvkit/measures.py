@@ -30,7 +30,6 @@ cell at a time and stay as their independent oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product, repeat
@@ -38,7 +37,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exact import check_config, check_word, format_rational, parse_rational
+from .exact import Immutable, check_config, check_word, format_rational, parse_rational
 from .series import LambdaTable, _exact
 
 __all__ = [
@@ -90,21 +89,18 @@ def _points(q: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product(range(q), repeat=r))
 
 
-@dataclass(frozen=True)
-class Coset:
+class Coset(Immutable):
     """Residues congruent to ``base`` mod p^modulus_exponent, coordinate-wise."""
 
-    base: tuple[int, ...]
-    modulus_exponent: int
+    _fields = ("base", "modulus_exponent")
 
-    def __post_init__(self) -> None:
-        if self.modulus_exponent < 0:
+    def __init__(self, base: Sequence[int], modulus_exponent: int) -> None:
+        if modulus_exponent < 0:
             raise ValueError("coset modulus exponent must be non-negative")
-        object.__setattr__(self, "base", tuple(self.base))
+        self._assign(tuple(base), modulus_exponent)
 
 
-@dataclass(frozen=True, init=False)
-class LevelMeasure:
+class LevelMeasure(Immutable):
     """Rational table on (Z/p^n Z)^r, row-major: one int numerator per cell
     over one positive int denominator, the lcm of the values' reduced
     denominators, so the gcd of all of them is 1 and equal measures hold equal
@@ -112,6 +108,7 @@ class LevelMeasure:
     reads them back as Fractions, built on first read.
     """
 
+    _fields = ("p", "n", "r", "numerators", "denominator")
     p: int
     n: int
     r: int
@@ -124,23 +121,17 @@ class LevelMeasure:
         if cells != len(values):
             raise ValueError(f"expected {cells} cells, got {len(values)}")
         values = tuple(map(_exact, values))
+        # over the lcm of the reduced denominators the numerators are coprime to it
         den = lcm(*(v.denominator for v in values))
-        self._set(p, n, r, [v.numerator * (den // v.denominator) for v in values], den)
-
-    def _set(self, p: int, n: int, r: int, numerators: Sequence[int], denominator: int) -> None:
-        """Set the fields, with the gcd of the numerators and the denominator divided out."""
-        g = gcd(denominator, *numerators)
-        for name, value in zip(("p", "n", "r", "numerators", "denominator"),
-                               (p, n, r, tuple(v // g for v in numerators), denominator // g)):
-            object.__setattr__(self, name, value)
+        self._assign(p, n, r, tuple(v.numerator * (den // v.denominator) for v in values), den)
 
     @classmethod
     def _reduced(cls, p: int, n: int, r: int, numerators: Sequence[int],
                  denominator: int) -> "LevelMeasure":
-        """Trusted constructor: one numerator per cell over a positive denominator."""
-        mu = cls.__new__(cls)
-        mu._set(p, n, r, numerators, denominator)
-        return mu
+        """Trusted constructor: one numerator per cell over a positive
+        denominator, with the gcd of all of them divided out."""
+        g = gcd(denominator, *numerators)
+        return cls._new(p, n, r, tuple(v // g for v in numerators), denominator // g)
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:

@@ -8,12 +8,12 @@ depth-graded four-factor reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import mul
 from typing import Mapping
 
+from .exact import Immutable
 from .measures import FOUR_TERM
 from .series import (
     Alphabet,
@@ -45,23 +45,23 @@ __all__ = [
 OCTAGON_FACTORS = ("s", "c", "e", "d", "eta", "q", "t", "pi")
 
 
-@dataclass(frozen=True)
-class PathWord:
+class PathWord(Immutable):
     """Freely reduced word in named path generators with exponents +-1."""
 
-    syllables: tuple[tuple[str, int], ...] = ()
+    _fields = ("syllables",)
 
-    def __post_init__(self) -> None:
-        for name, exponent in self.syllables:
+    def __init__(self, syllables: tuple[tuple[str, int], ...] = ()) -> None:
+        for name, exponent in syllables:
             if exponent not in (1, -1):
                 raise ValueError("syllable exponents must be +1 or -1")
             if not name:
                 raise ValueError("empty generator name")
         if any(
             a[0] == b[0] and a[1] == -b[1]
-            for a, b in zip(self.syllables, self.syllables[1:])
+            for a, b in zip(syllables, syllables[1:])
         ):
             raise ValueError("word is not freely reduced")
+        self._assign(syllables)
 
     @classmethod
     def identity(cls) -> "PathWord":
@@ -170,18 +170,17 @@ def inverse_cocycle(
     return substitute(inv, alpha_conj) if alpha_conj is not None else inv
 
 
-@dataclass(frozen=True)
-class PathCocycle:
+class PathCocycle(Immutable):
     """Assignment of a constant-term-1 series to each named path."""
 
-    assignments: Mapping[str, NCSeries]
+    _fields = ("assignments",)
 
-    def __post_init__(self) -> None:
-        frozen = dict(self.assignments)
+    def __init__(self, assignments: Mapping[str, NCSeries]) -> None:
+        frozen = dict(assignments)
         for name, series in frozen.items():
             if series.constant_term != 1:
                 raise ValueError(f"cocycle value for {name!r} must have constant term 1")
-        object.__setattr__(self, "assignments", frozen)
+        self._assign(frozen)
 
     def series(self, name: str) -> NCSeries:
         try:

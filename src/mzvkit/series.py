@@ -16,12 +16,11 @@ order.  Tuples and ``Fraction``s are built only by ``coeff``, ``terms``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exact import check_config, format_rational, parse_rational
+from .exact import Immutable, check_config, format_rational, parse_rational
 
 __all__ = [
     "X",
@@ -48,15 +47,14 @@ EMPTY_WORD: Word = ()
 IntBuckets = dict[int, dict[int, int]]  # degree -> word code -> integer numerator
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Immutable):
     """Letter set selector: X plus one cyclic letter per residue mod p^n."""
 
-    p: int
-    n: int
+    _fields = ("p", "n")
 
-    def __post_init__(self) -> None:
-        check_config(self.p, self.n, 1)  # an alphabet has no depth: r = 1 checks p and n
+    def __init__(self, p: int, n: int) -> None:
+        check_config(p, n, 1)  # an alphabet has no depth: r = 1 checks p and n
+        self._assign(p, n)
 
     @property
     def modulus(self) -> int:
@@ -121,7 +119,7 @@ def _decode(code: int, degree: int, base: int) -> Word:
     return tuple(reversed(letters))
 
 
-class NCSeries:
+class NCSeries(Immutable):
     """Exact series truncated at a fixed total degree.
 
     Binary operations require both operands to carry the same alphabet and the
@@ -129,7 +127,7 @@ class NCSeries:
     scalars are ints or Fractions.
     """
 
-    __slots__ = ("alphabet", "degree_cap", "_num", "_den")
+    __slots__ = _fields = ("alphabet", "degree_cap", "_num", "_den")
 
     def __init__(
         self,
@@ -161,13 +159,6 @@ class NCSeries:
         })
         self._assign(alphabet, degree_cap, num, den)
 
-    def _assign(self, alphabet: Alphabet, degree_cap: int, num: IntBuckets, den: int) -> None:
-        for name, value in zip(self.__slots__, (alphabet, degree_cap, num, den)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("NCSeries is immutable")
-
     @classmethod
     def _reduced(cls, alphabet: Alphabet, degree_cap: int, num: IntBuckets, den: int) -> "NCSeries":
         # trusted constructor: valid codes, no zero entries or empty buckets,
@@ -181,9 +172,7 @@ class NCSeries:
             num = {degree: {code: v // g for code, v in bucket.items()}
                    for degree, bucket in num.items()}
             den //= g
-        series = cls.__new__(cls)
-        series._assign(alphabet, degree_cap, num, den)
-        return series
+        return cls._new(alphabet, degree_cap, num, den)
 
     @classmethod
     def zero(cls, alphabet: Alphabet, degree_cap: int) -> "NCSeries":
@@ -234,16 +223,6 @@ class NCSeries:
             raise ValueError("series over different alphabets")
         if self.degree_cap != other.degree_cap:
             raise ValueError("series with different truncation degrees")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NCSeries):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.degree_cap == other.degree_cap
-            and self._den == other._den
-            and self._num == other._num
-        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -496,33 +475,30 @@ def y_pure_part(series: NCSeries, r: int) -> NCSeries:
     return NCSeries._reduced(series.alphabet, series.degree_cap, kept, series._den)
 
 
-@dataclass(frozen=True)
-class LambdaTable:
+class LambdaTable(Immutable):
     """Depth-r coefficient table indexed by residue tuples mod p^n.
 
     Entries absent from the map are zero; stored zeros are dropped on
     construction so tables compare structurally.
     """
 
-    p: int
-    n: int
-    r: int
-    coeffs: Mapping[tuple[int, ...], Fraction] = field(default_factory=dict)
+    _fields = ("p", "n", "r", "coeffs")
 
-    def __post_init__(self) -> None:
-        check_config(self.p, self.n, self.r)
-        modulus = self.p**self.n
+    def __init__(self, p: int, n: int, r: int,
+                 coeffs: Mapping[tuple[int, ...], Fraction | int] | None = None) -> None:
+        check_config(p, n, r)
+        modulus = p**n
         cleaned: dict[tuple[int, ...], Fraction] = {}
-        for idx, coeff in self.coeffs.items():
+        for idx, coeff in (coeffs or {}).items():
             idx = tuple(idx)
-            if len(idx) != self.r:
-                raise ValueError(f"index {idx} does not have depth {self.r}")
+            if len(idx) != r:
+                raise ValueError(f"index {idx} does not have depth {r}")
             if any(not 0 <= i < modulus for i in idx):
                 raise ValueError(f"index {idx} outside range mod {modulus}")
             coeff = Fraction(_exact(coeff))
             if coeff:
                 cleaned[idx] = coeff
-        object.__setattr__(self, "coeffs", cleaned)
+        self._assign(p, n, r, cleaned)
 
     @property
     def modulus(self) -> int:

@@ -12,13 +12,12 @@ from __future__ import annotations
 import heapq
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from .exact import check_config
+from .exact import Immutable, check_config
 from .measures import LevelMeasure, _cell_count, _four_term_rows, index_to_point
 from .series import LambdaTable
 
@@ -37,8 +36,7 @@ __all__ = [
 DEFAULT_CELL_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(Immutable):
     """Primitive integer basis of the exact four-term kernel at one level.
 
     Each vector maps its nonzero cells (row-major indices, ascending) to their
@@ -46,10 +44,10 @@ class KernelBasis:
     kernel and must not be modified.
     """
 
-    p: int
-    n: int
-    r: int
-    vectors: tuple[dict[int, int], ...]
+    _fields = ("p", "n", "r", "vectors")
+
+    def __init__(self, p: int, n: int, r: int, vectors: tuple[dict[int, int], ...]) -> None:
+        self._assign(p, n, r, vectors)
 
     @property
     def dimension(self) -> int:

@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,6 +337,53 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dimension"] == 2
+
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+LOAD_TRACER = f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("tracer", {str(TRACER)!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+"""
+
+
+def _python(*args):
+    """stdout of a fresh interpreter run on the source tree."""
+    result = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (result.returncode, result.stderr) == (0, "")
+    return result.stdout
+
+
+def test_cli_import_loads_every_module_without_dataclasses():
+    # -S: no site-specific imports, so only what mzvkit.cli imports is loaded
+    code = ("import json, sys, mzvkit.cli\n"
+            "loaded = sorted(sys.modules)\n" + LOAD_TRACER +
+            "print(json.dumps([loaded, sorted({module for module, _ in tracer.TRACED})]))")
+    loaded, traced = json.loads(_python("-S", "-c", code))
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert traced and all(f"mzvkit.{module}" in loaded for module in traced)
+
+
+def test_tracer_resolves_every_traced_name():
+    # a name moved out of its module fails every `perfbench/run.py --trace 1` run
+    code = LOAD_TRACER + """
+import json, sys
+import mzvkit.cli
+from mzvkit.series import NCSeries
+
+def bound():
+    return [NCSeries.__mul__ if (module, name) == ("series", "mul")
+            else getattr(sys.modules["mzvkit." + module], name) for module, name in tracer.TRACED]
+
+before = bound()
+tracer.install([])
+print(json.dumps([f"{module}.{name}" for (module, name), old, new
+                  in zip(tracer.TRACED, before, bound()) if old is new]))
+"""
+    assert json.loads(_python("-c", code)) == []
 
 
 def _limit_memory():
