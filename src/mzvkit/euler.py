@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
-from operator import add, sub
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .exact import (INFINITY, Immutable, binomial, bernoulli, check_word, format_rational,
@@ -326,30 +325,33 @@ def coset_four_term_check(
     return CongruenceVerdict(valuation, mu.n, valuation >= mu.n)
 
 
-def _identity_sum_vectors(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
-                          modulus_exponent: int) -> Iterator[list[list[int]]]:
-    """Per word (n_1, ..., n_r), the coset identity's four unsigned sums in
-    ``FOUR_TERM`` order, each as a list over the bases in row-major order: the
-    values of :func:`_identity_sums` for every base at once, times
-    ``mu.denominator``."""
+def _identity_sum_tables(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
+                         modulus_exponent: int) -> Iterator[list[list[int]]]:
+    """Per word (n_1, ..., n_r), the coset sums at the final offset of each
+    ``FOUR_TERM`` entry, in that order, times ``mu.denominator``: the
+    identity's unsigned sum for that entry at base b is the entry's table at
+    index ``_four_term_maps(p^modulus_exponent, r)[entry][b]``."""
     offsets = sorted({-offset for _, _, offset in FOUR_TERM})
-    stream = coset_sums(mu, [(0, *word) for word in words], modulus_exponent, offsets)
     slots = [offsets.index(-offset) for _, _, offset in FOUR_TERM]
-    base_maps = _four_term_maps(mu.p**modulus_exponent, mu.r)
-    return ([list(map(sums[slot].__getitem__, cells)) for slot, cells in zip(slots, base_maps)]
-            for sums in stream)
+    stream = coset_sums(mu, [(0, *word) for word in words], modulus_exponent, offsets)
+    return ([sums[slot] for slot in slots] for sums in stream)
 
 
 def _identity_totals(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
                      modulus_exponent: int) -> Iterator[list[int]]:
     """Per word (n_1, ..., n_r), the coset identity's signed totals at the
     bases in row-major order, times ``mu.denominator``."""
-    vectors = _identity_sum_vectors(mu, words, modulus_exponent)
-    for word, sums in zip(words, vectors):
-        totals: list = [0] * len(sums[0])
-        for sign, vector in zip(_identity_signs(sum(word)), sums):
-            totals = list(map(add if sign > 0 else sub, totals, vector))
-        yield totals
+    maps = _four_term_maps(mu.p**modulus_exponent, mu.r)
+    # per parity of the exponent sum, the entries with sign + first: every
+    # parity has two of each sign, so one pattern a + b - c - d serves both
+    orders = [sorted(range(len(FOUR_TERM)), key=lambda entry: -_identity_signs(m)[entry])
+              for m in (0, 1)]
+    cells = [list(zip(*(maps[entry] for entry in order))) for order in orders]
+    tables = _identity_sum_tables(mu, words, modulus_exponent)
+    for word, sums in zip(words, tables):
+        odd = sum(word) % 2
+        a, b, c, d = (sums[entry] for entry in orders[odd])
+        yield [a[i] + b[j] - c[k] - d[l] for i, j, k, l in cells[odd]]
 
 
 def _screened_failures(totals: list[int], p: int,
@@ -401,10 +403,12 @@ def coset_lambda_tables(
     normalized-coefficient form."""
     exponents = check_word(exponents, mu.r)
     norm = factorial_norm(exponents) * mu.denominator
-    (sums,) = _identity_sum_vectors(mu, [exponents], modulus_exponent)
-    bases = _points(mu.p**modulus_exponent, mu.r)
+    (tables,) = _identity_sum_tables(mu, [exponents], modulus_exponent)
+    q = mu.p**modulus_exponent
+    bases = _points(q, mu.r)
     return tuple(
-        {base: Fraction(value, norm) for base, value in zip(bases, vector)} for vector in sums
+        {base: Fraction(table[cell], norm) for base, cell in zip(bases, cells)}
+        for table, cells in zip(tables, _four_term_maps(q, mu.r))
     )
 
 
