@@ -112,6 +112,31 @@ def _emit(report: dict, out: str | None) -> int:
     return _write([json.dumps(report, indent=2, sort_keys=True) + "\n"], out)
 
 
+def _with_rows(report: dict, key: str, rows: Iterable[str]) -> Iterator[str]:
+    """``report`` with the list ``rows`` at ``key``, printed as :func:`_emit`
+    would print it, in chunks: each row is already the text that json.dumps
+    gives an entry of that list, and is written as it comes."""
+    opened = f'"{key}": ['
+    head, _, tail = json.dumps({**report, key: []}, indent=2, sort_keys=True).partition(
+        opened + "]")
+    yield head + opened
+    separator = "\n"
+    for row in rows:
+        yield separator + row
+        separator = ",\n"
+    # an empty list stays "[]"
+    yield ("]" if separator == "\n" else "\n  ]") + tail + "\n"
+
+
+def _exponents_text(word: tuple[int, ...]) -> str:
+    """The "exponents" field of a row, as json.dumps indents it in a list entry."""
+    return '      "exponents": [\n        ' + ",\n        ".join(map(str, word)) + "\n      ],\n"
+
+
+def _valuation_text(value: int | float) -> str:
+    return '"inf"' if value == INFINITY else str(value)
+
+
 def _load_measure(
     args: argparse.Namespace, words_of: Callable[[int], list[tuple[int, ...]]]
 ) -> tuple[LevelMeasure, dict, list[tuple[int, ...]]]:
@@ -144,14 +169,6 @@ def _measure_report(command: str, mu: LevelMeasure, source: dict, exp_cap: int,
     """Report of a command that reads a measure: the shared header plus ``fields``."""
     return {"command": command, "p": mu.p, "n": mu.n, "r": mu.r, "source": source,
             "exponent_cap": exp_cap, **fields}
-
-
-def _vanish_sweep(mu: LevelMeasure, words: list[tuple[int, ...]]) -> list[dict]:
-    """One report row per odd exponent word."""
-    return [
-        {"exponents": list(word), **verdict.to_json_dict()}
-        for word, verdict in zip(words, vanishing_sweep(mu, words))
-    ]
 
 
 def _coset_sweep(mu: LevelMeasure,
@@ -189,9 +206,8 @@ def _rhombus_matches(table: LambdaTable) -> bool:
     return rhombus_product(table) == from_lambda_table(combination, degree_cap=table.r)
 
 
-def _kernel_json(basis: KernelBasis) -> Iterator[str]:
-    """The kernel report as ``json.dumps(report, indent=2, sort_keys=True)``
-    would print it, one basis vector per chunk.
+def _kernel_rows(basis: KernelBasis) -> Iterator[str]:
+    """The kernel report's "basis" entries as json.dumps indents them.
 
     Each vector is the line ``        "0"`` once per cell, with its nonzero
     entries dropped in; runs of zeros are sliced from one prepared block.
@@ -201,8 +217,6 @@ def _kernel_json(basis: KernelBasis) -> Iterator[str]:
     width = len(zero_line)
     zeros = zero_line * (p ** (n * r))
     head = f'    {{\n      "n": {n},\n      "p": {p},\n      "r": {r},\n      "values": [\n'
-    yield '{\n  "basis": ['
-    separator = "\n"
     for vector in basis.vectors:
         pieces = [head]
         start = 0
@@ -211,23 +225,28 @@ def _kernel_json(basis: KernelBasis) -> Iterator[str]:
             start = (column + 1) * width
         pieces.append(zeros[start:])
         # the last cell takes no comma
-        yield separator + "".join(pieces)[:-2] + "\n      ]\n    }"
-        separator = ",\n"
-    # never "[]": every negation orbit of cells gives a basis vector
-    yield (f'\n  ],\n  "command": "kernel",\n  "dimension": {basis.dimension},\n'
-           f'  "n": {n},\n  "p": {p},\n  "r": {r}\n}}\n')
+        yield "".join(pieces)[:-2] + "\n      ]\n    }"
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    return _write(_kernel_json(four_term_kernel(args.p, args.level, args.depth)), args.out)
+    basis = four_term_kernel(args.p, args.level, args.depth)
+    report = {"command": "kernel", "p": basis.p, "n": basis.n, "r": basis.r,
+              "dimension": basis.dimension}
+    return _write(_with_rows(report, "basis", _kernel_rows(basis)), args.out)
 
 
 def cmd_vanish(args: argparse.Namespace) -> int:
     mu, source, words = _load_measure(args, lambda r: _vanish_words(r, args.exp_cap))
-    checks = _vanish_sweep(mu, words)
-    all_pass = all(row["pass"] for row in checks)
-    report = _measure_report("vanish", mu, source, args.exp_cap, checks=checks, all_pass=all_pass)
-    _emit(report, args.out)
+    verdicts = vanishing_sweep(mu, words)
+    all_pass = all(verdict.passed for verdict in verdicts)
+    rows = (
+        f'    {{\n{_exponents_text(word)}      "pass": {"true" if verdict.passed else "false"},\n'
+        f'      "threshold": {verdict.threshold},\n'
+        f'      "valuation": {_valuation_text(verdict.valuation)}\n    }}'
+        for word, verdict in zip(words, verdicts)
+    )
+    report = _measure_report("vanish", mu, source, args.exp_cap, all_pass=all_pass)
+    _write(_with_rows(report, "checks", rows), args.out)
     return 0 if all_pass else 1
 
 
@@ -274,16 +293,16 @@ def cmd_check_cosets(args: argparse.Namespace) -> int:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     mu, source, words = _load_measure(args, lambda r: _exponent_words(r + 1, args.exp_cap, False))
-    rows = [
-        {
-            "exponents": list(word),
-            "moment": format_rational(value),
-            "lambda": format_rational(Fraction(value, factorial_norm(word))),
-            "valuation": _valuation_json(padic_valuation(value, mu.p)),
-        }
-        for word, value in zip(words, moment_sweep(mu, words))
-    ]
-    return _emit(_measure_report("moments", mu, source, args.exp_cap, moments=rows), args.out)
+    values = moment_sweep(mu, words)
+    rows = (
+        f'    {{\n{_exponents_text(word)}'
+        f'      "lambda": "{format_rational(Fraction(value, factorial_norm(word)))}",\n'
+        f'      "moment": "{format_rational(value)}",\n'
+        f'      "valuation": {_valuation_text(padic_valuation(value, mu.p))}\n    }}'
+        for word, value in zip(words, values)
+    )
+    report = _measure_report("moments", mu, source, args.exp_cap)
+    return _write(_with_rows(report, "moments", rows), args.out)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -310,8 +329,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     basis = four_term_kernel(p, n, r)
     mu = random_kernel_measure(p, n, r, seed=seed)
-    vanish_rows = _vanish_sweep(mu, vanish_words)
-    vanish_failures = sum(not row["pass"] for row in vanish_rows)
+    vanish_verdicts = vanishing_sweep(mu, vanish_words)
+    vanish_failures = sum(not verdict.passed for verdict in vanish_verdicts)
     coset_total, coset_failures, _ = _coset_sweep(mu, coset_words)
 
     all_pass = series_ok and rhombus_ok and vanish_failures == 0 and not coset_failures
@@ -330,7 +349,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             "rhombus_four_term": {"pass": rhombus_ok},
             "kernel": {"dimension": basis.dimension},
             "vanishing": {
-                "total": len(vanish_rows),
+                "total": len(vanish_verdicts),
                 "failures": vanish_failures,
                 "pass": vanish_failures == 0,
             },
