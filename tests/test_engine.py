@@ -165,6 +165,28 @@ def test_gcd_screen_matches_per_total_valuations(case, data, k):
                                  [(i, v) for i, v in enumerate(lowered) if v < mu.n])
 
 
+@settings(max_examples=20, deadline=None)
+@given(measures_and_words(extra=0, max_words=4))
+def test_identity_totals_match_signed_coset_moments(case):
+    """Each total, sign included, against the four coset moments of
+    ``FOUR_TERM`` with signs sign * scale^m, m the exponent sum, one base at
+    a time; valuations alone would not see a total of the wrong sign."""
+    mu, words = case
+    for e in range(mu.n + 1):
+        stride = mu.p**e
+        bases = LevelMeasure.zero(mu.p, e, mu.r).points()
+        for word, totals in zip(words, _identity_totals(mu, words, e)):
+            m = sum(word)
+            assert totals == [
+                mu.denominator * sum(
+                    sign * scale**m * coset_moment(
+                        mu, Coset(tuple((scale * b + offset) % stride for b in base), e),
+                        (0, *word), -offset)
+                    for sign, scale, offset in FOUR_TERM)
+                for base in bases
+            ]
+
+
 @st.composite
 def integer_totals(draw):
     """A prime, a level and integer totals that are multiples of p^0..p^(n+1), or zero."""
