@@ -3,7 +3,9 @@
 Every command prints one JSON document (sorted keys, two-space indent, ASCII)
 so that a fixed configuration and seed produce byte-identical output.  Exit
 codes: 0 when every verdict passes, 1 when any check fails, 2 on usage or
-input errors.
+input errors.  ``kernel``, ``moments`` and ``vanish`` stream their rows: each
+is formatted straight into the text ``json.dumps`` would give it and written
+as it is made, so neither the rows nor the whole document are held.
 """
 
 from __future__ import annotations
