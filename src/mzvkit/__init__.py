@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for depth-graded coefficient identities.
 
 Layers: exact scalars (`exact`), truncated non-commutative series (`series`),
-finite-level measures (`measures`), the path/cocycle calculus (`paths`),
+finite-level measures (`measures`), the rhombus product (`paths`),
 parity-vanishing certificates and congruence checks (`euler`), test-data
 synthesis (`synth`), and a deterministic JSON-reporting CLI (`cli`).
 """

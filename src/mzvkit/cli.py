@@ -15,7 +15,6 @@ import json
 import sys
 from fractions import Fraction
 from math import comb
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .euler import (
@@ -146,7 +145,8 @@ def _load_measure(
     with the exponent words ``words_of(depth)``.  The words are enumerated
     before a seeded measure is built, so their guard runs first."""
     if args.infile is not None:
-        data = json.loads(Path(args.infile).read_text(encoding="ascii"))
+        with open(args.infile, encoding="ascii") as handle:
+            data = json.load(handle)
         mu = measure_from_json_dict(data)
         for flag, got, expected in (
             ("--p", args.p, mu.p),

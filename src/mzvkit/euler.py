@@ -14,14 +14,12 @@ from math import factorial, gcd
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .exact import (INFINITY, Immutable, binomial, bernoulli, check_word, format_rational,
-                    padic_valuation, parse_rational)
+                    padic_valuation)
 from .measures import (FOUR_TERM, Coset, LevelMeasure, _four_term_maps, _points, coset_moment,
                        coset_sums, factorial_norm, four_term_is_zero, moment, moment_sweep)
-from .series import LambdaTable
 
 __all__ = [
     "Poly",
-    "poly_eval",
     "four_term_poly",
     "four_term_poly_coeffs",
     "MAX_CERTIFICATE_EXPONENT",
@@ -34,11 +32,8 @@ __all__ = [
     "coset_identity_sweep",
     "coset_lambda_tables",
     "coefficient_four_term_check",
-    "FiltrationReport",
-    "filtration_check",
     "depth_one_bernoulli_value",
     "certificate_to_json_dict",
-    "certificate_from_json_dict",
 ]
 
 Poly = tuple[Fraction, ...]
@@ -78,29 +73,19 @@ def _shifted_power(offset: int, q: int) -> Poly:
     return tuple(Fraction(binomial(q, k) * offset ** (q - k)) for k in range(q + 1))
 
 
-def _monomial(q: int, coeff: Fraction | int = 1) -> Poly:
-    return _trim([Fraction(0)] * q + [Fraction(coeff)])
-
-
-def poly_eval(poly: Poly, x: Fraction | int) -> Fraction:
-    total = Fraction(0)
-    for coeff in reversed(poly):
-        total = total * x + coeff
-    return total
-
-
 def four_term_poly(q: int, m_parity: Parity) -> Poly:
     """x^q - (-1)^(m+q) x^q + (-1)^(m+q) (x-1)^q - (x+1)^q for the given parity of m.
 
     This is the one-variable shadow of the signed four-term combination after
-    the three affine changes of variables.
+    the three affine changes of variables: per ``FOUR_TERM`` entry, the coset
+    identity's sign for exponent sum m + q times (x - offset)^q.
     """
     if q < 0:
         raise ValueError("exponent must be non-negative")
-    sign = -1 if (_parity_is_odd(m_parity) + q) % 2 else 1
-    out = _monomial(q, 1 - sign)
-    out = _poly_add(out, _shifted_power(-1, q), Fraction(sign))
-    out = _poly_add(out, _shifted_power(1, q), Fraction(-1))
+    out: Poly = ()
+    signs = _identity_signs(_parity_is_odd(m_parity) + q)
+    for sign, (_, _, offset) in zip(signs, FOUR_TERM):
+        out = _poly_add(out, _shifted_power(-offset, q), Fraction(sign))
     return out
 
 
@@ -207,14 +192,6 @@ def certificate_to_json_dict(cert: VanishingCertificate, p: int) -> dict:
         ],
         "slack": cert.slack(p),
     }
-
-
-def certificate_from_json_dict(data: Mapping) -> VanishingCertificate:
-    return VanishingCertificate(
-        tuple(int(e) for e in data["target"]),
-        tuple(sorted((int(entry["q"]), parse_rational(entry["coeff"]))
-                     for entry in data["combination"])),
-    )
 
 
 class CongruenceVerdict(Immutable):
@@ -433,56 +410,6 @@ def coefficient_four_term_check(
         combo = sum(sign * table[idx] for sign, table in zip(signs, tables))
         worst = min(worst, padic_valuation(combo, p))
     return CongruenceVerdict(worst, threshold, worst >= threshold)
-
-
-class FiltrationReport(Immutable):
-    """Zero-ness of pure-letter coefficient layers, by (level, depth).
-
-    ``cumulative`` verdicts ask that every recorded depth <= k vanish at a
-    level; ``exact`` verdicts ask only about depth == k.  A cumulative verdict
-    holding at all recorded levels implies it at each single level.
-    """
-
-    _fields = ("levels", "depths", "zero_cells")
-
-    def __init__(self, levels: tuple[int, ...], depths: tuple[int, ...],
-                 zero_cells: Mapping[tuple[int, int], bool]) -> None:
-        self._assign(levels, depths, zero_cells)
-
-    def exact_verdict(self, level: int, k: int) -> bool:
-        return all(flag for (lv, depth), flag in self.zero_cells.items()
-                   if lv == level and depth == k)
-
-    def cumulative_verdict(self, level: int, k: int) -> bool:
-        return all(flag for (lv, depth), flag in self.zero_cells.items()
-                   if lv == level and depth <= k)
-
-    def uniform_verdict(self, k: int) -> bool:
-        return all(self.cumulative_verdict(level, k) for level in self.levels)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "depths": list(self.depths),
-            "cells": [
-                {"level": lv, "depth": depth, "zero": flag}
-                for (lv, depth), flag in sorted(self.zero_cells.items())
-            ],
-        }
-
-
-def filtration_check(tables: Iterable[LambdaTable], k: int | None = None) -> FiltrationReport:
-    """Summarize which supplied coefficient layers vanish, up to depth k."""
-    zero_cells: dict[tuple[int, int], bool] = {}
-    for table in tables:
-        if k is not None and table.r > k:
-            continue
-        key = (table.n, table.r)
-        flag = not table.coeffs
-        zero_cells[key] = zero_cells.get(key, True) and flag
-    levels = tuple(sorted({lv for lv, _ in zero_cells}))
-    depths = tuple(sorted({depth for _, depth in zero_cells}))
-    return FiltrationReport(levels, depths, zero_cells)
 
 
 def depth_one_bernoulli_value(scaling: Fraction | int, n: int) -> Fraction:

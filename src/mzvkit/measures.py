@@ -52,7 +52,6 @@ __all__ = [
     "moment_sweep",
     "coset_sums",
     "factorial_norm",
-    "lambda_coefficient",
     "coset_moment",
     "measure_from_lambda_table",
     "lambda_table_from_measure",
@@ -278,27 +277,15 @@ def _integrand_vector(q: int, r: int, exponents: tuple[int, ...], final_offset: 
     return tuple(_integrand_value(point, exponents, final_offset) for point in _points(q, r))
 
 
-def moment(
-    mu: LevelMeasure,
-    exponents: Sequence[int],
-    lifts: Mapping[int, int] | None = None,
-) -> Fraction:
+def moment(mu: LevelMeasure, exponents: Sequence[int]) -> Fraction:
     """Finite sum of the difference-monomial integrand against the table.
 
     The integrand is (-x_1)^{e_0} (x_1-x_2)^{e_1} ... (x_{r-1}-x_r)^{e_{r-1}} x_r^{e_r},
     evaluated at the canonical representatives in [0, p^n); no factorial
-    normalization is applied.  ``lifts`` optionally overrides the integer
-    representative chosen for each residue.
+    normalization is applied.
     """
     exponents = check_word(exponents, mu.r + 1)
-    q = mu.modulus
-    if lifts is None:
-        integrand = _integrand_vector(q, mu.r, exponents, 0)
-    else:
-        table = [lifts.get(residue, residue) for residue in range(q)]
-        integrand = tuple(
-            _integrand_value([table[c] for c in point], exponents) for point in mu.points()
-        )
+    integrand = _integrand_vector(mu.modulus, mu.r, exponents, 0)
     return Fraction(sum(map(mul, integrand, mu.numerators)), mu.denominator)
 
 
@@ -472,15 +459,6 @@ def moment_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[Fract
 def factorial_norm(exponents: Sequence[int]) -> int:
     """Product of the exponent factorials, which turns a moment into a coefficient."""
     return prod(factorial(e) for e in exponents)
-
-
-def lambda_coefficient(
-    mu: LevelMeasure,
-    exponents: Sequence[int],
-    lifts: Mapping[int, int] | None = None,
-) -> Fraction:
-    """The moment normalized by the product of the exponent factorials."""
-    return moment(mu, exponents, lifts) / factorial_norm(exponents)
 
 
 def _coset_points(mu: LevelMeasure, coset: Coset) -> list[tuple[int, ...]]:

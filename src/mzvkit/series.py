@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exact import Immutable, check_config, format_rational, parse_rational
+from .exact import Immutable, check_config, format_rational
 
 __all__ = [
     "X",
@@ -32,12 +32,9 @@ __all__ = [
     "log",
     "inverse",
     "substitute",
-    "depth_truncate",
-    "y_pure_part",
     "from_lambda_table",
     "to_lambda_table",
     "series_to_json_dict",
-    "series_from_json_dict",
 ]
 
 X = -1
@@ -75,25 +72,8 @@ class Alphabet(Immutable):
         self.check_letter(letter)
         return "X" if letter == X else f"Y{letter}"
 
-    def parse_letter(self, name: str) -> int:
-        if name == "X":
-            return X
-        if name.startswith("Y"):
-            try:
-                code = int(name[1:])
-            except ValueError:
-                raise ValueError(f"bad letter name {name!r}") from None
-            self.check_letter(code)
-            return code
-        raise ValueError(f"bad letter name {name!r}")
-
     def word_name(self, word: Word) -> str:
         return ".".join(self.letter_name(letter) for letter in word)
-
-    def parse_word(self, text: str) -> Word:
-        if not text:
-            return EMPTY_WORD
-        return tuple(self.parse_letter(part) for part in text.split("."))
 
 
 def _exact(value: object) -> Fraction | int:
@@ -459,22 +439,6 @@ def _x_free(series: NCSeries, degree: int) -> dict[int, int]:
     }
 
 
-def depth_truncate(series: NCSeries, r: int) -> NCSeries:
-    """Discard all words of degree above r (the truncation degree is kept)."""
-    if r < 0:
-        raise ValueError("depth bound must be non-negative")
-    kept = {degree: bucket for degree, bucket in series._num.items() if degree <= r}
-    return NCSeries._reduced(series.alphabet, series.degree_cap, kept, series._den)
-
-
-def y_pure_part(series: NCSeries, r: int) -> NCSeries:
-    """Keep only X-free words of degree at most r (the constant term qualifies)."""
-    if r < 0:
-        raise ValueError("depth bound must be non-negative")
-    kept = _nonzero({degree: _x_free(series, degree) for degree in series._num if degree <= r})
-    return NCSeries._reduced(series.alphabet, series.degree_cap, kept, series._den)
-
-
 class LambdaTable(Immutable):
     """Depth-r coefficient table indexed by residue tuples mod p^n.
 
@@ -506,20 +470,6 @@ class LambdaTable(Immutable):
 
     def value(self, idx: tuple[int, ...]) -> Fraction:
         return self.coeffs.get(tuple(idx), Fraction(0))
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        for idx in sorted(self.coeffs):
-            yield idx, self.coeffs[idx]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LambdaTable):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.n == other.n
-            and self.r == other.r
-            and dict(self.coeffs) == dict(other.coeffs)
-        )
 
 
 def from_lambda_table(table: LambdaTable, degree_cap: int | None = None) -> NCSeries:
@@ -562,12 +512,3 @@ def series_to_json_dict(series: NCSeries) -> dict:
             for word, coeff in series.terms()
         ],
     }
-
-
-def series_from_json_dict(data: Mapping) -> NCSeries:
-    alphabet = Alphabet(int(data["p"]), int(data["n"]))
-    cap = int(data["D"])
-    terms: list[tuple[Word, Fraction]] = []
-    for entry in data["terms"]:
-        terms.append((alphabet.parse_word(entry["word"]), parse_rational(entry["coeff"])))
-    return NCSeries(alphabet, cap, terms)

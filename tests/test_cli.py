@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import itertools
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -13,10 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mzvkit
 from mzvkit.cli import main
 from mzvkit.euler import vanishing_check
 from mzvkit.exact import INFINITY, format_rational, padic_valuation
-from mzvkit.measures import LevelMeasure, lambda_coefficient, measure_to_json_dict, moment
+from mzvkit.measures import LevelMeasure, factorial_norm, measure_to_json_dict, moment
 from mzvkit.synth import _cached_kernel, four_term_kernel, random_kernel_measure
 
 
@@ -213,7 +216,7 @@ def _table_report(command, mu, path, cap):
     if command == "moments":
         report["moments"] = [
             {"exponents": list(word), "moment": format_rational(moment(mu, word)),
-             "lambda": format_rational(lambda_coefficient(mu, word)),
+             "lambda": format_rational(moment(mu, word) / factorial_norm(word)),
              "valuation": _valuation(moment(mu, word), mu.p)}
             for word in _words(mu.r + 1, cap, odd=False)
         ]
@@ -365,6 +368,15 @@ def test_cli_import_loads_every_module_without_dataclasses():
     loaded, traced = json.loads(_python("-S", "-c", code))
     assert "dataclasses" not in loaded and "inspect" not in loaded
     assert traced and all(f"mzvkit.{module}" in loaded for module in traced)
+
+
+def test_every_exported_name_is_bound():
+    # a stale __all__ entry would fail only on `from mzvkit.<module> import *`
+    modules = [importlib.import_module(f"mzvkit.{info.name}")
+               for info in pkgutil.iter_modules(mzvkit.__path__) if info.name != "__main__"]
+    assert all(hasattr(module, "__all__") for module in modules)
+    assert [f"{module.__name__}.{name}" for module in modules for name in module.__all__
+            if not hasattr(module, name)] == []
 
 
 def test_tracer_resolves_every_traced_name():

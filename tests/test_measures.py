@@ -8,12 +8,13 @@ from mzvkit.exact import padic_valuation
 from mzvkit.measures import (
     Coset,
     LevelMeasure,
+    _integrand_value,
     affine_pushforward,
     coset_moment,
+    factorial_norm,
     four_term,
     four_term_is_zero,
     index_to_point,
-    lambda_coefficient,
     lambda_table_from_measure,
     measure_from_json_dict,
     measure_from_lambda_table,
@@ -172,10 +173,10 @@ def test_moment_validates_exponents():
         moment(mu, (0, -1))
 
 
-def test_lambda_coefficient_divides_by_factorials():
-    mu = LevelMeasure.constant(3, 1, 1)
-    assert lambda_coefficient(mu, (0, 2)) == moment(mu, (0, 2)) / 2
-    assert lambda_coefficient(mu, (3, 2)) == moment(mu, (3, 2)) / 12
+def test_factorial_norm_is_the_product_of_the_factorials():
+    assert factorial_norm((0, 2)) == 2
+    assert factorial_norm((3, 2)) == 12
+    assert factorial_norm(()) == 1
 
 
 @settings(max_examples=40)
@@ -249,7 +250,9 @@ def test_moments_are_stable_under_representative_change(mu):
     q = mu.modulus
     e = (1,) + (2,) * mu.r
     baseline = moment(mu, e)
-    shifted = moment(mu, e, lifts={residue: residue + q for residue in range(q)})
+    # the integrand at the representatives in [q, 2q) instead of [0, q)
+    shifted = sum(value * _integrand_value([c + q for c in point], e)
+                  for point, value in zip(mu.points(), mu.values))
     assert padic_valuation(shifted - baseline, mu.p) >= mu.n
 
 

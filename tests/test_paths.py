@@ -1,32 +1,9 @@
-from fractions import Fraction
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvkit.paths import (
-    OCTAGON_FACTORS,
-    PathCocycle,
-    PathWord,
-    compose_cocycle,
-    inverse_cocycle,
-    invert_letters,
-    octagon_conjugators,
-    octagon_product,
-    octagon_relation,
-    rhombus_product,
-    rotate_letters,
-)
+from mzvkit.paths import rhombus_product
 from mzvkit.series import Alphabet, LambdaTable, NCSeries, from_lambda_table, inverse, substitute
 
 AB3 = Alphabet(3, 1)
-
-
-def series(alphabet, cap, terms):
-    return NCSeries(alphabet, cap, {tuple(w): Fraction(c) for w, c in terms.items()})
-
-
-def group_like(alphabet, cap, terms):
-    return series(alphabet, cap, {(): 1, **terms})
 
 
 @st.composite
@@ -39,157 +16,20 @@ def depth_one_tables(draw, p=3, n=1, bound=9):
     return LambdaTable(p, n, 1, coeffs)
 
 
-def test_path_word_reduction():
-    s = PathWord.generator("s")
-    t = PathWord.generator("t", -1)
-    assert (s * s.inverse()).is_identity()
-    assert s * t * t.inverse() == s
-    assert len(s * t) == 2
-    with pytest.raises(ValueError):
-        PathWord((("s", 1), ("s", -1)))
-    with pytest.raises(ValueError):
-        PathWord((("s", 2),))
-
-
-def test_octagon_relation_closes():
-    relation = octagon_relation()
-    assert [name for name, _ in relation.syllables] == list(OCTAGON_FACTORS)
-    conjugators = octagon_conjugators()
-    # the full conjugator equals everything right of the first factor, so
-    # substituting s = a6^{-1} collapses the relation to the identity
-    assert relation == PathWord.generator("s") * conjugators["a6"]
-    assert (conjugators["a6"].inverse() * conjugators["a6"]).is_identity()
-
-
-def test_conjugators_nest():
-    conjugators = octagon_conjugators()
-    assert conjugators["a1"] == PathWord.generator("t") * PathWord.generator("pi")
-    for outer, name in zip(("a2", "a3", "a4", "a5", "a6"), ("q", "eta", "d", "e", "c")):
-        inner = f"a{int(outer[1]) - 1}"
-        assert conjugators[outer] == PathWord.generator(name) * conjugators[inner]
-
-
-def test_rotate_preset_has_full_cycle_order():
-    s = group_like(AB3, 2, {(0, 1): 3, (2, 2): -1})
-    rotated = s
-    for _ in range(AB3.modulus):
-        rotated = substitute(rotated, rotate_letters(AB3, 2))
-    assert rotated == s
-    assert substitute(s, rotate_letters(AB3, 2, step=AB3.modulus)) == s
-
-
-def test_invert_preset_is_involution_on_y_letters():
-    s = group_like(AB3, 2, {(0, 1): 3, (1, 2): -5})
-    images = invert_letters(AB3, 2)
-    assert substitute(substitute(s, images), images) == s
-    assert substitute(s, images) == group_like(AB3, 2, {(0, 2): 3, (2, 1): -5})
-
-
-def test_invert_preset_x_image_is_opt_in():
-    s = group_like(AB3, 2, {(-1, 0): 1})
-    with pytest.raises(ValueError):
-        substitute(s, invert_letters(AB3, 2))
-    x_image = NCSeries.letter(AB3, 2, -1)
-    assert substitute(s, invert_letters(AB3, 2, x_image=x_image)) == s
-
-
-def test_compose_with_trivial_right_factor_conjugates():
-    f_beta = group_like(AB3, 2, {(0,): 2})
-    one = NCSeries.one(AB3, 2)
-    rotated = compose_cocycle(f_beta, one, rotate_letters(AB3, 2))
-    assert rotated == group_like(AB3, 2, {(1,): 2})
-    assert compose_cocycle(one, f_beta) == f_beta
-
-
-def test_compose_adds_depth_one_layers():
-    f_beta = group_like(AB3, 1, {(0,): 2, (1,): -1})
-    f_alpha = group_like(AB3, 1, {(0,): 5, (2,): 4})
-    assert compose_cocycle(f_beta, f_alpha) == group_like(
-        AB3, 1, {(0,): 7, (1,): -1, (2,): 4}
-    )
-
-
-def test_compose_requires_constant_term_one():
-    with pytest.raises(ValueError):
-        compose_cocycle(NCSeries.zero(AB3, 1), NCSeries.one(AB3, 1))
-
-
-def test_inverse_cocycle_examples():
-    one = NCSeries.one(AB3, 1)
-    assert inverse_cocycle(one) == one
-    f = group_like(AB3, 1, {(0,): 2})
-    assert inverse_cocycle(f) == group_like(AB3, 1, {(0,): -2})
-
-
-@settings(max_examples=30)
-@given(table=depth_one_tables())
-def test_round_trip_cocycle_is_trivial(table):
-    f = from_lambda_table(table, degree_cap=3)
-    one = NCSeries.one(AB3, 3)
-    assert compose_cocycle(inverse_cocycle(f), f) == one
-    # conjugation substitutions cancel when the reversed path undoes the rotation
-    backward = inverse_cocycle(f, rotate_letters(AB3, 3, step=-1))
-    assert compose_cocycle(backward, f, rotate_letters(AB3, 3, step=1)) == one
-
-
-def test_octagon_product_of_ones_is_one():
-    one = NCSeries.one(AB3, 2)
-    cocycle = PathCocycle({name: one for name in OCTAGON_FACTORS})
-    assert octagon_product(cocycle) == one
-
-
-def test_octagon_product_single_factor_passes_through():
-    one = NCSeries.one(AB3, 2)
-    f = group_like(AB3, 2, {(0,): 3})
-    assignments = {name: one for name in OCTAGON_FACTORS}
-    assignments["d"] = f
-    assert octagon_product(PathCocycle(assignments)) == f
-
-
-def test_octagon_product_requires_all_factors():
-    one = NCSeries.one(AB3, 2)
-    cocycle = PathCocycle({"s": one})
-    with pytest.raises(ValueError):
-        octagon_product(cocycle)
-
-
-def test_cocycle_validates_constant_terms():
-    with pytest.raises(ValueError):
-        PathCocycle({"s": NCSeries.zero(AB3, 2)})
-
-
-def test_cocycle_json_round_trip():
-    one = NCSeries.one(AB3, 2)
-    cocycle = PathCocycle({"s": one, "pi": group_like(AB3, 2, {(1, 1): Fraction(1, 2)})})
-    data = cocycle.to_json_dict()
-    restored = PathCocycle.from_json_dict(data)
-    assert restored.series("pi") == cocycle.series("pi")
-    assert restored.series("s") == one
-
-
 @settings(max_examples=30)
 @given(table=depth_one_tables())
 def test_octagon_reduces_to_rhombus(table):
-    # the four nontrivial closure factors built from one series F realize the
-    # depth-graded index maps i+1, 1-i, -i, i; the other four factors are 1
+    # the eight-factor closure product with four factors 1 and no
+    # conjugators: the other four, built from one series F, realize the
+    # depth-graded index maps i+1, 1-i, -i, i
     cap = table.r
     f = from_lambda_table(table, degree_cap=cap)
-    one = NCSeries.one(AB3, cap)
-    rotate = rotate_letters(AB3, cap)
-    invert = invert_letters(AB3, cap)
-    cocycle = PathCocycle(
-        {
-            "s": one,
-            "c": substitute(inverse(f), rotate),
-            "e": one,
-            "d": substitute(substitute(f, invert), rotate),
-            "eta": one,
-            "q": substitute(inverse(f), invert),
-            "t": one,
-            "pi": f,
-        }
-    )
-    assert octagon_product(cocycle) == rhombus_product(table)
+    q = AB3.modulus
+    rot = {i: NCSeries.letter(AB3, cap, (i + 1) % q) for i in range(q)}
+    inv = {i: NCSeries.letter(AB3, cap, -i % q) for i in range(q)}
+    octagon = (substitute(inverse(f), rot) * substitute(substitute(f, inv), rot)
+               * substitute(inverse(f), inv) * f)
+    assert octagon == rhombus_product(table)
 
 
 def test_rhombus_of_zero_table_is_one():
