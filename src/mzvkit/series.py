@@ -133,7 +133,7 @@ class NCSeries(Immutable):
             bucket[code] = bucket.get(code, 0) + _exact(coeff)
         # over the lcm of the reduced denominators the numerators are coprime to it
         den = lcm(*(c.denominator for bucket in collected.values() for c in bucket.values()))
-        num = _nonzero({
+        num = _drop_zeros({
             degree: {code: c.numerator * (den // c.denominator) for code, c in bucket.items()}
             for degree, bucket in collected.items()
         })
@@ -142,15 +142,18 @@ class NCSeries(Immutable):
     @classmethod
     def _reduced(cls, alphabet: Alphabet, degree_cap: int, num: IntBuckets, den: int) -> "NCSeries":
         # trusted constructor: valid codes, no zero entries or empty buckets,
-        # den > 0; divides out the gcd of den and the numerators
+        # den > 0.  It takes ownership of ``num``: the gcd of den and the
+        # numerators is divided out in place, so ``num`` and its buckets must be
+        # fresh dicts that no series holds.
         g = den
         for bucket in num.values():
             if g == 1:
                 break
             g = gcd(g, *bucket.values())
         if g > 1:
-            num = {degree: {code: v // g for code, v in bucket.items()}
-                   for degree, bucket in num.items()}
+            for bucket in num.values():
+                for code, v in bucket.items():
+                    bucket[code] = v // g
             den //= g
         return cls._new(alphabet, degree_cap, num, den)
 
@@ -213,7 +216,7 @@ class NCSeries(Immutable):
         acc: IntBuckets = {}
         _add_into(acc, self._num, den // self._den)
         _add_into(acc, other._num, sign * (den // other._den))
-        return NCSeries._reduced(self.alphabet, self.degree_cap, _nonzero(acc), den)
+        return NCSeries._reduced(self.alphabet, self.degree_cap, _drop_zeros(acc), den)
 
     def __add__(self, other: "NCSeries") -> "NCSeries":
         return self._combined(other, 1)
@@ -257,53 +260,78 @@ class NCSeries(Immutable):
         return f"NCSeries(p={self.alphabet.p}, n={self.alphabet.n}, D={self.degree_cap}: {body})"
 
 
-def _nonzero(buckets: IntBuckets) -> IntBuckets:
-    """The buckets without zero entries, and without the buckets left empty."""
-    out: IntBuckets = {}
-    for degree, bucket in buckets.items():
-        kept = {code: v for code, v in bucket.items() if v}
-        if kept:
-            out[degree] = kept
-    return out
+def _drop_zeros(buckets: IntBuckets) -> IntBuckets:
+    """Removes zero entries, and the buckets left empty, from fresh buckets in
+    place and returns them.  A bucket that holds a zero is rebuilt, one bucket
+    at a time, so that one which mostly cancelled does not keep its table."""
+    for degree, bucket in list(buckets.items()):
+        if 0 in bucket.values():
+            kept = {code: v for code, v in bucket.items() if v}
+            if kept:
+                buckets[degree] = kept
+            else:
+                del buckets[degree]
+    return buckets
 
 
 def _product(left: IntBuckets, right: IntBuckets, cap: int, base: int) -> IntBuckets:
     """Product of two integer series without zero entries, truncated at degree
     ``cap``, on word codes in ``base``.
 
-    Within one pair of degrees every concatenation is a distinct word, so the
-    first pair reaching an output degree fills its bucket directly; later pairs
-    add into it, and only those buckets can cancel to zero.
+    Within one pair of degrees every concatenation is a distinct word with a
+    nonzero numerator, so an output degree reached by one pair is filled
+    directly.  A degree reached by several pairs can cancel, and is summed one
+    leading-letter slice at a time: the words that start with one letter (X,
+    digit 0, is one of the letters) are summed over every pair, and only their
+    nonzero entries are kept before the next slice is built.  So the transient
+    is one slice, not the whole bucket.  A word's first letter is that of its
+    left factor; a constant left factor only scales, so such a pair is summed
+    as the right bucket times the constant, sliced by the right word.
     """
+    reaching: dict[int, list[tuple[int, int]]] = {}
+    for deg_a in left:
+        for deg_b in right:
+            if deg_a + deg_b <= cap:
+                reaching.setdefault(deg_a + deg_b, []).append((deg_a, deg_b))
     out: IntBuckets = {}
-    merged: set[int] = set()
-    for deg_a, bucket_a in left.items():
-        for deg_b, bucket_b in right.items():
-            degree = deg_a + deg_b
-            if degree > cap:
-                continue
-            shift = base**deg_b
-            target = out.get(degree)
-            if target is None:
-                out[degree] = {
-                    offset + code_b: coeff_a * coeff_b
-                    for code_a, coeff_a in bucket_a.items()
-                    for offset in [code_a * shift]
-                    for code_b, coeff_b in bucket_b.items()
-                }
-                continue
-            merged.add(degree)
-            for code_a, coeff_a in bucket_a.items():
-                offset = code_a * shift
-                for code_b, coeff_b in bucket_b.items():
-                    code = offset + code_b
-                    target[code] = target.get(code, 0) + coeff_a * coeff_b
-    for degree in merged:
-        kept = {code: v for code, v in out[degree].items() if v}
-        if kept:
-            out[degree] = kept
-        else:
-            del out[degree]
+    for degree, pairs in reaching.items():
+        if len(pairs) == 1:
+            [(deg_a, deg_b)] = pairs
+            bucket_b, shift = right[deg_b], base**deg_b
+            out[degree] = {
+                offset + code_b: coeff_a * coeff_b
+                for code_a, coeff_a in left[deg_a].items()
+                for offset in [code_a * shift]
+                for code_b, coeff_b in bucket_b.items()
+            }
+            continue
+        # per pair: the lead bucket's codes by first letter, the lead bucket,
+        # the other bucket and the lead code's shift.  Indexing once makes a
+        # slice cost its own size; rescanning each lead bucket per slice costs
+        # the alphabet size times the bucket.
+        factors = []
+        for deg_a, deg_b in pairs:
+            bucket_a, bucket_b, shift = left[deg_a], right[deg_b], base**deg_b
+            if not deg_a:
+                bucket_a, bucket_b, deg_a, shift = bucket_b, bucket_a, deg_b, 1
+            span = base ** (deg_a - 1)
+            by_lead: list[list[int]] = [[] for _ in range(base)]
+            for code_a in bucket_a:
+                by_lead[code_a // span].append(code_a)
+            factors.append((by_lead, bucket_a, bucket_b, shift))
+        summed: dict[int, int] = {}
+        for lead in range(base):
+            acc: dict[int, int] = {}
+            for by_lead, bucket_a, bucket_b, shift in factors:
+                for code_a in by_lead[lead]:
+                    coeff_a = bucket_a[code_a]
+                    offset = code_a * shift
+                    for code_b, coeff_b in bucket_b.items():
+                        code = offset + code_b
+                        acc[code] = acc.get(code, 0) + coeff_a * coeff_b
+            summed.update((code, v) for code, v in acc.items() if v)
+        if summed:
+            out[degree] = summed
     return out
 
 
@@ -346,9 +374,10 @@ def _power_sum(
         if num:
             horner[0] = {0: num * (common // (den * c**k))}  # u has no constant term
     factor, scale_den = scale
-    if factor != 1:
-        horner = {degree: {code: factor * v for code, v in bucket.items()}
-                  for degree, bucket in horner.items()}
+    if factor != 1:  # horner is fresh: scale it in place
+        for bucket in horner.values():
+            for code, v in bucket.items():
+                bucket[code] = factor * v
     return NCSeries._reduced(like.alphabet, cap, horner, common * scale_den)
 
 
@@ -426,7 +455,7 @@ def substitute(series: NCSeries, images: Mapping[int, NCSeries]) -> NCSeries:
     acc: IntBuckets = {}
     for v, numerators, den in parts:
         _add_into(acc, numerators, v * (common // den))
-    return NCSeries._reduced(series.alphabet, cap, _nonzero(acc), common * series._den)
+    return NCSeries._reduced(series.alphabet, cap, _drop_zeros(acc), common * series._den)
 
 
 def _x_free(series: NCSeries, degree: int) -> dict[int, int]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -444,6 +445,35 @@ def test_series_digests(name):
     assert got == expected
 
 
+# The DIGEST_TABLES series come from lambda tables and hold no X.  This one has
+# X-led and Y-led words of degrees 1 to 3, so each degree from 2 up is reached
+# by several pairs of degrees in every power; sha256 as above of log(s),
+# exp(s - 1) and inverse(s), recorded before products were summed by slices.
+MIXED_SERIES = NCSeries(AB3, 6, {
+    (): 1, (X,): Fraction(1, 2), (0,): -1, (X, 1): Fraction(2, 3), (2, X): Fraction(-1, 5),
+    (X, X, 0): Fraction(3, 7), (1, 0, X): Fraction(-4, 3), (2, 2, 1): Fraction(1, 4),
+})
+MIXED_DIGESTS = {
+    "log": "68e11417e955e04463450ecf8612fc3ff54e6447bf4e99ea736a9d0e64fdfd73",
+    "exp": "b0e320245215dff6b8df460b003f0df501b9724eab04a881a0dce5e8eb4b0b36",
+    "inverse": "9c7cbe28210891b09951b6d6fa1b6929136c3897d3455d5fc702e8196d78f9b1",
+}
+
+
+def test_mixed_series_digests():
+    s = MIXED_SERIES
+    computed = {"log": log(s), "exp": exp(s - NCSeries.one(AB3, 6)), "inverse": inverse(s)}
+    got = {
+        key: hashlib.sha256(json.dumps(series_to_json_dict(x), sort_keys=True)
+                            .encode("ascii")).hexdigest()
+        for key, x in computed.items()
+    }
+    assert got == MIXED_DIGESTS
+    assert computed["log"] == fraction_log(s)
+    assert computed["exp"] == fraction_exp(s - NCSeries.one(AB3, 6))
+    assert computed["inverse"] == fraction_inverse(s)
+
+
 @settings(max_examples=80, deadline=None)
 @given(u=oracle_series())
 def test_exp_matches_fraction_oracle(u):
@@ -485,6 +515,120 @@ def test_horner_truncation_matches_fraction_oracle(case, data, c):
     assert log(one + u) == fraction_log(one + u)
     constant = NCSeries(u.alphabet, u.degree_cap, {(): c})
     assert inverse(constant + u) == fraction_inverse(constant + u)
+
+
+def x_and_y_led_series(alphabet, cap, max_extra=2):
+    """An X-led word, a Y-led word and up to ``max_extra`` words of any first
+    letter, of degrees 1..cap, with Fraction coefficients of denominator 1..9."""
+    tail = st.lists(st.sampled_from(alphabet.letters()), max_size=cap - 1)
+
+    def led(first):
+        return st.tuples(first, tail, SMALL_FRACTIONS).map(
+            lambda t: ((t[0], *t[1]), t[2]))
+
+    terms = st.tuples(led(st.just(X)), led(st.sampled_from(alphabet.letters()[1:])),
+                      st.lists(led(st.sampled_from(alphabet.letters())), max_size=max_extra))
+    return terms.map(lambda t: NCSeries(alphabet, cap, [t[0], t[1], *t[2]]))
+
+
+LED_SHAPES = st.tuples(st.sampled_from([AB2, AB3]), st.integers(2, 5))
+
+
+UNIT_WITH_X = series(AB3, 4, {(): 1, (X,): 1, (0, X): -2, (1,): Fraction(1, 3)})
+
+# (a, b, degree, first letters of the degree's surviving words of a * b): the
+# degree is reached by several pairs of degrees, so it is summed by slices
+SLICE_CASES = {
+    # (0, 2) and (2, 0): the Y1 slice cancels, only the X slice survives
+    "only-x-led-survives": (series(AB3, 4, {(): 1, (X, 0): 1, (1, 2): 1}),
+                            series(AB3, 4, {(): 1, (X, 0): 1, (1, 2): -1}), 2, {X}),
+    # (1, 2) and (2, 1): the X slice cancels, the next one, Y1, does not
+    "x-slice-cancels-next-survives": (series(AB3, 3, {(X,): 1, (X, 0): 1, (1,): 1, (1, 1): 1}),
+                                      series(AB3, 3, {(2,): 1, (0, 2): -1}), 3, {1}),
+    # a * inverse(a) = 1: every degree cancels in every slice
+    "every-slice-cancels": (UNIT_WITH_X, inverse(UNIT_WITH_X), 4, set()),
+    # (0, 2) and (1, 1): X.X and Y1.X cancel, in slices led by the right word
+    # of (0, 2); Y2.Y0 comes from the constant on the left
+    "constant-left": (series(AB3, 2, {(): 2, (X,): 1, (1,): 1}),
+                      series(AB3, 2, {(X,): 1, (X, X): Fraction(-1, 2), (1, X): Fraction(-1, 2),
+                                      (2, 0): 1}), 2, {2}),
+    # (1, 1) and (2, 0): X.X cancels, X.Y1 survives beside the constant's Y2.Y0
+    "constant-right": (series(AB3, 2, {(X,): 1, (X, X): Fraction(-1, 2), (2, 0): 1}),
+                       series(AB3, 2, {(): 2, (X,): 1, (1,): 1}), 2, {X, 2}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLICE_CASES))
+def test_slice_boundaries_match_fraction_oracle(case):
+    a, b, degree, leads = SLICE_CASES[case]
+    product = a * b
+    assert product == fraction_mul(a, b)
+    assert {word[0] for word, _ in product.terms() if len(word) == degree} == leads
+    assert all(product._num.values())  # no empty bucket is kept
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=LED_SHAPES, c=SMALL_FRACTIONS.filter(bool))
+def test_x_led_words_match_fraction_oracle(data, shape, c):
+    a = data.draw(x_and_y_led_series(*shape))
+    b = data.draw(x_and_y_led_series(*shape))
+    constant = NCSeries(*shape, {(): c})
+    assert (constant + a) * b == fraction_mul(constant + a, b)
+    assert a * (constant + b) == fraction_mul(a, constant + b)
+    assert exp(a) == fraction_exp(a)
+    assert log(NCSeries.one(*shape) + a) == fraction_log(NCSeries.one(*shape) + a)
+    assert inverse(constant + a) == fraction_inverse(constant + a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=LED_SHAPES)
+def test_operations_leave_their_operands_unchanged(data, shape):
+    # results are reduced in place, so none may be built on an operand's buckets
+    a = data.draw(x_and_y_led_series(*shape))
+    one = NCSeries.one(*shape)
+    before = ({degree: dict(bucket) for degree, bucket in a._num.items()}, a._den)
+    images = {letter: one + a for letter in a.alphabet.letters()}
+    for result in (a + a, a - a, a * 2, a * Fraction(1, 2), a * a, one * a, a * one,
+                   exp(a), log(one + a), inverse(one + a), substitute(a, images)):
+        assert all(bucket is not own for bucket in result._num.values()
+                   for own in a._num.values())
+    assert ({degree: dict(bucket) for degree, bucket in a._num.items()}, a._den) == before
+
+
+def traced(compute):
+    """compute()'s result, the traced size it holds and the traced peak while
+    it ran, in bytes above what was traced before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = compute()
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, size - before, peak - before
+
+
+def test_report_round_trip_holds_one_slice_beside_the_log():
+    # full support: log(s) holds 69 904 terms, and exp(log(s)) cancels its
+    # degree-8 bucket of 65 536 words down to nothing
+    s = from_lambda_table(random_lambda_table(2, 2, 2, seed=1), degree_cap=8)
+    one = NCSeries.one(s.alphabet, 8)
+    _, log_size, _ = traced(lambda: log(s))
+    ok, _, peak = traced(lambda: exp(log(s)) == s and log(exp(s - one)) == s - one)
+    assert ok
+    assert peak <= 1.5 * log_size
+
+
+def test_sums_and_scaled_inverses_are_reduced_in_place():
+    s = from_lambda_table(random_lambda_table(2, 2, 2, seed=1), degree_cap=8)
+    big = log(s)
+    total, size, peak = traced(lambda: big + big)
+    assert total == big * 2
+    assert peak <= 1.5 * size
+    # a constant term other than 1 scales Horner's sum after the loop
+    scaled, size, peak = traced(lambda: inverse(s * Fraction(-3, 2)))
+    assert scaled == inverse(s) * Fraction(-2, 3)
+    assert peak <= 1.5 * size
 
 
 @settings(max_examples=80, deadline=None)
