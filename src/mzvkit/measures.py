@@ -294,7 +294,7 @@ _Stage = tuple[list[int], int, list[slice] | None]
 
 def _elimination_plan(
     points: Sequence[tuple[int, ...]], r: int, stride: int, final_offsets: Sequence[int],
-) -> tuple[list[int], list[_Stage], list[slice] | None, list[list[tuple[slice, slice]]]]:
+) -> tuple[list[int], list[_Stage], list[list[tuple[slice, slice]]]]:
     """The stages that multiply the integrand's r + 1 factors into a table
     over ``points`` and sum each coordinate out after the last factor that
     reads it.
@@ -310,11 +310,9 @@ def _elimination_plan(
     share a key.  Only keys that some point reaches are held.
 
     Returns the order of ``points`` that the first stage expects, the stages,
-    the slices of the last stage apart (its sum is left to the caller, and at
-    s = 1 it is the sum of the whole product), and per final offset the
-    placements of the last sums among the bases of (Z/s)^r in row-major
-    order: (bases, sums) slice pairs, one per run of consecutive bases that
-    some point reaches.
+    and per final offset the placements of the last stage's sums among the
+    bases of (Z/s)^r in row-major order: (bases, sums) slice pairs, one per
+    run of consecutive bases that some point reaches.
     """
 
     def key(x: tuple[int, ...]) -> tuple[int, ...]:
@@ -338,7 +336,7 @@ def _elimination_plan(
             bounds = list(zip(starts, starts[1:] + [size]))
             slices = [slice(a + copy * size, b + copy * size)
                       for copy in range(copies) for a, b in bounds]
-        stages.append((column, copies, slices if k < r else None))
+        stages.append((column, copies, slices))
         reps = [reps[i] for i in starts]
         keys = [keys[i][:-1] for i in starts]
     bases = [point_to_index(base, stride) for base in keys]
@@ -349,7 +347,7 @@ def _elimination_plan(
          for a, b in runs]
         for copy in range(len(final_offsets))
     ]
-    return order, stages, slices, placements
+    return order, stages, placements
 
 
 def _times_power(vector: list, column: list[int], e: int) -> list:
@@ -362,8 +360,8 @@ def _times_power(vector: list, column: list[int], e: int) -> list:
 
 def _chain_products(values: list, stages: Sequence[_Stage],
                     words: Iterable[tuple[int, ...]]) -> Iterator[list]:
-    """For each word w, the last stage's product, before its sum, of the
-    table ``values`` times every factor k to the power w[k].
+    """For each word w, the last stage's sums of the table ``values`` times
+    every factor k to the power w[k].
 
     ``after[k]`` holds the table that stage k multiplies and ``before[k]``
     stage k's product, kept from before its sum, for the current word.  A
@@ -395,28 +393,12 @@ def _chain_products(values: list, stages: Sequence[_Stage],
                 table = list(map(sum, map(table.__getitem__, slices)))
             after[i + 1] = table
         previous = word
-        yield before[-1]
+        yield after[-1]
 
 
-def _sweep(mu: LevelMeasure, words: Iterable[Sequence[int]], modulus_exponent: int,
-           final_offsets: Sequence[int],
-           ) -> tuple[Iterator[list], list[slice] | None, list[list[tuple[slice, slice]]]]:
-    """The checked words' last products over the measure's nonzero cells,
-    with the last slices and the placements of :func:`_elimination_plan`."""
-    if not 0 <= modulus_exponent <= mu.n:
-        raise ValueError("coset modulus exponent must lie between 0 and the measure level")
-    words = [check_word(w, mu.r + 1) for w in words]
-    support = [(x, v) for x, v in zip(mu.points(), mu.numerators) if v]
-    order, stages, last, placements = _elimination_plan([x for x, _ in support], mu.r,
-                                                        mu.p**modulus_exponent, final_offsets)
-    return _chain_products([support[i][1] for i in order], stages, words), last, placements
-
-
-def _placed(product: list, last: list[slice] | None,
-            placements: Sequence[list[tuple[slice, slice]]],
+def _placed(sums: list, placements: Sequence[list[tuple[slice, slice]]],
             size: int) -> tuple[list[int], ...]:
-    """The last product summed and laid out over the ``size`` bases, per final offset."""
-    sums = product if last is None else list(map(sum, map(product.__getitem__, last)))
+    """The last sums laid out over the ``size`` bases, per final offset."""
     tables = []
     for runs in placements:
         table: list = [0] * size
@@ -439,20 +421,25 @@ def coset_sums(
     whose entry at the row-major index of a base b (in
     (Z/p^modulus_exponent)^r) equals ``mu.denominator`` times
     ``coset_moment(mu, Coset(b, modulus_exponent), word, o)``.  Any word order
-    is valid; lexicographic order shares the most work.
+    is valid; lexicographic order shares the most work.  The arguments are
+    checked when it is called, before the first word is yielded.
     """
-    products, last, placements = _sweep(mu, words, modulus_exponent, final_offsets)
+    if not 0 <= modulus_exponent <= mu.n:
+        raise ValueError("coset modulus exponent must lie between 0 and the measure level")
+    words = [check_word(w, mu.r + 1) for w in words]
+    support = [(x, v) for x, v in zip(mu.points(), mu.numerators) if v]
+    order, stages, placements = _elimination_plan([x for x, _ in support], mu.r,
+                                                  mu.p**modulus_exponent, final_offsets)
+    sums = _chain_products([support[i][1] for i in order], stages, words)
     size = _cell_count(mu.p**modulus_exponent, mu.r)
-    return (_placed(product, last, placements, size) for product in products)
+    return (_placed(last, placements, size) for last in sums)
 
 
 def moment_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[Fraction | int]:
     """``moment(mu, w)`` for every exponent word w, in the given order: the
     coset sums at modulus 1 with final offset 0, over ``mu.denominator``.
     The values are ints when the denominator is 1, else Fractions."""
-    products, _, _ = _sweep(mu, words, 0, (0,))
-    # at modulus 1 every entry of the last product has the same key
-    sums = [sum(product) for product in products]
+    sums = [table[0] for (table,) in coset_sums(mu, words, 0, (0,))]
     return sums if mu.denominator == 1 else [Fraction(s, mu.denominator) for s in sums]
 
 
@@ -525,9 +512,12 @@ def measure_to_json_dict(mu: LevelMeasure) -> dict:
 
 
 def measure_from_json_dict(data: Mapping) -> LevelMeasure:
-    return LevelMeasure(
-        int(data["p"]),
-        int(data["n"]),
-        int(data["r"]),
-        tuple(parse_rational(v) for v in data["values"]),
-    )
+    """Inverse of :func:`measure_to_json_dict`.  Raises ValueError unless p, n
+    and r are JSON integers (not booleans) and ``values`` is a list."""
+    for key in ("p", "n", "r"):
+        if type(data[key]) is not int:
+            raise ValueError(f'measure field "{key}" must be an integer, got {data[key]!r}')
+    values = data["values"]
+    if not isinstance(values, list):
+        raise ValueError(f'measure field "values" must be a list, got {type(values).__name__}')
+    return LevelMeasure(data["p"], data["n"], data["r"], tuple(map(parse_rational, values)))

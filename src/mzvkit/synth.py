@@ -1,24 +1,22 @@
 """Exact kernel of the four-term operator, seeded random data, and level lifts.
 
-The kernel is computed by fraction-free (integer-pivot) Gaussian elimination
-on the sparse operator matrix: rows stay integral, are divided by their gcd
-after every update, and pivots are chosen by sparsity so fill-in stays small.
-The back pass visits only the pivot rows a basis vector reaches, and the basis
-vectors are kept sparse.
+The kernel basis is written down in closed form from the factorisation of the
+operator as (1 - tau)(1 - sigma), negation sigma and diagonal shift tau (see
+:func:`_kernel_vectors`); no linear system is solved.  The basis vectors are
+kept sparse.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
 
 from .exact import Immutable, check_config
-from .measures import LevelMeasure, _cell_count, _four_term_rows, index_to_point
+from .measures import (LevelMeasure, _cell_count, _four_term_rows, _points, index_to_point,
+                       point_to_index)
 from .series import LambdaTable
 
 __all__ = [
@@ -40,8 +38,11 @@ class KernelBasis(Immutable):
     """Primitive integer basis of the exact four-term kernel at one level.
 
     Each vector maps its nonzero cells (row-major indices, ascending) to their
-    integer values.  The vectors are shared by every caller of the cached
-    kernel and must not be modified.
+    integer values.  A vector's last cell is its free column: it is +-1 there,
+    and no other vector has that cell, so the vectors are a Z-basis of the
+    kernel lattice and a kernel measure's coordinate on a vector is its value
+    at that cell times that sign.  The vectors are shared by every caller of
+    the cached kernel and must not be modified.
     """
 
     _fields = ("p", "n", "r", "vectors")
@@ -67,158 +68,45 @@ def four_term_matrix(p: int, n: int, r: int) -> list[dict[int, int]]:
     return [dict(row) for row in _four_term_rows(p**n, r)]
 
 
-def _normalize_row(row: dict[int, int]) -> None:
-    divisor = 0
-    for value in row.values():
-        divisor = gcd(divisor, value)
-    if divisor > 1:
-        for column in row:
-            row[column] //= divisor
+def _kernel_vectors(q: int, r: int) -> list[dict[int, int]]:
+    """The kernel basis of the four-term operator on (Z/q)^r, in ascending
+    order of free column, which is each vector's last cell.
 
-
-def _nullspace(
-    rows: list[dict[int, int]], ncols: int
-) -> tuple[list[int], list[dict[int, int]]]:
-    """Right kernel of a sparse integer matrix: the free columns in ascending
-    order and, for each, its primitive integer kernel vector as a sparse dict.
-
-    Forward pass (:func:`_eliminate`), then a back pass per free column
-    (:func:`_solve_free_column`), all in integers.
+    The operator is T = (1 - tau)(1 - sigma), sigma the negation and tau the
+    shift by the diagonal (1, ..., 1), so T mu = 0 exactly when mu - sigma mu
+    is constant on diagonal orbits.  The kernel is thus the even measures,
+    spanned by the indicators of the negation orbits ({x} when x = -x, else
+    {lo, hi} at free column hi), plus, per pair of diagonal orbits O != sigma O,
+    one measure whose mu - sigma mu is +-(1_O - 1_{sigma O}).  On such a pair
+    of orbits, let s_P be +1 when lo_P lies in the orbit of the lowest lo and
+    -1 otherwise, and (m, m') the negation pair of largest lo: free column m
+    takes sum_P s_P lo_P, and free column m' takes that sum minus s_m times
+    the even vector {m, m'}, which is 0 at m and -s_m at m'.  Every vector
+    is +1 at its lowest cell, +-1 at its own free column and 0 at the
+    others, so the basis is primitive and a Z-basis of the kernel lattice.
     """
-    free_columns, pivot_rows = _eliminate(rows, ncols)
-    # column -> pivot columns of the other pivot rows with an entry there
-    touching: dict[int, list[int]] = {}
-    for column, row in pivot_rows:
-        for col2 in row:
-            if col2 != column:
-                touching.setdefault(col2, []).append(column)
-    pivot_row_of = dict(pivot_rows)
-    vectors = [_solve_free_column(free, pivot_row_of, touching) for free in free_columns]
-    return free_columns, vectors
-
-
-def _eliminate(
-    rows: list[dict[int, int]], ncols: int
-) -> tuple[list[int], list[tuple[int, dict[int, int]]]]:
-    """Fraction-free elimination with gcd-normalized rows, pivoting on the
-    sparsest candidate row per column.
-
-    Returns the free columns in ascending order and the (pivot column, row)
-    pairs in descending column order, the order of the back pass.
-    """
-    work = [dict(row) for row in rows if row]
-    column_rows: dict[int, set[int]] = {}
-    for row_id, row in enumerate(work):
-        for column in row:
-            column_rows.setdefault(column, set()).add(row_id)
-
-    pivot_row_of: dict[int, int] = {}
-    frozen: set[int] = set()
-    for column in range(ncols):
-        live = column_rows.get(column)
-        if not live:
-            continue
-        candidates = [row_id for row_id in live if row_id not in frozen]
-        if not candidates:
-            continue
-        pivot_id = min(
-            candidates, key=lambda rid: (len(work[rid]), abs(work[rid][column]), rid)
-        )
-        pivot_row = work[pivot_id]
-        _normalize_row(pivot_row)
-        pivot_value = pivot_row[column]
-        for other_id in sorted(live - {pivot_id}):
-            if other_id in frozen:
-                continue
-            other = work[other_id]
-            other_value = other[column]
-            updated: dict[int, int] = {}
-            for col2, val2 in other.items():
-                updated[col2] = pivot_value * val2
-            for col2, val2 in pivot_row.items():
-                merged = updated.get(col2, 0) - other_value * val2
-                if merged:
-                    updated[col2] = merged
-                else:
-                    updated.pop(col2, None)
-            _normalize_row(updated)
-            for col2 in other:
-                if col2 not in updated:
-                    column_rows[col2].discard(other_id)
-            for col2 in updated:
-                if col2 not in other:
-                    column_rows.setdefault(col2, set()).add(other_id)
-            work[other_id] = updated
-        pivot_row_of[column] = pivot_id
-        frozen.add(pivot_id)
-
-    free_columns = [c for c in range(ncols) if c not in pivot_row_of]
-    pivot_rows_desc = [
-        (column, work[pivot_row_of[column]]) for column in sorted(pivot_row_of, reverse=True)
-    ]
-    return free_columns, pivot_rows_desc
-
-
-def _solve_free_column(
-    free: int, pivot_row_of: dict[int, dict[int, int]], touching: dict[int, list[int]]
-) -> dict[int, int]:
-    """The kernel vector with 1 at ``free`` and 0 at every other free column,
-    made primitive, solved in integers.
-
-    Each pivot row, in descending column order, fixes its pivot entry.  Pivot
-    rows are upper triangular (a row has entries only at columns at or after
-    its pivot), so a row none of whose other columns is nonzero yet has a zero
-    sum and fixes a zero: only the rows ``touching`` a nonzero column are
-    visited, taken from a heap in descending pivot order.  When the pivot does
-    not divide the row's sum, the whole vector is first scaled by
-    |pivot / gcd(sum, pivot)|; the vector stays a positive multiple of the
-    rational solution, so the primitive vector is the same.
-    """
-    vector = {free: 1}
-    queued = set(touching.get(free, ()))
-    heap = [-column for column in queued]
-    heapq.heapify(heap)
-    while heap:
-        column = -heapq.heappop(heap)
-        row = pivot_row_of[column]
-        acc = 0
-        for col2, coeff in row.items():
-            if col2 != column:
-                acc += coeff * vector.get(col2, 0)
-        if not acc:
-            continue
-        pivot = row[column]
-        if acc % pivot:
-            scale = abs(pivot // gcd(acc, pivot))
-            for col2 in vector:
-                vector[col2] *= scale
-            acc *= scale
-        vector[column] = -acc // pivot
-        for below in touching.get(column, ()):
-            if below not in queued:
-                queued.add(below)
-                heapq.heappush(heap, -below)
-    return _primitive(vector)
-
-
-def _primitive(vector: dict[int, int]) -> dict[int, int]:
-    """Drop zeros, divide by the content and make the first nonzero entry
-    positive; the entries come out in ascending column order."""
-    entries = sorted((column, value) for column, value in vector.items() if value)
-    content = gcd(*(value for _, value in entries))
-    if entries[0][1] < 0:
-        content = -content
-    return {column: value // content for column, value in entries}
-
-
-def _check_saturated(free_columns: list[int], vectors: list[dict[int, int]]) -> None:
-    """Raise unless each vector is +-1 at its own free column and 0 at every
-    other free column, which makes the vectors a Z-basis of the integer
-    kernel lattice and not only of the rational kernel."""
-    free_set = set(free_columns)
-    for free, vector in zip(free_columns, vectors):
-        if vector.get(free) not in (1, -1) or free_set.intersection(vector) != {free}:
-            raise ArithmeticError(f"kernel vector of free column {free} is not saturated")
+    by_free: dict[int, dict[int, int]] = {}
+    groups: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
+    for lo, x in enumerate(_points(q, r)):
+        hi = point_to_index(tuple(-c % q for c in x), q)
+        if hi == lo:
+            by_free[lo] = {lo: 1}
+        elif lo < hi:
+            # the diagonal orbits of x and -x, by their members with first coordinate 0
+            orbit = tuple((c - x[0]) % q for c in x)
+            mirror = tuple((x[0] - c) % q for c in x)
+            if orbit == mirror:
+                by_free[hi] = {lo: 1, hi: 1}
+            else:
+                groups.setdefault(min(orbit, mirror), []).append((lo, hi, orbit))
+    for pairs in groups.values():
+        *rest, (m, m_bar, _) = pairs
+        signs = {lo: 1 if orbit == pairs[0][2] else -1 for lo, _, orbit in pairs}
+        for lo, hi, _ in rest:
+            by_free[hi] = {lo: 1, hi: 1}
+        by_free[m] = signs
+        by_free[m_bar] = {lo: signs[lo] for lo, _, _ in rest} | {m_bar: -signs[m]}
+    return [by_free[free] for free in sorted(by_free)]
 
 
 def size_cap() -> int:
@@ -249,9 +137,7 @@ def check_size(p: int, n: int, r: int) -> int:
 
 @lru_cache(maxsize=32)
 def _cached_kernel(p: int, n: int, r: int) -> KernelBasis:
-    free_columns, vectors = _nullspace(four_term_matrix(p, n, r), _cell_count(p**n, r))
-    _check_saturated(free_columns, vectors)
-    return KernelBasis(p, n, r, tuple(vectors))
+    return KernelBasis(p, n, r, tuple(_kernel_vectors(p**n, r)))
 
 
 def four_term_kernel(p: int, n: int, r: int) -> KernelBasis:

@@ -276,6 +276,17 @@ def test_bad_measure_value_exits_two(tmp_path, bad_value):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("name", ["overflow-header.json", "float-header.json",
+                                  "bool-header.json", "string-values.json",
+                                  "string-header.json"])
+def test_malformed_measure_header_exits_two(fuzz_dir, name):
+    # p, n and r must be JSON integers and values a list: nothing is truncated,
+    # coerced or read one character per cell
+    code, out, err = run_cli(["vanish", "--in", str(fuzz_dir / name)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: measure field")
+
+
 def test_non_kernel_measure_rejected(tmp_path):
     path = write_measure(tmp_path, LevelMeasure.point_mass(3, 1, 1, (1,)))
     code, out, err = run_cli(["vanish", "--in", path])
@@ -518,10 +529,18 @@ FUZZ_FILES = {
     "wrong-length.json": {"p": 3, "n": 1, "r": 1, "values": ["1", "2"]},
     "huge-header.json": {"p": 2, "n": 200000, "r": 200000, "values": ["1"]},
     "string-header.json": {"p": "3", "n": 1, "r": 1, "values": ["0", "0", "0"]},
+    "float-header.json": {"p": 3.9, "n": 1, "r": 1, "values": ["0", "0", "0"]},
+    "bool-header.json": {"p": 3, "n": True, "r": 1, "values": ["0", "0", "0"]},
+    "string-values.json": {"p": 3, "n": 1, "r": 1, "values": "111"},
     "missing-key.json": {"p": 3, "n": 1},
     "list.json": [1, 2, 3],
 }
-FUZZ_TEXTS = {"bad.json": '{"p": 3,', "non-ascii.json": '{"p": 3, "values": ["\u00e9"]}'}
+FUZZ_TEXTS = {
+    "bad.json": '{"p": 3,',
+    "non-ascii.json": '{"p": 3, "values": ["\u00e9"]}',
+    # json.dumps cannot write this literal; it loads as a float infinity
+    "overflow-header.json": '{"p": 1e400, "n": 1, "r": 1, "values": ["0", "0", "0"]}',
+}
 FUZZ_CONFIGS = [(p, n, r) for p in (2, 3, 5, 7) for n in range(3) for r in range(1, 4)
                 if p ** (n * r) <= 64]
 # replacements and insertions: negative, non-numeric, empty, huge and stray flags

@@ -1,17 +1,16 @@
+import heapq
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from mzvkit.exact import is_prime
 from mzvkit.measures import LevelMeasure, affine_pushforward, four_term_is_zero, project
 from mzvkit.measures import _cell_count
 from mzvkit.synth import (
+    DEFAULT_CELL_CAP,
     KernelBasis,
-    _check_saturated,
-    _eliminate,
-    _nullspace,
     four_term_kernel,
     four_term_matrix,
     lift,
@@ -224,6 +223,167 @@ def test_kernel_invariant_under_negation(config):
         assert four_term_is_zero(affine_pushforward(vector, -1, 0))
 
 
+def _normalize_row(row: dict[int, int]) -> None:
+    divisor = 0
+    for value in row.values():
+        divisor = gcd(divisor, value)
+    if divisor > 1:
+        for column in row:
+            row[column] //= divisor
+
+
+def _eliminate(
+    rows: list[dict[int, int]], ncols: int
+) -> tuple[list[int], list[tuple[int, dict[int, int]]]]:
+    """Fraction-free elimination with gcd-normalized rows, pivoting on the
+    sparsest candidate row per column.
+
+    Returns the free columns in ascending order and the (pivot column, row)
+    pairs in descending column order, the order of the back pass.
+    """
+    work = [dict(row) for row in rows if row]
+    column_rows: dict[int, set[int]] = {}
+    for row_id, row in enumerate(work):
+        for column in row:
+            column_rows.setdefault(column, set()).add(row_id)
+
+    pivot_row_of: dict[int, int] = {}
+    frozen: set[int] = set()
+    for column in range(ncols):
+        live = column_rows.get(column)
+        if not live:
+            continue
+        candidates = [row_id for row_id in live if row_id not in frozen]
+        if not candidates:
+            continue
+        pivot_id = min(
+            candidates, key=lambda rid: (len(work[rid]), abs(work[rid][column]), rid)
+        )
+        pivot_row = work[pivot_id]
+        _normalize_row(pivot_row)
+        pivot_value = pivot_row[column]
+        for other_id in sorted(live - {pivot_id}):
+            if other_id in frozen:
+                continue
+            other = work[other_id]
+            other_value = other[column]
+            updated: dict[int, int] = {}
+            for col2, val2 in other.items():
+                updated[col2] = pivot_value * val2
+            for col2, val2 in pivot_row.items():
+                merged = updated.get(col2, 0) - other_value * val2
+                if merged:
+                    updated[col2] = merged
+                else:
+                    updated.pop(col2, None)
+            _normalize_row(updated)
+            for col2 in other:
+                if col2 not in updated:
+                    column_rows[col2].discard(other_id)
+            for col2 in updated:
+                if col2 not in other:
+                    column_rows.setdefault(col2, set()).add(other_id)
+            work[other_id] = updated
+        pivot_row_of[column] = pivot_id
+        frozen.add(pivot_id)
+
+    free_columns = [c for c in range(ncols) if c not in pivot_row_of]
+    pivot_rows_desc = [
+        (column, work[pivot_row_of[column]]) for column in sorted(pivot_row_of, reverse=True)
+    ]
+    return free_columns, pivot_rows_desc
+
+
+def _solve_free_column(
+    free: int, pivot_row_of: dict[int, dict[int, int]], touching: dict[int, list[int]]
+) -> dict[int, int]:
+    """The kernel vector with 1 at ``free`` and 0 at every other free column,
+    made primitive, solved in integers.
+
+    Each pivot row, in descending column order, fixes its pivot entry.  Pivot
+    rows are upper triangular (a row has entries only at columns at or after
+    its pivot), so a row none of whose other columns is nonzero yet has a zero
+    sum and fixes a zero: only the rows ``touching`` a nonzero column are
+    visited, taken from a heap in descending pivot order.  When the pivot does
+    not divide the row's sum, the whole vector is first scaled by
+    |pivot / gcd(sum, pivot)|; the vector stays a positive multiple of the
+    rational solution, so the primitive vector is the same.
+    """
+    vector = {free: 1}
+    queued = set(touching.get(free, ()))
+    heap = [-column for column in queued]
+    heapq.heapify(heap)
+    while heap:
+        column = -heapq.heappop(heap)
+        row = pivot_row_of[column]
+        acc = 0
+        for col2, coeff in row.items():
+            if col2 != column:
+                acc += coeff * vector.get(col2, 0)
+        if not acc:
+            continue
+        pivot = row[column]
+        if acc % pivot:
+            scale = abs(pivot // gcd(acc, pivot))
+            for col2 in vector:
+                vector[col2] *= scale
+            acc *= scale
+        vector[column] = -acc // pivot
+        for below in touching.get(column, ()):
+            if below not in queued:
+                queued.add(below)
+                heapq.heappush(heap, -below)
+    return _primitive(vector)
+
+
+def _primitive(vector: dict[int, int]) -> dict[int, int]:
+    """Drop zeros, divide by the content and make the first nonzero entry
+    positive; the entries come out in ascending column order."""
+    entries = sorted((column, value) for column, value in vector.items() if value)
+    content = gcd(*(value for _, value in entries))
+    if entries[0][1] < 0:
+        content = -content
+    return {column: value // content for column, value in entries}
+
+
+def elimination_kernel_oracle(p, n, r):
+    """The four-term kernel basis by sparse fraction-free elimination of the
+    operator matrix: a forward pass (:func:`_eliminate`), then a back pass
+    per free column (:func:`_solve_free_column`), all in integers, with no
+    use of how the operator factors."""
+    free_columns, pivot_rows = _eliminate(four_term_matrix(p, n, r), _cell_count(p**n, r))
+    # column -> pivot columns of the other pivot rows with an entry there
+    touching: dict[int, list[int]] = {}
+    for column, row in pivot_rows:
+        for col2 in row:
+            if col2 != column:
+                touching.setdefault(col2, []).append(column)
+    pivot_row_of = dict(pivot_rows)
+    return [_solve_free_column(free, pivot_row_of, touching) for free in free_columns]
+
+
+def oracle_configs():
+    """Every configuration with p <= 97, n >= 1 and at most the default cap of
+    cells, then every level-0 configuration with r <= 4."""
+    primes = [p for p in range(2, 98) if is_prime(p)]
+    configs = [(p, n, r) for p in primes for n in range(1, 14) for r in range(1, 14)
+               if p ** (n * r) <= DEFAULT_CELL_CAP]
+    return configs + [(p, 0, r) for p in primes for r in range(1, 5)]
+
+
+def test_closed_form_kernel_matches_elimination_oracle():
+    configs = oracle_configs()
+    assert len(configs) == 146 + 100
+    flipped = []
+    for p, n, r in configs:
+        vectors = four_term_kernel(p, n, r).vectors
+        expected = elimination_kernel_oracle(p, n, r)
+        assert [list(v.items()) for v in vectors] == [list(v.items()) for v in expected]
+        flipped += [(p, n, r) for vector in vectors if vector[max(vector)] == -1]
+    # the sign rule leaves some vectors at -1 on their free column
+    assert flipped
+
+
 def fraction_nullspace_oracle(rows, ncols):
     """The kernel basis with the back pass on Fractions: set each free column
     to 1, solve the pivot rows in descending column order, then clear
@@ -289,12 +449,16 @@ def dense(vector, ncols):
     return tuple(values)
 
 
-def assert_kernel_matches_oracle(rows, ncols):
-    free_columns, vectors = _nullspace(rows, ncols)
+@pytest.mark.parametrize("config", SMALL_CONFIGS)
+def test_nullspace_matches_fraction_oracle_on_four_term_matrices(config):
+    p, n, r = config
+    rows, ncols = four_term_matrix(p, n, r), _cell_count(p**n, r)
+    vectors = four_term_kernel(p, n, r).vectors
     basis = [dense(vector, ncols) for vector in vectors]
     assert basis == dense_nullspace_oracle(rows, ncols)
     assert basis == fraction_nullspace_oracle(rows, ncols)
-    assert free_columns == _eliminate(rows, ncols)[0]
+    # each vector's last cell is the elimination's free column
+    assert [max(vector) for vector in vectors] == _eliminate(rows, ncols)[0]
     for vector in vectors:
         assert list(vector) == sorted(vector) and all(vector.values())
     for vector in basis:
@@ -302,55 +466,15 @@ def assert_kernel_matches_oracle(rows, ncols):
         assert all(sum(c * vector[col] for col, c in row.items()) == 0 for row in rows)
 
 
-@st.composite
-def sparse_matrices(draw):
-    ncols = draw(st.integers(1, 10))
-    entry = st.integers(-5, 5).filter(bool)
-    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=min(ncols, 4))
-    rows = draw(st.lists(row, max_size=8))  # empty dicts are empty rows
-    for index in draw(st.lists(st.integers(0, 7), max_size=3)):
-        if rows:
-            rows.append(dict(rows[index % len(rows)]))  # duplicate rows
-    return rows, ncols
-
-
-@settings(max_examples=200, deadline=None)
-@given(sparse_matrices())
-def test_nullspace_matches_fraction_oracle_on_random_matrices(matrix):
-    assert_kernel_matches_oracle(*matrix)
-
-
-def test_nullspace_oracle_covers_non_unit_pivots():
-    # 2x + 3y = 0 and 5y - 4z = 0: no pivot divides its row sum without a rescale
-    rows = [{0: 2, 1: 3}, {1: 5, 2: -4}, {}, {0: 2, 1: 3}]
-    assert _nullspace(rows, 3) == ([2], [{0: 6, 1: -4, 2: -5}])
-    assert_kernel_matches_oracle(rows, 3)
-    # -5 at its free column: a basis of the rational kernel, not of the lattice
-    with pytest.raises(ArithmeticError, match="free column 2"):
-        _check_saturated(*_nullspace(rows, 3))
-
-
-@pytest.mark.parametrize("config", SMALL_CONFIGS)
-def test_nullspace_matches_fraction_oracle_on_four_term_matrices(config):
-    p, n, r = config
-    assert_kernel_matches_oracle(four_term_matrix(p, n, r), _cell_count(p**n, r))
-
-
 @pytest.mark.parametrize("config", sorted(KNOWN_DIMENSIONS))
 def test_four_term_kernel_basis_is_saturated(config):
-    # +-1 at its own free column (-1 where the sign rule flips the vector)
-    # and 0 at every other free column: a Z-basis of the kernel lattice
-    p, n, r = config
-    free_columns, vectors = _nullspace(four_term_matrix(p, n, r), _cell_count(p**n, r))
+    # each vector's free column is its last cell: +-1 there (-1 where the sign
+    # rule flips the vector) and 0 at every other free column, so the basis is
+    # a Z-basis of the kernel lattice
+    vectors = four_term_kernel(*config).vectors
+    free_columns = [max(vector) for vector in vectors]
+    assert free_columns == sorted(set(free_columns))
     free_set = set(free_columns)
     for free, vector in zip(free_columns, vectors):
         assert vector[free] in (1, -1)
         assert free_set & set(vector) == {free}
-    _check_saturated(free_columns, vectors)
-    assert four_term_kernel(p, n, r).vectors == tuple(vectors)
-
-
-def test_saturation_check_rejects_other_free_columns():
-    with pytest.raises(ArithmeticError):
-        _check_saturated([0, 1], [{0: 1}, {0: 1, 1: 1}])
-    _check_saturated([0, 1], [{0: -1, 2: 3}, {1: 1}])
