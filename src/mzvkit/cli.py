@@ -56,10 +56,10 @@ MAX_SEED = 2**64 - 1
 MAX_EXPONENT_WORDS = 100_000
 # Largest series term-count estimate `report` may exponentiate; (2, 2, 2) at
 # degree 8 estimates 69 904 terms, (3, 2, 2) at degree 8 about 4.4e7.  As a
-# whole CLI process (Python 3.11, 2 cores, spawn to exit, peak RSS from wait4),
-# `report --seed 0` takes about 0.12 s and 21 MiB at (2, 2, 2) degree 8, and
-# 0.37 s and 29 MiB at (5, 1, 1) degree 7 (97 655 terms, the costliest
-# admitted case measured).
+# whole CLI process (Python 3.11, 2 cores, spawn to exit, peak RSS from wait4,
+# medians of 5), `report --seed 0` takes about 0.19 s and 18.3 MiB at
+# (2, 2, 2) degree 8, and 0.48 s and 25.1 MiB at (5, 1, 1) degree 7
+# (97 655 terms, the costliest admitted case measured).
 MAX_SERIES_TERMS = 100_000
 
 
@@ -124,7 +124,8 @@ def _with_rows(report: dict, key: str, rows: Iterable[str]) -> Iterator[str]:
     yield head + opened
     separator = "\n"
     for row in rows:
-        yield separator + row
+        yield separator
+        yield row
         separator = ",\n"
     # an empty list stays "[]"
     yield ("]" if separator == "\n" else "\n  ]") + tail + "\n"
@@ -212,23 +213,25 @@ def _rhombus_matches(table: LambdaTable) -> bool:
 def _kernel_rows(basis: KernelBasis) -> Iterator[str]:
     """The kernel report's "basis" entries as json.dumps indents them.
 
-    Each vector is the line ``        "0"`` once per cell, with its nonzero
-    entries dropped in; runs of zeros are sliced from one prepared block.
+    Each vector is the line ``        "0",`` once per cell, with its nonzero
+    entries dropped in; runs of zeros are sliced from one prepared block.  The
+    last cell's line takes no comma, so each vector is one join.
     """
     p, n, r = basis.p, basis.n, basis.r
     zero_line = '        "0",\n'
     width = len(zero_line)
-    zeros = zero_line * (p ** (n * r))
+    last = p ** (n * r) - 1
+    zeros = zero_line * last
     head = f'    {{\n      "n": {n},\n      "p": {p},\n      "r": {r},\n      "values": [\n'
     for vector in basis.vectors:
         pieces = [head]
         start = 0
         for column, value in vector.items():
-            pieces += (zeros[start:column * width], f'        "{value}",\n')
-            start = (column + 1) * width
-        pieces.append(zeros[start:])
-        # the last cell takes no comma
-        yield "".join(pieces)[:-2] + "\n      ]\n    }"
+            if column < last:
+                pieces += (zeros[start:column * width], f'        "{value}",\n')
+                start = (column + 1) * width
+        pieces += (zeros[start:], f'        "{vector.get(last, 0)}"\n      ]\n    }}')
+        yield "".join(pieces)
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:

@@ -4,20 +4,28 @@ At the public boundary words are tuples of letter codes: X is the sentinel -1,
 the cyclic letters are their residues 0 <= i < p^n.  A series is exact up to a
 fixed truncation degree, and every operation returns a new object.
 
-Inside, a series is ``{degree: {word code: int numerator}}`` over one positive
-``int`` denominator, kept canonical: no zero entries, no empty buckets, and gcd
-1 between the denominator and all numerators, so equal series hold equal dicts.
+Inside, a series is ``{degree: (codes, nums)}`` over one positive ``int``
+denominator: ``codes`` is an ``array('q')`` of the degree's word codes in
+ascending order and ``nums`` the list of their int numerators, aligned with it.
+The form is canonical: no zero numerators, no empty degrees, and gcd 1 between
+the denominator and all numerators, so equal series hold equal buckets.
 A degree-d word is coded as the int whose base-(p^n + 1) digits are its letters,
 first letter most significant, with X -> 0 and Y_i -> i + 1.  Concatenation is
 ``code_a * base**deg_b + code_b``, and within one degree code order is tuple
-order.  Tuples and ``Fraction``s are built only by ``coeff``, ``terms``,
-``repr``, the JSON form and ``to_lambda_table``.
+order.  A code is an int64, so a series whose largest code
+``base**degree_cap - 1`` needs more than 63 bits is a ValueError.  Tuples and
+``Fraction``s are built only by ``coeff``, ``terms``, ``repr``, the JSON form
+and ``to_lambda_table``.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact import Immutable, check_config, format_rational
@@ -41,7 +49,9 @@ X = -1
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
-IntBuckets = dict[int, dict[int, int]]  # degree -> word code -> integer numerator
+Bucket = tuple[array, list[int]]  # ascending word codes, their nonzero numerators
+IntBuckets = dict[int, Bucket]  # by degree
+MAX_CODE = 2**63 - 1  # the largest code an array('q') holds
 
 
 class Alphabet(Immutable):
@@ -84,6 +94,9 @@ def _exact(value: object) -> Fraction | int:
     return value
 
 
+_code = itemgetter(0)  # the code of a (code, value) pair
+
+
 def _encode(word: Word, base: int) -> int:
     code = 0
     for letter in word:
@@ -117,9 +130,13 @@ class NCSeries(Immutable):
     ) -> None:
         if degree_cap < 0:
             raise ValueError("truncation degree must be non-negative")
-        items = terms.items() if isinstance(terms, Mapping) else terms
         base = alphabet.size
-        collected: dict[int, dict[int, Fraction | int]] = {}
+        # base >= 2, so no truncation degree above 63 has int64 codes
+        if degree_cap > 63 or base**degree_cap - 1 > MAX_CODE:
+            raise ValueError(f"truncation degree {degree_cap} needs word codes above 63 bits "
+                             f"in base {base}")
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        collected: dict[int, list[tuple[int, Fraction | int]]] = {}
         for word, coeff in items:
             word = tuple(word)
             if len(word) > degree_cap:
@@ -128,32 +145,36 @@ class NCSeries(Immutable):
                 )
             for letter in word:
                 alphabet.check_letter(letter)
-            bucket = collected.setdefault(len(word), {})
-            code = _encode(word, base)
-            bucket[code] = bucket.get(code, 0) + _exact(coeff)
+            collected.setdefault(len(word), []).append((_encode(word, base), _exact(coeff)))
+        summed = {
+            degree: [(code, sum(c for _, c in group))
+                     for code, group in groupby(sorted(pairs, key=_code), _code)]
+            for degree, pairs in collected.items()
+        }
         # over the lcm of the reduced denominators the numerators are coprime to it
-        den = lcm(*(c.denominator for bucket in collected.values() for c in bucket.values()))
-        num = _drop_zeros({
-            degree: {code: c.numerator * (den // c.denominator) for code, c in bucket.items()}
-            for degree, bucket in collected.items()
-        })
+        den = lcm(*(c.denominator for pairs in summed.values() for _, c in pairs))
+        num: IntBuckets = {}
+        for degree, pairs in summed.items():
+            kept = [(code, c.numerator * (den // c.denominator)) for code, c in pairs if c]
+            if kept:
+                num[degree] = (array("q", map(_code, kept)), [v for _, v in kept])
         self._assign(alphabet, degree_cap, num, den)
 
     @classmethod
     def _reduced(cls, alphabet: Alphabet, degree_cap: int, num: IntBuckets, den: int) -> "NCSeries":
         # trusted constructor: valid codes, no zero entries or empty buckets,
         # den > 0.  It takes ownership of ``num``: the gcd of den and the
-        # numerators is divided out in place, so ``num`` and its buckets must be
-        # fresh dicts that no series holds.
+        # numerators is divided out in place, so ``num`` and its lists must be
+        # fresh ones that no series holds.
         g = den
-        for bucket in num.values():
+        for _, nums in num.values():
             if g == 1:
                 break
-            g = gcd(g, *bucket.values())
+            g = gcd(g, *nums)
         if g > 1:
-            for bucket in num.values():
-                for code, v in bucket.items():
-                    bucket[code] = v // g
+            for _, nums in num.values():
+                for i, v in enumerate(nums):
+                    nums[i] = v // g
             den //= g
         return cls._new(alphabet, degree_cap, num, den)
 
@@ -184,19 +205,22 @@ class NCSeries(Immutable):
             )
         for letter in word:
             self.alphabet.check_letter(letter)
-        value = self._num.get(len(word), {}).get(_encode(word, self.alphabet.size), 0)
+        codes, nums = self._num.get(len(word), ((), ()))
+        code = _encode(word, self.alphabet.size)
+        i = bisect_left(codes, code)
+        value = nums[i] if i < len(codes) and codes[i] == code else 0
         return Fraction(value, self._den)
 
     def terms(self) -> Iterator[tuple[Word, Fraction]]:
         """Deterministic iteration: by degree, then lexicographically."""
         base = self.alphabet.size
         for degree in sorted(self._num):
-            bucket = self._num[degree]
-            for code in sorted(bucket):
-                yield _decode(code, degree, base), Fraction(bucket[code], self._den)
+            codes, nums = self._num[degree]
+            for code, v in zip(codes, nums):
+                yield _decode(code, degree, base), Fraction(v, self._den)
 
     def term_count(self) -> int:
-        return sum(map(len, self._num.values()))
+        return sum(len(codes) for codes, _ in self._num.values())
 
     def is_zero(self) -> bool:
         return not self._num
@@ -213,10 +237,8 @@ class NCSeries(Immutable):
         # self + sign * other
         self._compatible(other)
         den = lcm(self._den, other._den)
-        acc: IntBuckets = {}
-        _add_into(acc, self._num, den // self._den)
-        _add_into(acc, other._num, sign * (den // other._den))
-        return NCSeries._reduced(self.alphabet, self.degree_cap, _drop_zeros(acc), den)
+        num = _linear_sum([(self._num, den // self._den), (other._num, sign * (den // other._den))])
+        return NCSeries._reduced(self.alphabet, self.degree_cap, num, den)
 
     def __add__(self, other: "NCSeries") -> "NCSeries":
         return self._combined(other, 1)
@@ -231,9 +253,7 @@ class NCSeries(Immutable):
         scalar = _exact(scalar)
         if not scalar:
             return NCSeries.zero(self.alphabet, self.degree_cap)
-        factor = scalar.numerator
-        num = {degree: {code: factor * v for code, v in bucket.items()}
-               for degree, bucket in self._num.items()}
+        num = _linear_sum([(self._num, scalar.numerator)])
         return NCSeries._reduced(self.alphabet, self.degree_cap, num,
                                  self._den * scalar.denominator)
 
@@ -260,18 +280,56 @@ class NCSeries(Immutable):
         return f"NCSeries(p={self.alphabet.p}, n={self.alphabet.n}, D={self.degree_cap}: {body})"
 
 
-def _drop_zeros(buckets: IntBuckets) -> IntBuckets:
-    """Removes zero entries, and the buckets left empty, from fresh buckets in
-    place and returns them.  A bucket that holds a zero is rebuilt, one bucket
-    at a time, so that one which mostly cancelled does not keep its table."""
-    for degree, bucket in list(buckets.items()):
-        if 0 in bucket.values():
-            kept = {code: v for code, v in bucket.items() if v}
-            if kept:
-                buckets[degree] = kept
-            else:
-                del buckets[degree]
-    return buckets
+def _linear_sum(parts: Sequence[tuple[IntBuckets, int]]) -> IntBuckets:
+    """The sum of ``factor * buckets`` over the parts, each factor nonzero,
+    without zero entries, in fresh arrays and lists.  A degree held by one
+    part is scaled; a degree held by several is merged two at a time, round
+    by round, so each entry takes part in about log2(parts) merges."""
+    out: IntBuckets = {}
+    for degree in sorted({degree for buckets, _ in parts for degree in buckets}):
+        held = [(buckets[degree], factor) for buckets, factor in parts if degree in buckets]
+        if len(held) == 1:
+            [((codes, nums), factor)] = held
+            out[degree] = (codes[:], [factor * v for v in nums])
+            continue
+        while len(held) > 1:
+            merged = [(_merge(*a, *b), 1) for a, b in zip(held[::2], held[1::2])]
+            held = merged + held[len(merged) * 2:]
+        [(bucket, _)] = held
+        if bucket[1]:
+            out[degree] = bucket
+    return out
+
+
+def _merge(a: Bucket, factor_a: int, b: Bucket, factor_b: int) -> Bucket:
+    """factor_a * a + factor_b * b on one degree, as one sorted merge of the
+    two code arrays that keeps only the nonzero sums."""
+    (codes_a, nums_a), (codes_b, nums_b) = a, b
+    codes, nums = array("q"), []
+    i = j = 0
+    len_a, len_b = len(codes_a), len(codes_b)
+    while i < len_a and j < len_b:
+        code_a, code_b = codes_a[i], codes_b[j]
+        if code_a < code_b:
+            codes.append(code_a)
+            nums.append(factor_a * nums_a[i])
+            i += 1
+        elif code_b < code_a:
+            codes.append(code_b)
+            nums.append(factor_b * nums_b[j])
+            j += 1
+        else:
+            v = factor_a * nums_a[i] + factor_b * nums_b[j]
+            if v:
+                codes.append(code_a)
+                nums.append(v)
+            i += 1
+            j += 1
+    codes.extend(codes_a[i:])
+    nums.extend([factor_a * v for v in nums_a[i:]])
+    codes.extend(codes_b[j:])
+    nums.extend([factor_b * v for v in nums_b[j:]])
+    return codes, nums
 
 
 def _product(left: IntBuckets, right: IntBuckets, cap: int, base: int) -> IntBuckets:
@@ -279,14 +337,18 @@ def _product(left: IntBuckets, right: IntBuckets, cap: int, base: int) -> IntBuc
     ``cap``, on word codes in ``base``.
 
     Within one pair of degrees every concatenation is a distinct word with a
-    nonzero numerator, so an output degree reached by one pair is filled
+    nonzero numerator, and the codes come out in ascending order, since
+    ``code_b < base**deg_b``: an output degree reached by one pair is filled
     directly.  A degree reached by several pairs can cancel, and is summed one
-    leading-letter slice at a time: the words that start with one letter (X,
-    digit 0, is one of the letters) are summed over every pair, and only their
-    nonzero entries are kept before the next slice is built.  So the transient
-    is one slice, not the whole bucket.  A word's first letter is that of its
-    left factor; a constant left factor only scales, so such a pair is summed
-    as the right bucket times the constant, sliced by the right word.
+    slice of words at a time: the words that share their first two letters,
+    or their first letter when a pair's lead factor has one letter (X, digit
+    0, is one of the letters).  A slice's words come from one range of each
+    pair's sorted lead codes, found by bisection; the first pair with words in
+    the slice fills its dict, the others add into it, and only its nonzero
+    entries are appended, in order, before the next slice is built.  So the
+    transient is one slice, not the whole bucket.  A word starts with its left
+    factor; a constant left factor only scales, so such a pair leads with the
+    right factor and takes the constant as its other factor.
     """
     reaching: dict[int, list[tuple[int, int]]] = {}
     for deg_a in left:
@@ -297,53 +359,50 @@ def _product(left: IntBuckets, right: IntBuckets, cap: int, base: int) -> IntBuc
     for degree, pairs in reaching.items():
         if len(pairs) == 1:
             [(deg_a, deg_b)] = pairs
-            bucket_b, shift = right[deg_b], base**deg_b
-            out[degree] = {
-                offset + code_b: coeff_a * coeff_b
-                for code_a, coeff_a in left[deg_a].items()
-                for offset in [code_a * shift]
-                for code_b, coeff_b in bucket_b.items()
-            }
+            (codes_a, nums_a), (codes_b, nums_b), shift = left[deg_a], right[deg_b], base**deg_b
+            codes_b = codes_b.tolist()  # boxed once, not once per row
+            out[degree] = (
+                array("q", (offset + code_b for code_a in codes_a
+                            for offset in [code_a * shift] for code_b in codes_b)),
+                [coeff_a * coeff_b for coeff_a in nums_a for coeff_b in nums_b],
+            )
             continue
-        # per pair: the lead bucket's codes by first letter, the lead bucket,
-        # the other bucket and the lead code's shift.  Indexing once makes a
-        # slice cost its own size; rescanning each lead bucket per slice costs
-        # the alphabet size times the bucket.
+        lead_degrees = [deg_a or deg_b for deg_a, deg_b in pairs]
+        width = min(2, *lead_degrees)  # the letters that the words of one slice share
         factors = []
-        for deg_a, deg_b in pairs:
-            bucket_a, bucket_b, shift = left[deg_a], right[deg_b], base**deg_b
-            if not deg_a:
-                bucket_a, bucket_b, deg_a, shift = bucket_b, bucket_a, deg_b, 1
-            span = base ** (deg_a - 1)
-            by_lead: list[list[int]] = [[] for _ in range(base)]
-            for code_a in bucket_a:
-                by_lead[code_a // span].append(code_a)
-            factors.append((by_lead, bucket_a, bucket_b, shift))
-        summed: dict[int, int] = {}
-        for lead in range(base):
+        for (deg_a, deg_b), lead_degree in zip(pairs, lead_degrees):
+            (codes_a, nums_a), (codes_b, nums_b), shift = (
+                (left[deg_a], right[deg_b], base**deg_b) if deg_a else (right[deg_b], left[0], 1))
+            # the other factor's entries are boxed once, not once per row; a
+            # slice takes the lead codes from prefix * step up to (prefix + 1) * step
+            others = list(zip(codes_b.tolist(), nums_b))
+            factors.append((codes_a, nums_a, others, shift, base ** (lead_degree - width)))
+        prefixes = sorted({code_a // step for codes_a, *_, step in factors for code_a in codes_a})
+        codes, nums = array("q"), []
+        for prefix in prefixes:
             acc: dict[int, int] = {}
-            for by_lead, bucket_a, bucket_b, shift in factors:
-                for code_a in by_lead[lead]:
-                    coeff_a = bucket_a[code_a]
+            for codes_a, nums_a, others, shift, step in factors:
+                lo = bisect_left(codes_a, prefix * step)
+                hi = bisect_left(codes_a, (prefix + 1) * step, lo)
+                if lo == hi:
+                    continue
+                rows = zip(codes_a[lo:hi], nums_a[lo:hi])
+                if not acc:
+                    acc = {offset + code_b: coeff_a * coeff_b
+                           for code_a, coeff_a in rows for offset in [code_a * shift]
+                           for code_b, coeff_b in others}
+                    continue
+                for code_a, coeff_a in rows:
                     offset = code_a * shift
-                    for code_b, coeff_b in bucket_b.items():
+                    for code_b, coeff_b in others:
                         code = offset + code_b
                         acc[code] = acc.get(code, 0) + coeff_a * coeff_b
-            summed.update((code, v) for code, v in acc.items() if v)
-        if summed:
-            out[degree] = summed
+            kept = [code for code in sorted(acc) if acc[code]]
+            codes.extend(kept)
+            nums.extend(map(acc.__getitem__, kept))
+        if nums:
+            out[degree] = (codes, nums)
     return out
-
-
-def _add_into(acc: IntBuckets, buckets: IntBuckets, factor: int) -> None:
-    """acc += factor * buckets, entrywise (zeros may remain in acc)."""
-    for degree, bucket in buckets.items():
-        target = acc.get(degree)
-        if target is None:
-            acc[degree] = {code: factor * v for code, v in bucket.items()}
-        else:
-            for code, v in bucket.items():
-                target[code] = target.get(code, 0) + factor * v
 
 
 def _power_sum(
@@ -372,12 +431,13 @@ def _power_sum(
         horner = _product(u, horner, cap - k * low, base)
         num, den = weights[k]
         if num:
-            horner[0] = {0: num * (common // (den * c**k))}  # u has no constant term
+            # u has no constant term
+            horner[0] = (array("q", [0]), [num * (common // (den * c**k))])
     factor, scale_den = scale
     if factor != 1:  # horner is fresh: scale it in place
-        for bucket in horner.values():
-            for code, v in bucket.items():
-                bucket[code] = factor * v
+        for _, nums in horner.values():
+            for i, v in enumerate(nums):
+                nums[i] = factor * v
     return NCSeries._reduced(like.alphabet, cap, horner, common * scale_den)
 
 
@@ -391,7 +451,8 @@ def exp(series: NCSeries) -> NCSeries:
 
 def log(series: NCSeries) -> NCSeries:
     """Truncated logarithm; the argument must have constant term 1."""
-    if series._num.get(0) != {0: series._den}:
+    constant = series._num.get(0)
+    if constant is None or constant[1] != [series._den]:
         raise ValueError("log requires constant term 1")
     u = {degree: bucket for degree, bucket in series._num.items() if degree}
     weights = [(0, 1)] + [((-1) ** (k + 1), k) for k in range(1, series.degree_cap + 1)]
@@ -405,10 +466,10 @@ def inverse(series: NCSeries) -> NCSeries:
     if constant is None:
         raise ValueError("series with zero constant term is not invertible")
     # series = S/d with constant term c = c0/d, so u = -(S - c0)/c0
-    c0 = constant[0]
+    [c0] = constant[1]
     sign = 1 if c0 > 0 else -1
-    u = {degree: {code: -sign * v for code, v in bucket.items()}
-         for degree, bucket in series._num.items() if degree}
+    nonconstant = {degree: bucket for degree, bucket in series._num.items() if degree}
+    u = _linear_sum([(nonconstant, -sign)])
     weights = [(1, 1)] * (series.degree_cap + 1)
     return _power_sum(series, u, abs(c0), weights, (sign * series._den, abs(c0)))
 
@@ -423,8 +484,8 @@ def substitute(series: NCSeries, images: Mapping[int, NCSeries]) -> NCSeries:
     cap, base = series.degree_cap, series.alphabet.size
     used = {
         letter
-        for degree, bucket in series._num.items()
-        for code in bucket
+        for degree, (codes, _) in series._num.items()
+        for code in codes
         for letter in _decode(code, degree, base)
     }
     missing = sorted(used - set(images))
@@ -435,7 +496,8 @@ def substitute(series: NCSeries, images: Mapping[int, NCSeries]) -> NCSeries:
         series._compatible(images[letter])
 
     letter_images = {letter + 1: (images[letter]._num, images[letter]._den) for letter in used}
-    cache: dict[tuple[int, int], tuple[IntBuckets, int]] = {(0, 0): ({0: {0: 1}}, 1)}
+    empty_word: IntBuckets = {0: (array("q", [0]), [1])}
+    cache: dict[tuple[int, int], tuple[IntBuckets, int]] = {(0, 0): (empty_word, 1)}
 
     def image_of(degree: int, code: int) -> tuple[IntBuckets, int]:
         found = cache.get((degree, code))
@@ -448,24 +510,12 @@ def substitute(series: NCSeries, images: Mapping[int, NCSeries]) -> NCSeries:
 
     parts = [
         (v, *image_of(degree, code))
-        for degree, bucket in series._num.items()
-        for code, v in bucket.items()
+        for degree, (codes, nums) in series._num.items()
+        for code, v in zip(codes, nums)
     ]
     common = lcm(*(den for _, _, den in parts))
-    acc: IntBuckets = {}
-    for v, numerators, den in parts:
-        _add_into(acc, numerators, v * (common // den))
-    return NCSeries._reduced(series.alphabet, cap, _drop_zeros(acc), common * series._den)
-
-
-def _x_free(series: NCSeries, degree: int) -> dict[int, int]:
-    """The numerators of the X-free words of one degree, by word code."""
-    base = series.alphabet.size
-    return {
-        code: v
-        for code, v in series._num.get(degree, {}).items()
-        if X not in _decode(code, degree, base)
-    }
+    num = _linear_sum([(numerators, v * (common // den)) for v, numerators, den in parts])
+    return NCSeries._reduced(series.alphabet, cap, num, common * series._den)
 
 
 class LambdaTable(Immutable):
@@ -523,10 +573,9 @@ def to_lambda_table(series: NCSeries, r: int) -> LambdaTable:
     if r > series.degree_cap:
         raise ValueError("depth above the series truncation degree")
     base = series.alphabet.size
-    coeffs = {
-        _decode(code, r, base): Fraction(v, series._den)
-        for code, v in _x_free(series, r).items()
-    }
+    codes, nums = series._num.get(r, ((), ()))
+    words = (_decode(code, r, base) for code in codes)
+    coeffs = {word: Fraction(v, series._den) for word, v in zip(words, nums) if X not in word}
     return LambdaTable(series.alphabet.p, series.alphabet.n, r, coeffs)
 
 

@@ -64,6 +64,13 @@ def fraction_scale(a, scalar):
     return NCSeries(a.alphabet, a.degree_cap, {word: c * scalar for word, c in a.terms()})
 
 
+def fraction_sum(a, b, sign):
+    out = dict(a.terms())
+    for word, coeff in b.terms():
+        out[word] = out.get(word, 0) + sign * coeff
+    return NCSeries(a.alphabet, a.degree_cap, out)
+
+
 def fraction_exp(u):
     acc = power = NCSeries.one(u.alphabet, u.degree_cap)
     for k in range(1, u.degree_cap + 1):
@@ -564,7 +571,8 @@ def test_slice_boundaries_match_fraction_oracle(case):
     product = a * b
     assert product == fraction_mul(a, b)
     assert {word[0] for word, _ in product.terms() if len(word) == degree} == leads
-    assert all(product._num.values())  # no empty bucket is kept
+    # no empty bucket is kept
+    assert all(len(codes) == len(nums) > 0 for codes, nums in product._num.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -580,19 +588,30 @@ def test_x_led_words_match_fraction_oracle(data, shape, c):
     assert inverse(constant + a) == fraction_inverse(constant + a)
 
 
+def storage(s):
+    """The code arrays and numerator lists that hold a series."""
+    return [part for bucket in s._num.values() for part in bucket]
+
+
+def contents(s):
+    """A copy of what a series holds."""
+    num = {degree: (codes.tolist(), list(nums)) for degree, (codes, nums) in s._num.items()}
+    return num, s._den
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), shape=LED_SHAPES)
 def test_operations_leave_their_operands_unchanged(data, shape):
-    # results are reduced in place, so none may be built on an operand's buckets
+    # results are reduced in place, so none may be built on an operand's
+    # arrays or lists
     a = data.draw(x_and_y_led_series(*shape))
     one = NCSeries.one(*shape)
-    before = ({degree: dict(bucket) for degree, bucket in a._num.items()}, a._den)
+    before = contents(a)
     images = {letter: one + a for letter in a.alphabet.letters()}
     for result in (a + a, a - a, a * 2, a * Fraction(1, 2), a * a, one * a, a * one,
                    exp(a), log(one + a), inverse(one + a), substitute(a, images)):
-        assert all(bucket is not own for bucket in result._num.values()
-                   for own in a._num.values())
-    assert ({degree: dict(bucket) for degree, bucket in a._num.items()}, a._den) == before
+        assert not any(part is own for part in storage(result) for own in storage(a))
+    assert contents(a) == before
 
 
 def traced(compute):
@@ -606,6 +625,16 @@ def traced(compute):
     finally:
         tracemalloc.stop()
     return result, size - before, peak - before
+
+
+def test_log_storage_is_at_most_48_bytes_per_term():
+    # a degree holds one int64 code and one list slot per word beside its
+    # numerator, an int of 32 bytes here; {code: numerator} dicts took about
+    # 100 bytes per term
+    s = from_lambda_table(random_lambda_table(2, 2, 2, seed=1), degree_cap=8)
+    big, size, _ = traced(lambda: log(s))
+    assert big.term_count() == 69_904
+    assert size <= 48 * big.term_count()
 
 
 def test_report_round_trip_holds_one_slice_beside_the_log():
@@ -631,16 +660,36 @@ def test_sums_and_scaled_inverses_are_reduced_in_place():
     assert peak <= 1.5 * size
 
 
+# two independent series of one shape, constant terms allowed
+PAIRS = SHAPES.flatmap(lambda shape: st.tuples(series_of_shape(*shape, 0),
+                                               series_of_shape(*shape, 0)))
+
+
 @settings(max_examples=80, deadline=None)
-@given(
-    pair=SHAPES.flatmap(lambda shape: st.tuples(series_of_shape(*shape, 0),
-                                                series_of_shape(*shape, 0))),
-    scalar=SMALL_FRACTIONS,
-)
+@given(pair=PAIRS, scalar=SMALL_FRACTIONS)
 def test_mul_matches_fraction_oracle(pair, scalar):
     a, b = pair
     assert a * b == fraction_mul(a, b)
     assert a * scalar == scalar * a == fraction_scale(a, scalar)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=PAIRS)
+def test_sums_match_fraction_oracle(pair):
+    # independent supports, and (a + b) - a, whose support overlaps a's and
+    # cancels on the words of a that b lacks
+    a, b = pair
+    assert a + b == fraction_sum(a, b, 1)
+    assert a - b == fraction_sum(a, b, -1)
+    assert (a + b) - a == fraction_sum(fraction_sum(a, b, 1), a, -1) == b
+
+
+def test_word_codes_fit_in_int64():
+    # base 3: the largest code 3**39 - 1 fits in 63 bits, 3**40 - 1 does not
+    y = NCSeries.letter(AB2, 39, 1)
+    assert exp(y).coeff((1,) * 39) == Fraction(1, factorial(39))
+    with pytest.raises(ValueError, match="63 bits"):
+        NCSeries.zero(AB2, 40)
 
 
 @settings(max_examples=40, deadline=None)
