@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .euler import (
     MAX_CERTIFICATE_EXPONENT,
@@ -32,13 +32,11 @@ from .measures import (
     factorial_norm,
     four_term,
     index_to_point,
-    lambda_table_from_measure,
     measure_from_json_dict,
-    measure_from_lambda_table,
     moment_sweep,
 )
 from .paths import rhombus_product
-from .series import LambdaTable, NCSeries, exp, from_lambda_table, log
+from .series import NCSeries, exp, from_measure, log
 from .synth import (
     KernelBasis,
     check_size,
@@ -148,7 +146,11 @@ def _load_measure(
     before a seeded measure is built, so their guard runs first."""
     if args.infile is not None:
         with open(args.infile, encoding="ascii") as handle:
-            data = json.load(handle)
+            try:
+                data = json.load(handle)
+            except RecursionError:
+                # json.load recurses once per nesting level
+                raise ValueError(f"{args.infile} is nested too deeply to read") from None
         mu = measure_from_json_dict(data)
         for flag, got, expected in (
             ("--p", args.p, mu.p),
@@ -204,10 +206,9 @@ def _coset_sweep(mu: LevelMeasure,
     return total, failures, worst
 
 
-def _rhombus_matches(table: LambdaTable) -> bool:
+def _rhombus_matches(table: LevelMeasure) -> bool:
     """Whether the rhombus product equals the four-term layer of the table."""
-    combination = lambda_table_from_measure(four_term(measure_from_lambda_table(table)))
-    return rhombus_product(table) == from_lambda_table(combination, degree_cap=table.r)
+    return rhombus_product(table) == from_measure(four_term(table), table.r)
 
 
 def _kernel_rows(basis: KernelBasis) -> Iterator[str]:
@@ -327,7 +328,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     coset_words = _exponent_words(r, args.exp_cap, odd_only=False)
 
     table = random_lambda_table(p, n, r, seed=seed)
-    series = from_lambda_table(table, degree_cap=args.degree)
+    series = from_measure(table, args.degree)
     one = NCSeries.one(series.alphabet, args.degree)
     series_ok = exp(log(series)) == series and log(exp(series - one)) == series - one
 

@@ -8,10 +8,10 @@ power) with exact Fraction entries and no trailing zeros.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .exact import (INFINITY, Immutable, binomial, bernoulli, check_word, format_rational,
                     padic_valuation)
@@ -37,8 +37,6 @@ __all__ = [
 ]
 
 Poly = tuple[Fraction, ...]
-
-Parity = Literal["even", "odd"]
 
 # Largest certificate target exponent.  Building the combination costs about
 # a^3 / 24 Fraction operations on numbers that grow with a; a = 200 takes
@@ -73,8 +71,9 @@ def _shifted_power(offset: int, q: int) -> Poly:
     return tuple(Fraction(binomial(q, k) * offset ** (q - k)) for k in range(q + 1))
 
 
-def four_term_poly(q: int, m_parity: Parity) -> Poly:
-    """x^q - (-1)^(m+q) x^q + (-1)^(m+q) (x-1)^q - (x+1)^q for the given parity of m.
+def four_term_poly(q: int, m_parity: str) -> Poly:
+    """x^q - (-1)^(m+q) x^q + (-1)^(m+q) (x-1)^q - (x+1)^q for the parity of m,
+    "even" or "odd".
 
     This is the one-variable shadow of the signed four-term combination after
     the three affine changes of variables: per ``FOUR_TERM`` entry, the coset
@@ -89,7 +88,7 @@ def four_term_poly(q: int, m_parity: Parity) -> Poly:
     return out
 
 
-def four_term_poly_coeffs(a: int, m_parity: Parity) -> Poly:
+def four_term_poly_coeffs(a: int, m_parity: str) -> Poly:
     """Binomial expansion of :func:`four_term_poly`: the coefficient of x^{a-i}
     is C(a, a-i) ((-1)^{m-(a-i)} - 1) for i = 1..a."""
     if a < 1:
@@ -124,7 +123,7 @@ class VanishingCertificate(Immutable):
         return sum(self.target[:-1])
 
     @property
-    def m_parity(self) -> Parity:
+    def m_parity(self) -> str:
         return "odd" if self.prefix_sum % 2 else "even"
 
     def slack(self, p: int) -> int:

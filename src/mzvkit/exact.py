@@ -8,11 +8,12 @@ reported as ``INFINITY`` so that threshold comparisons work unchanged.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
 from operator import index
-from typing import Iterable
 
 __all__ = [
     "INFINITY",
@@ -208,6 +209,14 @@ def binomial(a: int, b: int) -> int:
     return comb(a, b)
 
 
+def _exact(value: object) -> Fraction | int:
+    """An int or Fraction value; a float, say, would be stored as its binary
+    fraction, so anything else is a TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficient must be an int or Fraction, not {type(value).__name__}")
+    return value
+
+
 def format_rational(q: Fraction | int) -> str:
     """Canonical string form: lowest terms, positive denominator, "n" or "n/d".
 
@@ -223,14 +232,23 @@ def format_rational(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; accepts any "n" or "n/d" string.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-    Raises ValueError for a non-string or a zero denominator.
+
+def parse_rational(text: str) -> Fraction:
+    """Inverse of :func:`format_rational`: a string ``-?[0-9]+(/[0-9]+)?``.
+
+    Raises ValueError for a non-string, any other string (no spaces, signs
+    but a leading minus, decimal points, exponents or underscores) and a
+    zero denominator.  The grammar is matched before any digit is read, so
+    ``"1e10000000"`` is refused without building its value.
     """
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {text!r}")
+    if _RATIONAL.fullmatch(text) is None:
+        raise ValueError(f'rational must be "n" or "n/d" in decimal digits, got {text[:40]!r}')
+    numerator, _, denominator = text.partition("/")
     try:
-        return Fraction(text.strip())
+        return Fraction(int(numerator), int(denominator or 1))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None

@@ -4,8 +4,8 @@ A measure level is a dense row-major table over residue tuples, held as int
 numerators over one int denominator, so every measure, integral or not, is
 read one way: sums run over the numerators and are divided once.  Polynomial
 moments are plain finite sums evaluated at the canonical representatives in
-[0, p^n).  Affine reindexing follows the composition convention: the value of
-the reindexed table at j is the original table at the mapped index.
+[0, p^n).  It is the package's one depth-r table: ``series.from_measure`` and
+``paths.rhombus_product`` read the same table as series.
 
 The signed four-term combination mu(j) - mu(-j) + mu(1-j) - mu(j-1) is
 written down once, as ``FOUR_TERM``: an entry (sign, scale, offset) is the
@@ -30,22 +30,20 @@ cell at a time and stay as their independent oracles.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product, repeat
 from math import factorial, gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exact import Immutable, check_config, check_word, format_rational, parse_rational
-from .series import LambdaTable, _exact
+from .exact import Immutable, _exact, check_config, check_word, format_rational, parse_rational
 
 __all__ = [
     "FOUR_TERM",
     "LevelMeasure",
     "Coset",
     "project",
-    "affine_pushforward",
     "four_term",
     "four_term_is_zero",
     "moment",
@@ -53,8 +51,6 @@ __all__ = [
     "coset_sums",
     "factorial_norm",
     "coset_moment",
-    "measure_from_lambda_table",
-    "lambda_table_from_measure",
     "measure_to_json_dict",
     "measure_from_json_dict",
 ]
@@ -203,23 +199,6 @@ def project(mu: LevelMeasure) -> LevelMeasure:
         if value:
             cells[point_to_index(tuple(c % q_new for c in point), q_new)] += value
     return LevelMeasure._reduced(mu.p, mu.n - 1, mu.r, cells, mu.denominator)
-
-
-def affine_pushforward(mu: LevelMeasure, scale: int, offset: int) -> LevelMeasure:
-    """Reindex by x -> scale*x + offset on every coordinate, composition convention.
-
-    The value of the result at j is the value of ``mu`` at scale*j + offset, so
-    e.g. (scale, offset) = (1, -1) yields the table j -> mu(j - 1).
-    """
-    if scale not in (1, -1):
-        raise ValueError("scale must be +1 or -1")
-    q = mu.modulus
-    values = mu.numerators
-    cells = [
-        values[point_to_index(tuple((scale * c + offset) % q for c in point), q)]
-        for point in mu.points()
-    ]
-    return LevelMeasure._reduced(mu.p, mu.n, mu.r, cells, mu.denominator)
 
 
 @lru_cache(maxsize=64)
@@ -482,23 +461,6 @@ def coset_moment(
         if value:
             total += value * _integrand_value(point, exponents, final_offset)
     return Fraction(total, mu.denominator)
-
-
-def measure_from_lambda_table(table: LambdaTable) -> LevelMeasure:
-    """Dense measure view of a coefficient table (same index space)."""
-    q = table.modulus
-    cells = [Fraction(0)] * _cell_count(q, table.r)
-    for idx, coeff in table.coeffs.items():
-        cells[point_to_index(idx, q)] = coeff
-    return LevelMeasure(table.p, table.n, table.r, tuple(cells))
-
-
-def lambda_table_from_measure(mu: LevelMeasure) -> LambdaTable:
-    """Coefficient-table view of a measure (zeros dropped)."""
-    coeffs = {
-        point: value for point, value in zip(mu.points(), mu.values) if value
-    }
-    return LambdaTable(mu.p, mu.n, mu.r, coeffs)
 
 
 def measure_to_json_dict(mu: LevelMeasure) -> dict:

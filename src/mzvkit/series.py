@@ -14,34 +14,31 @@ first letter most significant, with X -> 0 and Y_i -> i + 1.  Concatenation is
 ``code_a * base**deg_b + code_b``, and within one degree code order is tuple
 order.  A code is an int64, so a series whose largest code
 ``base**degree_cap - 1`` needs more than 63 bits is a ValueError.  Tuples and
-``Fraction``s are built only by ``coeff``, ``terms``, ``repr``, the JSON form
-and ``to_lambda_table``.
+``Fraction``s are built only by ``coeff``, ``terms``, ``repr`` and the JSON
+form.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exact import Immutable, check_config, format_rational
+from .exact import Immutable, _exact, check_config, format_rational
+from .measures import LevelMeasure
 
 __all__ = [
     "X",
     "Word",
     "Alphabet",
     "NCSeries",
-    "LambdaTable",
     "exp",
     "log",
-    "inverse",
-    "substitute",
-    "from_lambda_table",
-    "to_lambda_table",
+    "from_measure",
     "series_to_json_dict",
 ]
 
@@ -84,14 +81,6 @@ class Alphabet(Immutable):
 
     def word_name(self, word: Word) -> str:
         return ".".join(self.letter_name(letter) for letter in word)
-
-
-def _exact(value: object) -> Fraction | int:
-    """An int or Fraction coefficient; a float, say, would be stored as its
-    binary fraction, so anything else is a TypeError."""
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"coefficient must be an int or Fraction, not {type(value).__name__}")
-    return value
 
 
 _code = itemgetter(0)  # the code of a (code, value) pair
@@ -281,10 +270,9 @@ class NCSeries(Immutable):
 
 
 def _linear_sum(parts: Sequence[tuple[IntBuckets, int]]) -> IntBuckets:
-    """The sum of ``factor * buckets`` over the parts, each factor nonzero,
-    without zero entries, in fresh arrays and lists.  A degree held by one
-    part is scaled; a degree held by several is merged two at a time, round
-    by round, so each entry takes part in about log2(parts) merges."""
+    """The sum of ``factor * buckets`` over one or two parts, each factor
+    nonzero, without zero entries, in fresh arrays and lists.  A degree held
+    by one part is scaled, a degree held by both is merged."""
     out: IntBuckets = {}
     for degree in sorted({degree for buckets, _ in parts for degree in buckets}):
         held = [(buckets[degree], factor) for buckets, factor in parts if degree in buckets]
@@ -292,10 +280,8 @@ def _linear_sum(parts: Sequence[tuple[IntBuckets, int]]) -> IntBuckets:
             [((codes, nums), factor)] = held
             out[degree] = (codes[:], [factor * v for v in nums])
             continue
-        while len(held) > 1:
-            merged = [(_merge(*a, *b), 1) for a, b in zip(held[::2], held[1::2])]
-            held = merged + held[len(merged) * 2:]
-        [(bucket, _)] = held
+        [(a, factor_a), (b, factor_b)] = held
+        bucket = _merge(a, factor_a, b, factor_b)
         if bucket[1]:
             out[degree] = bucket
     return out
@@ -405,16 +391,11 @@ def _product(left: IntBuckets, right: IntBuckets, cap: int, base: int) -> IntBuc
     return out
 
 
-def _power_sum(
-    like: NCSeries,
-    u: IntBuckets,
-    c: int,
-    weights: Sequence[tuple[int, int]],
-    scale: tuple[int, int] = (1, 1),
-) -> NCSeries:
-    """scale * sum over k of w_k * (u/c)^k, with u integral without a constant
-    term, c > 0 and w_k = num_k/den_k given as ``weights[k] = (num_k, den_k)``;
-    ``like`` gives the alphabet and truncation degree, ``scale`` is (num, den).
+def _power_sum(series: NCSeries, u: IntBuckets, weights: Sequence[tuple[int, int]]) -> NCSeries:
+    """The sum over k of w_k * (u/c)^k, with u integral without a constant
+    term, c the denominator of ``series`` and w_k = num_k/den_k given as
+    ``weights[k] = (num_k, den_k)``; ``series`` also gives the alphabet and
+    truncation degree.
 
     With m the lowest degree in u, only k <= K = cap // m contribute.  Over
     C = lcm_k(den_k * c^k) each weight becomes the integer
@@ -422,7 +403,7 @@ def _power_sum(
     h_k = W_k + u * h_{k+1} yields h_0 = sum of W_k * u^k.  As u^k lifts h_k by
     at least k*m degrees, h_k is kept only up to degree cap - k*m.
     """
-    cap, base = like.degree_cap, like.alphabet.size
+    cap, base, c = series.degree_cap, series.alphabet.size, series._den
     low = min(u, default=0)
     weights = weights[: cap // low + 1 if low else 1]
     common = lcm(*(den * c**k for k, (num, den) in enumerate(weights) if num))
@@ -433,12 +414,7 @@ def _power_sum(
         if num:
             # u has no constant term
             horner[0] = (array("q", [0]), [num * (common // (den * c**k))])
-    factor, scale_den = scale
-    if factor != 1:  # horner is fresh: scale it in place
-        for _, nums in horner.values():
-            for i, v in enumerate(nums):
-                nums[i] = factor * v
-    return NCSeries._reduced(like.alphabet, cap, horner, common * scale_den)
+    return NCSeries._reduced(series.alphabet, cap, horner, common)
 
 
 def exp(series: NCSeries) -> NCSeries:
@@ -446,7 +422,7 @@ def exp(series: NCSeries) -> NCSeries:
     if 0 in series._num:
         raise ValueError("exp requires zero constant term")
     weights = [(1, factorial(k)) for k in range(series.degree_cap + 1)]
-    return _power_sum(series, series._num, series._den, weights)
+    return _power_sum(series, series._num, weights)
 
 
 def log(series: NCSeries) -> NCSeries:
@@ -456,127 +432,17 @@ def log(series: NCSeries) -> NCSeries:
         raise ValueError("log requires constant term 1")
     u = {degree: bucket for degree, bucket in series._num.items() if degree}
     weights = [(0, 1)] + [((-1) ** (k + 1), k) for k in range(1, series.degree_cap + 1)]
-    return _power_sum(series, u, series._den, weights)
+    return _power_sum(series, u, weights)
 
 
-def inverse(series: NCSeries) -> NCSeries:
-    """Multiplicative inverse mod the truncation degree (constant term nonzero):
-    (1/c) * sum of u^k with u = 1 - series/c."""
-    constant = series._num.get(0)
-    if constant is None:
-        raise ValueError("series with zero constant term is not invertible")
-    # series = S/d with constant term c = c0/d, so u = -(S - c0)/c0
-    [c0] = constant[1]
-    sign = 1 if c0 > 0 else -1
-    nonconstant = {degree: bucket for degree, bucket in series._num.items() if degree}
-    u = _linear_sum([(nonconstant, -sign)])
-    weights = [(1, 1)] * (series.degree_cap + 1)
-    return _power_sum(series, u, abs(c0), weights, (sign * series._den, abs(c0)))
-
-
-def substitute(series: NCSeries, images: Mapping[int, NCSeries]) -> NCSeries:
-    """Apply the multiplicative extension of a letter -> series map.
-
-    Every letter that actually occurs in ``series`` must have an image; images
-    must share the alphabet and truncation degree of ``series``.  The image of
-    each word is built on integer numerators from the image of its prefix.
-    """
-    cap, base = series.degree_cap, series.alphabet.size
-    used = {
-        letter
-        for degree, (codes, _) in series._num.items()
-        for code in codes
-        for letter in _decode(code, degree, base)
-    }
-    missing = sorted(used - set(images))
-    if missing:
-        names = ", ".join(series.alphabet.letter_name(letter) for letter in missing)
-        raise ValueError(f"substitution is missing images for: {names}")
-    for letter in used:
-        series._compatible(images[letter])
-
-    letter_images = {letter + 1: (images[letter]._num, images[letter]._den) for letter in used}
-    empty_word: IntBuckets = {0: (array("q", [0]), [1])}
-    cache: dict[tuple[int, int], tuple[IntBuckets, int]] = {(0, 0): (empty_word, 1)}
-
-    def image_of(degree: int, code: int) -> tuple[IntBuckets, int]:
-        found = cache.get((degree, code))
-        if found is None:
-            prefix, prefix_den = image_of(degree - 1, code // base)
-            last, last_den = letter_images[code % base]
-            found = (_product(prefix, last, cap, base), prefix_den * last_den)
-            cache[degree, code] = found
-        return found
-
-    parts = [
-        (v, *image_of(degree, code))
-        for degree, (codes, nums) in series._num.items()
-        for code, v in zip(codes, nums)
-    ]
-    common = lcm(*(den for _, _, den in parts))
-    num = _linear_sum([(numerators, v * (common // den)) for v, numerators, den in parts])
-    return NCSeries._reduced(series.alphabet, cap, num, common * series._den)
-
-
-class LambdaTable(Immutable):
-    """Depth-r coefficient table indexed by residue tuples mod p^n.
-
-    Entries absent from the map are zero; stored zeros are dropped on
-    construction so tables compare structurally.
-    """
-
-    _fields = ("p", "n", "r", "coeffs")
-
-    def __init__(self, p: int, n: int, r: int,
-                 coeffs: Mapping[tuple[int, ...], Fraction | int] | None = None) -> None:
-        check_config(p, n, r)
-        modulus = p**n
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        for idx, coeff in (coeffs or {}).items():
-            idx = tuple(idx)
-            if len(idx) != r:
-                raise ValueError(f"index {idx} does not have depth {r}")
-            if any(not 0 <= i < modulus for i in idx):
-                raise ValueError(f"index {idx} outside range mod {modulus}")
-            coeff = Fraction(_exact(coeff))
-            if coeff:
-                cleaned[idx] = coeff
-        self._assign(p, n, r, cleaned)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.n
-
-    def value(self, idx: tuple[int, ...]) -> Fraction:
-        return self.coeffs.get(tuple(idx), Fraction(0))
-
-
-def from_lambda_table(table: LambdaTable, degree_cap: int | None = None) -> NCSeries:
-    """1 plus the depth-r pure-letter layer encoded by the table.
-
-    The default truncation degree is r, matching the depth-graded quotient.
-    """
-    cap = table.r if degree_cap is None else degree_cap
-    if cap < table.r:
+def from_measure(mu: LevelMeasure, degree_cap: int) -> NCSeries:
+    """1 plus the depth-r layer of the table ``mu``: the word (i_1, ..., i_r)
+    of cyclic letters carries the value at the point (i_1, ..., i_r), and a
+    zero cell adds no term.  The truncation degree is at least r."""
+    if degree_cap < mu.r:
         raise ValueError("truncation degree below table depth")
-    alphabet = Alphabet(table.p, table.n)
-    terms: dict[Word, Fraction | int] = {EMPTY_WORD: 1}
-    for idx, coeff in table.coeffs.items():
-        terms[idx] = coeff
-    return NCSeries(alphabet, cap, terms)
-
-
-def to_lambda_table(series: NCSeries, r: int) -> LambdaTable:
-    """Extract the X-free degree-r coefficients as a table."""
-    if r < 1:
-        raise ValueError("table depth must be at least 1")
-    if r > series.degree_cap:
-        raise ValueError("depth above the series truncation degree")
-    base = series.alphabet.size
-    codes, nums = series._num.get(r, ((), ()))
-    words = (_decode(code, r, base) for code in codes)
-    coeffs = {word: Fraction(v, series._den) for word, v in zip(words, nums) if X not in word}
-    return LambdaTable(series.alphabet.p, series.alphabet.n, r, coeffs)
+    terms = [(point, value) for point, value in zip(mu.points(), mu.values) if value]
+    return NCSeries(Alphabet(mu.p, mu.n), degree_cap, [(EMPTY_WORD, 1), *terms])
 
 
 def series_to_json_dict(series: NCSeries) -> dict:

@@ -12,12 +12,10 @@ import os
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .exact import Immutable, check_config
 from .measures import (LevelMeasure, _cell_count, _four_term_rows, _points, index_to_point,
                        point_to_index)
-from .series import LambdaTable
 
 __all__ = [
     "DEFAULT_CELL_CAP",
@@ -164,14 +162,12 @@ def random_kernel_measure(
     return LevelMeasure(p, n, r, cells)
 
 
-def random_lambda_table(p: int, n: int, r: int, seed: int, magnitude: int = 9) -> LambdaTable:
-    """Seeded dense table with uniform small integer entries."""
+def random_lambda_table(p: int, n: int, r: int, seed: int, magnitude: int = 9) -> LevelMeasure:
+    """Seeded table with uniform small integer values: one
+    ``randint(-magnitude, magnitude)`` per cell, in row-major order."""
     rng = random.Random(seed)
-    coeffs = {
-        idx: Fraction(rng.randint(-magnitude, magnitude))
-        for idx in product(range(p**n), repeat=r)
-    }
-    return LambdaTable(p, n, r, coeffs)
+    return LevelMeasure(p, n, r, [rng.randint(-magnitude, magnitude)
+                                  for _ in range(_cell_count(p**n, r))])
 
 
 def lift(mu: LevelMeasure) -> LevelMeasure:

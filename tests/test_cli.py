@@ -265,7 +265,10 @@ def test_missing_input_file(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("bad_value", ["1/0", 1.5])
+# a value is "n" or "n/d" in ASCII digits: no decimal point, exponent,
+# underscore, padding, plus sign or other digit script
+@pytest.mark.parametrize("bad_value", ["1/0", 1.5, "0.5", "1e2", "1_0", " 1 ", "+1", "1/2 ",
+                                       "\uff11", "1e10000000"])
 def test_bad_measure_value_exits_two(tmp_path, bad_value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"p": 2, "n": 1, "r": 1, "values": ["1", bad_value]}),
@@ -285,6 +288,15 @@ def test_malformed_measure_header_exits_two(fuzz_dir, name):
     code, out, err = run_cli(["vanish", "--in", str(fuzz_dir / name)])
     assert (code, out) == (2, "")
     assert err.startswith("error: measure field")
+
+
+@pytest.mark.parametrize("name", ["deep.json", "deep-values.json"])
+@pytest.mark.parametrize("command", ["vanish", "moments", "check-cosets"])
+def test_deeply_nested_input_exits_two(fuzz_dir, name, command):
+    # json.load recurses once per level: a RecursionError is an input error
+    code, out, err = run_cli([command, "--in", str(fuzz_dir / name)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "nested too deeply" in err
 
 
 def test_non_kernel_measure_rejected(tmp_path):
@@ -377,7 +389,7 @@ def test_cli_import_loads_every_module_without_dataclasses():
             "loaded = sorted(sys.modules)\n" + LOAD_TRACER +
             "print(json.dumps([loaded, sorted({module for module, _ in tracer.TRACED})]))")
     loaded, traced = json.loads(_python("-S", "-c", code))
-    assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded and "typing" not in loaded
     assert traced and all(f"mzvkit.{module}" in loaded for module in traced)
 
 
@@ -534,12 +546,21 @@ FUZZ_FILES = {
     "string-values.json": {"p": 3, "n": 1, "r": 1, "values": "111"},
     "missing-key.json": {"p": 3, "n": 1},
     "list.json": [1, 2, 3],
+    "decimal-value.json": {"p": 3, "n": 1, "r": 1, "values": ["0.5", "0", "0"]},
+    "exponent-value.json": {"p": 3, "n": 1, "r": 1, "values": ["1e2", "0", "0"]},
+    "underscore-value.json": {"p": 3, "n": 1, "r": 1, "values": ["1_0", "0", "0"]},
+    "padded-value.json": {"p": 3, "n": 1, "r": 1, "values": [" 1 ", "0", "0"]},
+    "plus-value.json": {"p": 3, "n": 1, "r": 1, "values": ["+1", "0", "0"]},
+    "fullwidth-digit-value.json": {"p": 3, "n": 1, "r": 1, "values": ["\uff11", "0", "0"]},
+    "huge-exponent-value.json": {"p": 3, "n": 1, "r": 1, "values": ["1e10000000", "0", "0"]},
 }
 FUZZ_TEXTS = {
     "bad.json": '{"p": 3,',
     "non-ascii.json": '{"p": 3, "values": ["\u00e9"]}',
     # json.dumps cannot write this literal; it loads as a float infinity
     "overflow-header.json": '{"p": 1e400, "n": 1, "r": 1, "values": ["0", "0", "0"]}',
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+    "deep-values.json": '{"p": 3, "n": 1, "r": 1, "values": ' + "[" * 100_000 + "]" * 100_000 + "}",
 }
 FUZZ_CONFIGS = [(p, n, r) for p in (2, 3, 5, 7) for n in range(3) for r in range(1, 4)
                 if p ** (n * r) <= 64]

@@ -161,6 +161,22 @@ def test_rational_round_trip(q):
     assert parse_rational(format_rational(q)) == q
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e2", "1_0", " 1 ", "1 ", "+1", "1/-2", "1/+2", "-1/2/3",
+                                  "", "/2", "1/", "--1", "inf", "nan", "\uff11", "\u0661",
+                                  "1\n", "1e10000000"])
+def test_parse_rational_accepts_only_its_grammar(text):
+    # -?[0-9]+(/[0-9]+)?, matched before any int() is built
+    with pytest.raises(ValueError, match="n/d"):
+        parse_rational(text)
+
+
+def test_parse_rational_reads_leading_zeros_and_negative_zero():
+    assert parse_rational("007/21") == Fraction(1, 3)
+    assert parse_rational("-0") == 0
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("3/00")
+
+
 def test_check_config_runs_cheap_guards_first():
     assert check_config(3, 2, 2, 81) == 81
     assert check_config(3, 2, 2) is None

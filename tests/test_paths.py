@@ -1,19 +1,18 @@
 from hypothesis import given, settings, strategies as st
 
+from mzvkit.measures import LevelMeasure
 from mzvkit.paths import rhombus_product
-from mzvkit.series import Alphabet, LambdaTable, NCSeries, from_lambda_table, inverse, substitute
+from mzvkit.series import Alphabet, NCSeries, from_measure
+from test_series import fraction_inverse, fraction_substitute
 
 AB3 = Alphabet(3, 1)
 
 
 @st.composite
 def depth_one_tables(draw, p=3, n=1, bound=9):
-    modulus = p**n
-    coeffs = {
-        (i,): draw(st.integers(min_value=-bound, max_value=bound))
-        for i in range(modulus)
-    }
-    return LambdaTable(p, n, 1, coeffs)
+    values = draw(st.lists(st.integers(min_value=-bound, max_value=bound),
+                           min_size=p**n, max_size=p**n))
+    return LevelMeasure(p, n, 1, values)
 
 
 @settings(max_examples=30)
@@ -23,22 +22,23 @@ def test_octagon_reduces_to_rhombus(table):
     # conjugators: the other four, built from one series F, realize the
     # depth-graded index maps i+1, 1-i, -i, i
     cap = table.r
-    f = from_lambda_table(table, degree_cap=cap)
+    f = from_measure(table, cap)
     q = AB3.modulus
     rot = {i: NCSeries.letter(AB3, cap, (i + 1) % q) for i in range(q)}
     inv = {i: NCSeries.letter(AB3, cap, -i % q) for i in range(q)}
-    octagon = (substitute(inverse(f), rot) * substitute(substitute(f, inv), rot)
-               * substitute(inverse(f), inv) * f)
+    octagon = (fraction_substitute(fraction_inverse(f), rot)
+               * fraction_substitute(fraction_substitute(f, inv), rot)
+               * fraction_substitute(fraction_inverse(f), inv) * f)
     assert octagon == rhombus_product(table)
 
 
 def test_rhombus_of_zero_table_is_one():
-    table = LambdaTable(3, 1, 2, {})
+    table = LevelMeasure.zero(3, 1, 2)
     assert rhombus_product(table) == NCSeries.one(AB3, 2)
 
 
 def test_rhombus_depth_one_coefficients():
-    table = LambdaTable(3, 1, 1, {(0,): 2, (1,): 5, (2,): -3})
+    table = LevelMeasure(3, 1, 1, [2, 5, -3])
     deviation = rhombus_product(table) - NCSeries.one(AB3, 1)
     a = table.value
     for j in range(3):
@@ -49,6 +49,6 @@ def test_rhombus_depth_one_coefficients():
 
 
 def test_rhombus_collapses_mod_two():
-    for coeffs in [{(0,): 1}, {(1,): 4}, {(0,): 2, (1,): -7}]:
-        table = LambdaTable(2, 1, 1, coeffs)
+    for values in [[1, 0], [0, 4], [2, -7]]:
+        table = LevelMeasure(2, 1, 1, values)
         assert rhombus_product(table) == NCSeries.one(Alphabet(2, 1), 1)

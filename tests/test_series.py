@@ -7,19 +7,16 @@ from math import factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzvkit.measures import LevelMeasure
 from mzvkit.paths import rhombus_product
 from mzvkit.series import (
     Alphabet,
-    LambdaTable,
     NCSeries,
     X,
     exp,
-    from_lambda_table,
-    inverse,
+    from_measure,
     log,
     series_to_json_dict,
-    substitute,
-    to_lambda_table,
 )
 from mzvkit.synth import random_lambda_table
 
@@ -50,6 +47,8 @@ def augmentation_series(alphabet, cap, max_terms=4):
 
 # Oracles: the Fraction loops the series arithmetic ran on before it moved to
 # integer numerators; the product pairs every two terms of Fraction coefficients.
+# The inverse and the substitution homomorphism exist only here: no command
+# needs them, and the octagon test in test_paths.py builds on them.
 def fraction_mul(a, b):
     out = {}
     for word_a, coeff_a in a.terms():
@@ -187,8 +186,6 @@ def test_float_coefficients_are_rejected():
         s * 0.5
     with pytest.raises(TypeError):
         0.5 * s
-    with pytest.raises(TypeError):
-        LambdaTable(2, 1, 1, {(0,): 0.1})
     assert NCSeries(AB2, 2, {(0,): 1, (X,): Fraction(1, 10)}).coeff((X,)) == Fraction(1, 10)
 
 
@@ -239,7 +236,7 @@ def test_geometric_series_inverts_one_plus_x():
         AB2, cap, {(X,) * k: Fraction((-1) ** k) for k in range(cap + 1)}
     )
     assert a * geometric == NCSeries.one(AB2, cap)
-    assert inverse(a) == geometric
+    assert fraction_inverse(a) == geometric
 
 
 def test_mul_requires_matching_shape():
@@ -287,8 +284,6 @@ def test_exp_log_preconditions():
         exp(NCSeries.one(AB2, 3))
     with pytest.raises(ValueError):
         log(NCSeries.zero(AB2, 3))
-    with pytest.raises(ValueError):
-        inverse(NCSeries.zero(AB2, 3))
 
 
 @settings(max_examples=60)
@@ -304,8 +299,8 @@ def test_exp_log_round_trip(s):
 def test_inverse_is_two_sided(s):
     one = NCSeries.one(AB2, 5)
     g = one + (s - NCSeries(AB2, 5, {(): s.constant_term}))
-    assert g * inverse(g) == one
-    assert inverse(g) * g == one
+    assert g * fraction_inverse(g) == one
+    assert fraction_inverse(g) * g == one
 
 
 def test_coeff_examples():
@@ -322,12 +317,12 @@ def test_substitute_relabels_letters():
         X: NCSeries.letter(AB2, 2, X),
         0: NCSeries.letter(AB2, 2, 1),
     }
-    assert substitute(s, images) == series(AB2, 2, {(): 1, (X, 1): 1})
+    assert fraction_substitute(s, images) == series(AB2, 2, {(): 1, (X, 1): 1})
 
 
 def test_substitute_collapses_exp_to_one():
     e = exp(NCSeries.letter(AB2, 4, X))
-    assert substitute(e, {X: NCSeries.zero(AB2, 4)}) == NCSeries.one(AB2, 4)
+    assert fraction_substitute(e, {X: NCSeries.zero(AB2, 4)}) == NCSeries.one(AB2, 4)
 
 
 def test_substitute_expands_sums():
@@ -336,13 +331,7 @@ def test_substitute_expands_sums():
         0: series(AB2, 2, {(0,): 1, (1,): 1}),
         1: NCSeries.letter(AB2, 2, 1),
     }
-    assert substitute(s, images) == series(AB2, 2, {(): 1, (0, 1): 1, (1, 1): 1})
-
-
-def test_substitute_requires_all_used_letters():
-    s = series(AB2, 2, {(X, 0): 1})
-    with pytest.raises(ValueError):
-        substitute(s, {X: NCSeries.letter(AB2, 2, X)})
+    assert fraction_substitute(s, images) == series(AB2, 2, {(): 1, (0, 1): 1, (1, 1): 1})
 
 
 @settings(max_examples=40)
@@ -353,26 +342,38 @@ def test_substitute_is_multiplicative(a, b):
         0: NCSeries.letter(AB2, 4, 1),
         1: series(AB2, 4, {(1, 1): 1}),
     }
-    assert substitute(a * b, images) == substitute(a, images) * substitute(b, images)
+    assert (fraction_substitute(a * b, images)
+            == fraction_substitute(a, images) * fraction_substitute(b, images))
 
 
 def test_lambda_table_round_trip():
-    assert from_lambda_table(LambdaTable(2, 1, 1, {(0,): 1})) == series(
-        AB2, 1, {(): 1, (0,): 1}
-    )
-    assert from_lambda_table(LambdaTable(2, 1, 2, {(0, 1): 5})) == series(
+    assert from_measure(LevelMeasure(2, 1, 1, [1, 0]), 1) == series(AB2, 1, {(): 1, (0,): 1})
+    assert from_measure(LevelMeasure(2, 1, 2, [0, 5, 0, 0]), 2) == series(
         AB2, 2, {(): 1, (0, 1): 5}
     )
-    table = LambdaTable(3, 1, 2, {(0, 2): Fraction(-7, 3), (1, 1): 4})
-    assert to_lambda_table(from_lambda_table(table), 2) == table
+    # the table reads back from the series' words of its depth
+    table = LevelMeasure(3, 1, 2, [0, 0, Fraction(-7, 3), 0, 4, 0, 0, 0, 0])
+    s = from_measure(table, 2)
+    assert [s.coeff(point) for point in table.points()] == list(table.values)
+    with pytest.raises(ValueError, match="below table depth"):
+        from_measure(table, 1)
 
 
-def test_lambda_table_drops_zeros_and_validates():
-    assert LambdaTable(2, 1, 1, {(0,): 0}).coeffs == {}
-    with pytest.raises(ValueError):
-        LambdaTable(2, 1, 1, {(2,): 1})
-    with pytest.raises(ValueError):
-        LambdaTable(2, 1, 2, {(0,): 1})
+# 3-1-2 tables of Fraction values, with zero cells drawn often
+MEASURES = st.lists(SMALL_FRACTIONS | st.just(Fraction(0)), min_size=9, max_size=9).map(
+    lambda values: LevelMeasure(3, 1, 2, values))
+
+
+@settings(max_examples=40)
+@given(mu=MEASURES, extra=st.integers(0, 3))
+def test_from_measure_matches_generic_constructor(mu, extra):
+    # one word per point, its coordinates as cyclic letters, above the
+    # constant 1; a zero cell adds no term, and the cap may exceed r
+    cap = mu.r + extra
+    terms = {(): 1, **{point: value for point, value in zip(mu.points(), mu.values)}}
+    s = from_measure(mu, cap)
+    assert s == NCSeries(AB3, cap, terms)
+    assert s.term_count() == 1 + sum(1 for value in mu.values if value)
 
 
 def test_json_form():
@@ -384,9 +385,10 @@ def test_json_form():
 
 # sha256 of json.dumps(series_to_json_dict(x), sort_keys=True) for x in log(s),
 # exp(s - 1), inverse(s), inverse(-3/2 * s) and rhombus_product(table), where
-# s = from_lambda_table(table, degree_cap=D); recorded before the series
-# arithmetic moved to integer numerators, and random-2-2-2 before words moved to
-# integer codes.  An entry may pin a subset of these.
+# s = from_measure(table, D); recorded before the series arithmetic moved to
+# integer numerators, and random-2-2-2 before words moved to integer codes.  The
+# inverses are now taken by the Fraction oracle.  An entry may pin a subset of
+# these.
 DIGEST_TABLES = {
     "random-3-1-1": (lambda: random_lambda_table(3, 1, 1, seed=0), 8, {
         "log": "3b590727369d2a9b75f0c664bdb81876c448d368bc2c6c384fb04547cf46d142",
@@ -410,8 +412,8 @@ DIGEST_TABLES = {
         "rhombus": "9f7d3949a066797ab7d3de64a01aac875aeb9f67134fdbcf18f2e1c9ecae8682",
     }),
     "fraction-3-1-2": (
-        lambda: LambdaTable(3, 1, 2, {(i, j): Fraction(3 * i + j - 4, i + 2 * j + 2)
-                                      for i in range(3) for j in range(3)}),
+        lambda: LevelMeasure(3, 1, 2, [Fraction(3 * i + j - 4, i + 2 * j + 2)
+                                       for i in range(3) for j in range(3)]),
         6,
         {
             "log": "4ef58a1fc80e616e3b2fb54f9a09003eb4e654fcf5d8fe184638ae36408628b2",
@@ -434,7 +436,7 @@ DIGEST_TABLES = {
 def test_series_digests(name):
     make_table, degree, expected = DIGEST_TABLES[name]
     table = make_table()
-    s = from_lambda_table(table, degree_cap=degree)
+    s = from_measure(table, degree)
     one = NCSeries.one(s.alphabet, degree)
 
     def digest(x):
@@ -444,17 +446,17 @@ def test_series_digests(name):
     compute = {
         "log": lambda: log(s),
         "exp": lambda: exp(s - one),
-        "inverse": lambda: inverse(s),
-        "inverse_scaled": lambda: inverse(s * Fraction(-3, 2)),
+        "inverse": lambda: fraction_inverse(s),
+        "inverse_scaled": lambda: fraction_inverse(s * Fraction(-3, 2)),
         "rhombus": lambda: rhombus_product(table),
     }
     got = {key: digest(compute[key]()) for key in expected}
     assert got == expected
 
 
-# The DIGEST_TABLES series come from lambda tables and hold no X.  This one has
-# X-led and Y-led words of degrees 1 to 3, so each degree from 2 up is reached
-# by several pairs of degrees in every power; sha256 as above of log(s),
+# The DIGEST_TABLES series come from tables and hold no X.  This one has X-led
+# and Y-led words of degrees 1 to 3, so each degree from 2 up is reached by
+# several pairs of degrees in every power; sha256 as above of log(s),
 # exp(s - 1) and inverse(s), recorded before products were summed by slices.
 MIXED_SERIES = NCSeries(AB3, 6, {
     (): 1, (X,): Fraction(1, 2), (0,): -1, (X, 1): Fraction(2, 3), (2, X): Fraction(-1, 5),
@@ -469,7 +471,8 @@ MIXED_DIGESTS = {
 
 def test_mixed_series_digests():
     s = MIXED_SERIES
-    computed = {"log": log(s), "exp": exp(s - NCSeries.one(AB3, 6)), "inverse": inverse(s)}
+    computed = {"log": log(s), "exp": exp(s - NCSeries.one(AB3, 6)),
+                "inverse": fraction_inverse(s)}
     got = {
         key: hashlib.sha256(json.dumps(series_to_json_dict(x), sort_keys=True)
                             .encode("ascii")).hexdigest()
@@ -478,7 +481,6 @@ def test_mixed_series_digests():
     assert got == MIXED_DIGESTS
     assert computed["log"] == fraction_log(s)
     assert computed["exp"] == fraction_exp(s - NCSeries.one(AB3, 6))
-    assert computed["inverse"] == fraction_inverse(s)
 
 
 @settings(max_examples=80, deadline=None)
@@ -493,35 +495,24 @@ def test_log_matches_fraction_oracle(s):
     assert log(s) == fraction_log(s)
 
 
-@settings(max_examples=80, deadline=None)
-@given(s=oracle_series(), c=SMALL_FRACTIONS.filter(bool))
-def test_inverse_matches_fraction_oracle(s, c):
-    s = s + NCSeries(s.alphabet, s.degree_cap, {(): c})
-    assert inverse(s) == fraction_inverse(s)
-
-
 @settings(max_examples=60, deadline=None)
-@given(u=nilpotent_series(), c=SMALL_FRACTIONS.filter(bool))
-def test_nilpotent_power_sums_match_fraction_oracle(u, c):
+@given(u=nilpotent_series())
+def test_nilpotent_power_sums_match_fraction_oracle(u):
     # every word has degree above cap/2, so u*u = 0 and the power loops stop early
     assert (u * u).is_zero()
     one = NCSeries.one(u.alphabet, u.degree_cap)
     assert exp(u) == fraction_exp(u) == one + u
     assert log(one + u) == fraction_log(one + u) == u
-    constant = NCSeries(u.alphabet, u.degree_cap, {(): c})
-    assert inverse(constant + u) == fraction_inverse(constant + u)
 
 
 @pytest.mark.parametrize("case", sorted(HORNER_CASES))
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), c=SMALL_FRACTIONS.filter(bool))
-def test_horner_truncation_matches_fraction_oracle(case, data, c):
+@given(data=st.data())
+def test_horner_truncation_matches_fraction_oracle(case, data):
     u = data.draw(HORNER_CASES[case])
     one = NCSeries.one(u.alphabet, u.degree_cap)
     assert exp(u) == fraction_exp(u)
     assert log(one + u) == fraction_log(one + u)
-    constant = NCSeries(u.alphabet, u.degree_cap, {(): c})
-    assert inverse(constant + u) == fraction_inverse(constant + u)
 
 
 def x_and_y_led_series(alphabet, cap, max_extra=2):
@@ -553,7 +544,7 @@ SLICE_CASES = {
     "x-slice-cancels-next-survives": (series(AB3, 3, {(X,): 1, (X, 0): 1, (1,): 1, (1, 1): 1}),
                                       series(AB3, 3, {(2,): 1, (0, 2): -1}), 3, {1}),
     # a * inverse(a) = 1: every degree cancels in every slice
-    "every-slice-cancels": (UNIT_WITH_X, inverse(UNIT_WITH_X), 4, set()),
+    "every-slice-cancels": (UNIT_WITH_X, fraction_inverse(UNIT_WITH_X), 4, set()),
     # (0, 2) and (1, 1): X.X and Y1.X cancel, in slices led by the right word
     # of (0, 2); Y2.Y0 comes from the constant on the left
     "constant-left": (series(AB3, 2, {(): 2, (X,): 1, (1,): 1}),
@@ -585,7 +576,6 @@ def test_x_led_words_match_fraction_oracle(data, shape, c):
     assert a * (constant + b) == fraction_mul(a, constant + b)
     assert exp(a) == fraction_exp(a)
     assert log(NCSeries.one(*shape) + a) == fraction_log(NCSeries.one(*shape) + a)
-    assert inverse(constant + a) == fraction_inverse(constant + a)
 
 
 def storage(s):
@@ -607,9 +597,8 @@ def test_operations_leave_their_operands_unchanged(data, shape):
     a = data.draw(x_and_y_led_series(*shape))
     one = NCSeries.one(*shape)
     before = contents(a)
-    images = {letter: one + a for letter in a.alphabet.letters()}
     for result in (a + a, a - a, a * 2, a * Fraction(1, 2), a * a, one * a, a * one,
-                   exp(a), log(one + a), inverse(one + a), substitute(a, images)):
+                   exp(a), log(one + a)):
         assert not any(part is own for part in storage(result) for own in storage(a))
     assert contents(a) == before
 
@@ -631,7 +620,7 @@ def test_log_storage_is_at_most_48_bytes_per_term():
     # a degree holds one int64 code and one list slot per word beside its
     # numerator, an int of 32 bytes here; {code: numerator} dicts took about
     # 100 bytes per term
-    s = from_lambda_table(random_lambda_table(2, 2, 2, seed=1), degree_cap=8)
+    s = from_measure(random_lambda_table(2, 2, 2, seed=1), 8)
     big, size, _ = traced(lambda: log(s))
     assert big.term_count() == 69_904
     assert size <= 48 * big.term_count()
@@ -640,7 +629,7 @@ def test_log_storage_is_at_most_48_bytes_per_term():
 def test_report_round_trip_holds_one_slice_beside_the_log():
     # full support: log(s) holds 69 904 terms, and exp(log(s)) cancels its
     # degree-8 bucket of 65 536 words down to nothing
-    s = from_lambda_table(random_lambda_table(2, 2, 2, seed=1), degree_cap=8)
+    s = from_measure(random_lambda_table(2, 2, 2, seed=1), 8)
     one = NCSeries.one(s.alphabet, 8)
     _, log_size, _ = traced(lambda: log(s))
     ok, _, peak = traced(lambda: exp(log(s)) == s and log(exp(s - one)) == s - one)
@@ -648,15 +637,14 @@ def test_report_round_trip_holds_one_slice_beside_the_log():
     assert peak <= 1.5 * log_size
 
 
-def test_sums_and_scaled_inverses_are_reduced_in_place():
-    s = from_lambda_table(random_lambda_table(2, 2, 2, seed=1), degree_cap=8)
+def test_sums_and_scalings_are_reduced_in_place():
+    s = from_measure(random_lambda_table(2, 2, 2, seed=1), 8)
     big = log(s)
     total, size, peak = traced(lambda: big + big)
     assert total == big * 2
     assert peak <= 1.5 * size
-    # a constant term other than 1 scales Horner's sum after the loop
-    scaled, size, peak = traced(lambda: inverse(s * Fraction(-3, 2)))
-    assert scaled == inverse(s) * Fraction(-2, 3)
+    scaled, size, peak = traced(lambda: big * Fraction(-3, 2))
+    assert scaled * Fraction(-2, 3) == big
     assert peak <= 1.5 * size
 
 
@@ -690,16 +678,3 @@ def test_word_codes_fit_in_int64():
     assert exp(y).coeff((1,) * 39) == Fraction(1, factorial(39))
     with pytest.raises(ValueError, match="63 bits"):
         NCSeries.zero(AB2, 40)
-
-
-@settings(max_examples=40, deadline=None)
-@given(s=oracle_series(min_degree=0))
-def test_substitute_matches_fraction_oracle(s):
-    alphabet, cap, modulus = s.alphabet, s.degree_cap, s.alphabet.modulus
-    images = {}  # at cap 0 no letter occurs
-    if cap:
-        for i in range(modulus):
-            terms = {(): Fraction(i, 2), ((i + 1) % modulus,): Fraction(i + 2, 3)}
-            images[i] = NCSeries(alphabet, cap, terms)
-        images[X] = NCSeries(alphabet, cap, {(): Fraction(1, 2), (X,): 1, (0,): Fraction(-1, 2)})
-    assert substitute(s, images) == fraction_substitute(s, images)

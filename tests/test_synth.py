@@ -1,4 +1,5 @@
 import heapq
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -6,7 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from mzvkit.exact import is_prime
-from mzvkit.measures import LevelMeasure, affine_pushforward, four_term_is_zero, project
+from mzvkit.measures import LevelMeasure, four_term_is_zero, project
 from mzvkit.measures import _cell_count
 from mzvkit.synth import (
     DEFAULT_CELL_CAP,
@@ -17,6 +18,7 @@ from mzvkit.synth import (
     random_kernel_measure,
     random_lambda_table,
 )
+from test_measures import affine_pushforward
 
 KNOWN_DIMENSIONS = {
     (2, 1, 1): 2,
@@ -181,10 +183,11 @@ def test_random_kernel_measure_zero_magnitude():
 
 
 def test_random_lambda_table_is_bounded():
-    # the table stores nonzero coefficients only, so zero draws leave holes
+    # one draw per cell in row-major order, zero draws included
     table = random_lambda_table(3, 1, 2, seed=2, magnitude=5)
-    assert set(table.coeffs) <= set(product(range(3), repeat=2))
-    assert all(c and abs(c) <= 5 for c in table.coeffs.values())
+    rng = random.Random(2)
+    assert table.numerators == tuple(rng.randint(-5, 5) for _ in range(9))
+    assert table.is_integer_valued() and 0 in table.numerators
     assert table == random_lambda_table(3, 1, 2, seed=2, magnitude=5)
 
 

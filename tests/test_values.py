@@ -1,6 +1,6 @@
 """The immutable value classes: equality over their fields, hashing,
-assignment, repr, keyword construction with defaults, and the validation
-that runs at construction."""
+assignment, repr, keyword construction, normalized fields, and the
+validation that runs at construction."""
 
 from fractions import Fraction
 
@@ -9,7 +9,7 @@ import pytest
 from mzvkit.euler import CongruenceVerdict, VanishingCertificate
 from mzvkit.exact import INFINITY
 from mzvkit.measures import Coset, LevelMeasure
-from mzvkit.series import Alphabet, LambdaTable, NCSeries
+from mzvkit.series import Alphabet, NCSeries
 from mzvkit.synth import KernelBasis
 
 ALPHABET = Alphabet(2, 1)
@@ -36,10 +36,6 @@ VALUES = [
     (Alphabet, {"p": 2, "n": 1},
      [{"p": 3}, {"n": 2}],
      "Alphabet(p=2, n=1)", True),
-    (LambdaTable, {"p": 2, "n": 1, "r": 1, "coeffs": {(1,): Fraction(1, 2)}},
-     [{"p": 3}, {"n": 2}, {"r": 2, "coeffs": {(1, 1): Fraction(1, 2)}},
-      {"coeffs": {(0,): Fraction(1, 2)}}],
-     "LambdaTable(p=2, n=1, r=1, coeffs={(1,): Fraction(1, 2)})", False),
     (KernelBasis, {"p": 2, "n": 1, "r": 1, "vectors": ({0: 1},)},
      [{"p": 3}, {"n": 2}, {"r": 2}, {"vectors": ({1: 1},)}],
      "KernelBasis(p=2, n=1, r=1, vectors=({0: 1},))", False),
@@ -95,13 +91,6 @@ def test_series_is_immutable_and_unhashable():
 
 
 def test_defaults_and_normalized_fields():
-    assert LambdaTable(2, 1, 1) == LambdaTable(2, 1, 1, {})
-    assert LambdaTable(2, 1, 1).coeffs == {}
-    # zeros are dropped, indices become tuples and coefficients Fractions
-    table = LambdaTable(p=3, n=1, r=1, coeffs={(0,): 0, (2,): 5})
-    assert table.coeffs == {(2,): Fraction(5)}
-    assert type(table.coeffs[(2,)]) is Fraction
-    assert table == LambdaTable(3, 1, 1, {(2,): Fraction(5)})
     assert Coset([1, 0], 1).base == (1, 0)
     mu = LevelMeasure(2, 1, 1, [Fraction(1, 2), 3])
     assert (mu.numerators, mu.denominator) == ((1, 6), 2)
@@ -112,9 +101,7 @@ INVALID = {
     "negative coset exponent": (lambda: Coset((0, 1), -1), "non-negative"),
     "alphabet prime": (lambda: Alphabet(4, 1), "prime"),
     "alphabet level": (lambda: Alphabet(2, -1), "level"),
-    "table index range": (lambda: LambdaTable(2, 1, 1, {(2,): 1}), "outside range"),
-    "table index depth": (lambda: LambdaTable(2, 1, 2, {(0,): 1}), "depth"),
-    "table prime": (lambda: LambdaTable(4, 1, 1), "prime"),
+    "table prime": (lambda: LevelMeasure(4, 1, 1, (0,) * 4), "prime"),
     "measure cells": (lambda: LevelMeasure(2, 1, 1, (1,)), "cells"),
 }
 
