@@ -43,6 +43,7 @@ from .synth import (
     four_term_kernel,
     random_kernel_measure,
     random_lambda_table,
+    size_cap,
 )
 
 __all__ = ["main"]
@@ -59,6 +60,11 @@ MAX_EXPONENT_WORDS = 100_000
 # (2, 2, 2) degree 8, and 0.48 s and 25.1 MiB at (5, 1, 1) degree 7
 # (97 655 terms, the costliest admitted case measured).
 MAX_SERIES_TERMS = 100_000
+# Bytes an `--in` file may read per cell of the cap, plus 4 KiB of header:
+# parse_rational's longest value, "-n/d" quoted with two integers at Python's
+# default 4 300-digit limit (8 604 bytes), and 64 of layout; 86.7 MB in all
+# at the default cap.
+MAX_INPUT_BYTES_PER_CELL = 8_668
 
 
 def _check_exponent_cap(cap: int) -> None:
@@ -143,14 +149,21 @@ def _load_measure(
 ) -> tuple[LevelMeasure, dict, list[tuple[int, ...]]]:
     """Measure from --in, or a seeded kernel measure from the config flags,
     with the exponent words ``words_of(depth)``.  The words are enumerated
-    before a seeded measure is built, so their guard runs first."""
+    before a seeded measure is built, so their guard runs first.  The --in
+    byte bound is checked before anything is parsed."""
     if args.infile is not None:
-        with open(args.infile, encoding="ascii") as handle:
-            try:
-                data = json.load(handle)
-            except RecursionError:
-                # json.load recurses once per nesting level
-                raise ValueError(f"{args.infile} is nested too deeply to read") from None
+        cap = size_cap()
+        bound = cap * MAX_INPUT_BYTES_PER_CELL + 4096
+        with open(args.infile, "rb") as handle:
+            raw = handle.read(bound + 1)
+        if len(raw) > bound:
+            raise ValueError(f"{args.infile} is longer than {bound} bytes, the bound "
+                             f"for the cap of {cap} cells")
+        try:
+            data = json.loads(raw.decode("ascii"))
+        except RecursionError:
+            # json.loads recurses once per nesting level
+            raise ValueError(f"{args.infile} is nested too deeply to read") from None
         mu = measure_from_json_dict(data)
         for flag, got, expected in (
             ("--p", args.p, mu.p),

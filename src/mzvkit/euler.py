@@ -38,9 +38,9 @@ __all__ = [
 
 Poly = tuple[Fraction, ...]
 
-# Largest certificate target exponent.  Building the combination costs about
-# a^3 / 24 Fraction operations on numbers that grow with a; a = 200 takes
-# about 2 s.
+# Largest certificate target exponent.  A certificate reads B_0 .. B_a from
+# one Akiyama-Tanigawa pass of about a^2 Fraction operations, kept between
+# calls: at a = 200 the first takes about 0.18 s (Python 3.11), later ones 1 ms.
 MAX_CERTIFICATE_EXPONENT = 200
 
 
@@ -94,11 +94,7 @@ def four_term_poly_coeffs(a: int, m_parity: str) -> Poly:
     if a < 1:
         raise ValueError("expansion requires exponent at least 1")
     m_odd = _parity_is_odd(m_parity)
-    coeffs = [Fraction(0)] * a
-    for k in range(a):
-        sign = -1 if (m_odd + k) % 2 else 1
-        coeffs[k] = Fraction(binomial(a, k) * (sign - 1))
-    return _trim(coeffs)
+    return _trim([Fraction(-2 * binomial(a, k) if (m_odd + k) % 2 else 0) for k in range(a)])
 
 
 class VanishingCertificate(Immutable):
@@ -128,12 +124,7 @@ class VanishingCertificate(Immutable):
 
     def slack(self, p: int) -> int:
         """Worst denominator contribution: max(0, max_q -v_p(coeff_q))."""
-        worst = 0
-        for _, coeff in self.combination:
-            v = padic_valuation(coeff, p)
-            if v < 0:
-                worst = max(worst, -int(v))
-        return worst
+        return max([0, *(-padic_valuation(coeff, p) for _, coeff in self.combination)])
 
     def replay(self) -> Poly:
         """Re-expand the combination; soundness means this equals x^a exactly."""
@@ -143,34 +134,20 @@ class VanishingCertificate(Immutable):
         return out
 
 
-def _combination(a: int, m_odd: bool) -> tuple[tuple[int, Fraction], ...]:
-    if (m_odd + a) % 2 == 0:
-        raise ValueError("certificate requires the prefix sum and the target exponent "
-                         "to have opposite parity")
-    if a > MAX_CERTIFICATE_EXPONENT:
-        raise ValueError(f"certificate exponent {a} is above the limit {MAX_CERTIFICATE_EXPONENT}")
-    # bottom-up over a's parity, so each step finds every lower exponent cached
-    for k in range(a % 2, a + 1, 2):
-        combination = _combination_step(k)
-    return combination
+@lru_cache(maxsize=64)
+def _combination(a: int) -> tuple[tuple[int, Fraction], ...]:
+    """The combination x^a = sum_k c_k P_(a+1-2k)(x), over a + 1 - 2k >= 1, with
+    c_k = (2^(2k-1) - 1) B_2k C(a+1, 2k) / (a+1) = (4^k - 2) B_2k C(a+1, 2k) / (2a + 2).
 
-
-@lru_cache(maxsize=None)
-def _combination_step(a: int) -> tuple[tuple[int, Fraction], ...]:
-    """The combination for ``a``; the ones for a-2, a-4, ... must be cached.
-    It does not depend on m: m + a odd fixes m's parity."""
-    if a == 0:
-        return ((2, Fraction(-1, 2)),)
-    if a == 1:
-        return ((2, Fraction(-1, 4)),)
+    With m + q even, P_q = (x - 1)^q - (x + 1)^q = -2 sinh(D) x^q for D = d/dx,
+    x^a = D x^(a+1) / (a+1) and D / sinh(D) = sum_k (2 - 2^(2k)) B_2k D^(2k) / (2k)!.
+    The q = 1 term (a even) is filed under q = 2, as P_1 = P_2 = -2 for that
+    parity.  Cached, because vanishing_check builds a certificate per call.
+    """
     q = a + 1
-    combo: dict[int, Fraction] = {q: Fraction(-1, 2 * q)}
-    for k in range(a - 2, -1, -2):
-        # the expansion's x^k coefficient is -2 C(q, k); divide out the leading -2(a+1)
-        carried = Fraction(binomial(q, k), q)
-        for q2, c2 in _combination_step(k):
-            combo[q2] = combo.get(q2, Fraction(0)) - carried * c2
-    return tuple(sorted((q2, c2) for q2, c2 in combo.items() if c2))
+    return tuple((max(q - 2 * k, 2),
+                  Fraction((4**k - 2) * binomial(q, 2 * k), 2 * q) * bernoulli(2 * k))
+                 for k in range(a // 2, -1, -1))
 
 
 def make_certificate(exponents: Sequence[int]) -> VanishingCertificate:
@@ -178,8 +155,12 @@ def make_certificate(exponents: Sequence[int]) -> VanishingCertificate:
     and a at most ``MAX_CERTIFICATE_EXPONENT``."""
     target = check_word(exponents)
     a = target[-1]
-    m_odd = bool(sum(target[:-1]) % 2)
-    return VanishingCertificate(target, _combination(a, m_odd))
+    if sum(target) % 2 == 0:
+        raise ValueError("certificate requires the prefix sum and the target exponent "
+                         "to have opposite parity")
+    if a > MAX_CERTIFICATE_EXPONENT:
+        raise ValueError(f"certificate exponent {a} is above the limit {MAX_CERTIFICATE_EXPONENT}")
+    return VanishingCertificate(target, _combination(a))
 
 
 def certificate_to_json_dict(cert: VanishingCertificate, p: int) -> dict:

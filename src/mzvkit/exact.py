@@ -181,23 +181,28 @@ def padic_valuation(q: Fraction | int, p: int) -> int | float:
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
 
 
-@lru_cache(maxsize=None)
+# B_0, B_1, ... (B_1 = +1/2) so far, and the Akiyama-Tanigawa row they end on
+_BERNOULLI: list[Fraction] = []
+_TRIANGLE_ROW: list[Fraction] = []
+
+
 def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number in the B_1 = -1/2 convention.
 
     Computed by the Akiyama-Tanigawa triangle, which natively yields the
-    B_1 = +1/2 convention; the two conventions differ only at index 1.
+    B_1 = +1/2 convention; the two conventions differ only at index 1.  Step
+    m of the triangle gives B_m, so one pass, kept between calls, gives
+    every index up to the largest asked for.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    if k == 1:
-        return Fraction(-1, 2)
-    row: list[Fraction] = []
-    for m in range(k + 1):
+    row = _TRIANGLE_ROW
+    for m in range(len(_BERNOULLI), k + 1):
         row.append(Fraction(1, m + 1))
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
-    return row[0]
+        _BERNOULLI.append(row[0])
+    return Fraction(-1, 2) if k == 1 else _BERNOULLI[k]
 
 
 def binomial(a: int, b: int) -> int:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mzvkit
-from mzvkit.cli import main
+from mzvkit.cli import MAX_INPUT_BYTES_PER_CELL, main
 from mzvkit.euler import vanishing_check
 from mzvkit.exact import INFINITY, format_rational, padic_valuation
 from mzvkit.measures import LevelMeasure, factorial_norm, measure_to_json_dict, moment
@@ -290,6 +290,34 @@ def test_malformed_measure_header_exits_two(fuzz_dir, name):
     assert err.startswith("error: measure field")
 
 
+def input_bound(cap):
+    return cap * MAX_INPUT_BYTES_PER_CELL + 4096
+
+
+def test_longest_legitimate_input_reads(tmp_path, monkeypatch):
+    # every cell at the cap holds parse_rational's longest value: a minus and
+    # two 4 300-digit integers (Python's default int digit limit)
+    monkeypatch.setenv("MZV_CAP", "9")
+    value = "-" + "9" * 4300 + "/" + "7" * 4300
+    text = json.dumps({"p": 3, "n": 1, "r": 2, "values": [value] * 9}, indent=4)
+    path = tmp_path / "longest.json"
+    argv = ["moments", "--in", str(path), "--exp-cap", "0"]
+    path.write_text(text.ljust(input_bound(9)), encoding="ascii")
+    assert run_cli(argv)[0] == 0
+    path.write_text(text.ljust(input_bound(9) + 1), encoding="ascii")
+    assert run_cli(argv) == (2, "", f"error: {path} is longer than {input_bound(9)} bytes, "
+                                    "the bound for the cap of 9 cells\n")
+
+
+@pytest.mark.parametrize("command", ["vanish", "moments", "check-cosets"])
+def test_oversized_input_exits_two(fuzz_dir, command, monkeypatch):
+    # the read stops one byte past the bound, before json sees any of it
+    monkeypatch.setenv("MZV_CAP", str(FUZZ_CAP))
+    code, out, err = run_cli([command, "--in", str(fuzz_dir / "oversized.json")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"longer than {input_bound(FUZZ_CAP)} bytes" in err
+
+
 @pytest.mark.parametrize("name", ["deep.json", "deep-values.json"])
 @pytest.mark.parametrize("command", ["vanish", "moments", "check-cosets"])
 def test_deeply_nested_input_exits_two(fuzz_dir, name, command):
@@ -447,6 +475,7 @@ GUARDED_INPUTS = [
     (("kernel", "--p", "2", "--level", "0", "--depth", "99999999999"), "depth"),
     (("check-rhombus", "--p", "3", "--level", "0", "--depth", "2305843009213693951"), "depth"),
     (("moments", "--in", "huge.json"), "cells"),
+    (("vanish", "--in", "/dev/zero"), "longer than"),
     (("check-cosets", "--p", "7", "--level", "1", "--depth", "1", "--seed", "0",
       "--exp-cap", "99998"), "certificate limit"),
     (("report", "--p", "3", "--level", "2", "--depth", "2", "--seed", "1"), "series terms"),
@@ -554,6 +583,9 @@ FUZZ_FILES = {
     "fullwidth-digit-value.json": {"p": 3, "n": 1, "r": 1, "values": ["\uff11", "0", "0"]},
     "huge-exponent-value.json": {"p": 3, "n": 1, "r": 1, "values": ["1e10000000", "0", "0"]},
 }
+# MZV_CAP while fuzzing: every FUZZ_CONFIGS entry fits, and the --in byte
+# bound stays small enough for oversized.json to pass it
+FUZZ_CAP = 64
 FUZZ_TEXTS = {
     "bad.json": '{"p": 3,',
     "non-ascii.json": '{"p": 3, "values": ["\u00e9"]}',
@@ -561,9 +593,12 @@ FUZZ_TEXTS = {
     "overflow-header.json": '{"p": 1e400, "n": 1, "r": 1, "values": ["0", "0", "0"]}',
     "deep.json": "[" * 100_000 + "]" * 100_000,
     "deep-values.json": '{"p": 3, "n": 1, "r": 1, "values": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    # well formed but for its length: trailing spaces take it past the bound
+    "oversized.json": '{"p": 3, "n": 1, "r": 1, "values": ["0", "0", "0"]}'
+                      + " " * input_bound(FUZZ_CAP),
 }
 FUZZ_CONFIGS = [(p, n, r) for p in (2, 3, 5, 7) for n in range(3) for r in range(1, 4)
-                if p ** (n * r) <= 64]
+                if p ** (n * r) <= FUZZ_CAP]
 # replacements and insertions: negative, non-numeric, empty, huge and stray flags
 BAD_TOKENS = ["-1", "-7", "x", "", "1.5", "0", "1,,2", "99999999999", "2305843009213693951",
               "--bogus", "--perturb", "--seed", "--in", "--p", "--degree"]
@@ -619,7 +654,9 @@ def fuzz_argv(draw, root):
     return argv
 
 
-def test_exit_code_contract_under_fuzzed_input(fuzz_dir):
+def test_exit_code_contract_under_fuzzed_input(fuzz_dir, monkeypatch):
+    monkeypatch.setenv("MZV_CAP", str(FUZZ_CAP))
+
     @settings(max_examples=150, deadline=None)
     @given(argv=fuzz_argv(fuzz_dir))
     def check(argv):

@@ -1,8 +1,11 @@
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzvkit import exact
 from mzvkit.euler import (
     MAX_CERTIFICATE_EXPONENT,
     certificate_to_json_dict,
@@ -75,8 +78,10 @@ def test_certificate_replay_recovers_monomial(a):
     assert cert.replay() == expected
 
 
+@lru_cache(maxsize=None)
 def recursive_combination(a, m_odd):
-    # the top-down recursion: x^a = P_{a+1} / (-2(a+1)) minus the lower terms
+    # the top-down recursion: x^a = P_{a+1} / (-2(a+1)) minus the lower terms;
+    # exponential in a without the memo (the returned dicts are only read)
     if a < 2:
         return {2: Fraction(-1, 2) if a == 0 else Fraction(-1, 4)}
     q = a + 1
@@ -87,18 +92,26 @@ def recursive_combination(a, m_odd):
     return {q2: c2 for q2, c2 in combo.items() if c2}
 
 
-@pytest.mark.parametrize("a", range(0, 25))
+@pytest.mark.parametrize("a", range(MAX_CERTIFICATE_EXPONENT + 1))
 def test_certificate_matches_recursive_oracle(a):
     prefix = (1,) if a % 2 == 0 else (2,)
     cert = make_certificate((*prefix, a))
     assert cert.combination == tuple(sorted(recursive_combination(a, a % 2 == 0).items()))
 
 
-def test_certificate_exponent_bound_checked_first():
-    with pytest.raises(ValueError, match="limit"):
-        make_certificate((1, 100_000))
+def test_certificate_exponent_bound_checked_first(monkeypatch):
+    # from an empty Bernoulli triangle, B_0 .. B_201 take about 0.2 s and
+    # B_0 .. B_100000 hours: the limit must be checked before any is built
+    monkeypatch.setattr(exact, "_BERNOULLI", [])
+    monkeypatch.setattr(exact, "_TRIANGLE_ROW", [])
+    start = time.perf_counter()
     with pytest.raises(ValueError, match="limit"):
         make_certificate((MAX_CERTIFICATE_EXPONENT + 1,))
+    assert time.perf_counter() - start < 0.1
+    assert exact._BERNOULLI == []
+    with pytest.raises(ValueError, match="limit"):
+        make_certificate((1, 100_000))
+    assert exact._BERNOULLI == []
 
 
 def test_certificate_parity_rejection():

@@ -108,6 +108,15 @@ def test_bernoulli_matches_recurrence_oracle():
         assert bernoulli(k) == bernoulli_oracle(k)
 
 
+def test_bernoulli_satisfies_recurrence_through_certificate_range():
+    # sum_{j<=k} C(k+1, j) B_j = 0 for k >= 1 fixes each B_k from the lower ones;
+    # certificates read B_0 .. B_200
+    values = [bernoulli(k) for k in range(201)]
+    assert values[0] == 1
+    for k in range(1, 201):
+        assert sum(binomial(k + 1, j) * values[j] for j in range(k + 1)) == 0, k
+
+
 def test_bernoulli_vanishes_at_odd_indices():
     for k in range(3, 31, 2):
         assert bernoulli(k) == 0

@@ -60,6 +60,12 @@ CASES = [
      "6d9676698f04ed28e6663369ec8e62d5d165bbf712bd5d30402cb8d5ad903c19"),
     (("certificate", "2,1,4", "--p", "5"), 0,
      "1ba955b0bdd38dea294b1d4fa07b72974897b287b6b8ae11d662f0b3586483f6"),
+    # the largest admitted final exponent, and an even one near it (the q = 1
+    # term filed under q = 2)
+    (("certificate", "1,200", "--p", "2"), 0,
+     "5310e829ff690d08abb50a8989031550809a8a24f344656a5f1f352ef0d4d061"),
+    (("certificate", "1,198", "--p", "3"), 0,
+     "eb37db649151026fd7e4fdc384f597d27fe0cb94c20df62913964818776c634d"),
     (("check-rhombus", "--p", "5", "--level", "1", "--depth", "2", "--seed", "1"), 0,
      "ef810107dce803ee398c7d9cecff295e7c7002fd698eb857d2b199d3987e0879"),
     (("check-rhombus", "--p", "2", "--level", "1", "--depth", "3", "--seed", "2"), 0,
