@@ -56,9 +56,9 @@ MAX_EXPONENT_WORDS = 100_000
 # Largest series term-count estimate `report` may exponentiate; (2, 2, 2) at
 # degree 8 estimates 69 904 terms, (3, 2, 2) at degree 8 about 4.4e7.  As a
 # whole CLI process (Python 3.11, 2 cores, spawn to exit, peak RSS from wait4,
-# medians of 5), `report --seed 0` takes about 0.19 s and 18.3 MiB at
-# (2, 2, 2) degree 8, and 0.48 s and 25.1 MiB at (5, 1, 1) degree 7
-# (97 655 terms, the costliest admitted case measured).
+# .pyc files in place, medians of 5), `report --seed 0` takes about 0.18 s and
+# 16.2 MiB at (2, 2, 2) degree 8, and 0.55 s and 18.6 MiB at (5, 1, 1)
+# degree 7 (97 655 terms, the costliest admitted case measured).
 MAX_SERIES_TERMS = 100_000
 # Bytes an `--in` file may read per cell of the cap, plus 4 KiB of header:
 # parse_rational's longest value, "-n/d" quoted with two integers at Python's

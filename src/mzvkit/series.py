@@ -6,9 +6,12 @@ fixed truncation degree, and every operation returns a new object.
 
 Inside, a series is ``{degree: (codes, nums)}`` over one positive ``int``
 denominator: ``codes`` is an ``array('q')`` of the degree's word codes in
-ascending order and ``nums`` the list of their int numerators, aligned with it.
-The form is canonical: no zero numerators, no empty degrees, and gcd 1 between
-the denominator and all numerators, so equal series hold equal buckets.
+ascending order and ``nums`` their int numerators, aligned with it.  ``nums``
+is an ``array('q')`` when every numerator of the degree fits in int64 and a
+list otherwise; ``_extended`` applies that rule wherever a bucket is built, so
+a word costs 16 bytes while its numerator fits.  The form is canonical: no zero
+numerators, no empty degrees, gcd 1 between the denominator and all numerators,
+and the container the rule gives, so equal series hold equal buckets.
 A degree-d word is coded as the int whose base-(p^n + 1) digits are its letters,
 first letter most significant, with X -> 0 and Y_i -> i + 1.  Concatenation is
 ``code_a * base**deg_b + code_b``, and within one degree code order is tuple
@@ -24,7 +27,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import groupby
+from itertools import compress, groupby
 from math import factorial, gcd, lcm
 from operator import itemgetter
 
@@ -46,9 +49,14 @@ X = -1
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
-Bucket = tuple[array, list[int]]  # ascending word codes, their nonzero numerators
+Nums = array | list[int]  # an array('q') when every numerator fits in int64, else a list
+Bucket = tuple[array, Nums]  # ascending word codes, their nonzero numerators
 IntBuckets = dict[int, Bucket]  # by degree
 MAX_CODE = 2**63 - 1  # the largest code an array('q') holds
+# Buckets are built and reduced a slice of at most this many codes at a time
+# (one letter's worth when a letter spans more), so that no transient list is
+# as large as a bucket.
+SLICE = 4096
 
 
 class Alphabet(Immutable):
@@ -146,24 +154,31 @@ class NCSeries(Immutable):
         for degree, pairs in summed.items():
             kept = [(code, c.numerator * (den // c.denominator)) for code, c in pairs if c]
             if kept:
-                num[degree] = (array("q", map(_code, kept)), [v for _, v in kept])
+                num[degree] = (array("q", map(_code, kept)),
+                               _extended(array("q"), [v for _, v in kept]))
         self._assign(alphabet, degree_cap, num, den)
 
     @classmethod
     def _reduced(cls, alphabet: Alphabet, degree_cap: int, num: IntBuckets, den: int) -> "NCSeries":
         # trusted constructor: valid codes, no zero entries or empty buckets,
-        # den > 0.  It takes ownership of ``num``: the gcd of den and the
-        # numerators is divided out in place, so ``num`` and its lists must be
-        # fresh ones that no series holds.
+        # numerators held by the container rule, den > 0.  It takes ownership
+        # of ``num``: the gcd of den and the numerators is divided out in
+        # place, so ``num`` and its arrays and lists must be fresh ones that
+        # no series holds.  Both run a slice at a time, since unpacking a
+        # whole bucket into gcd would box all of it.
         g = den
         for _, nums in num.values():
-            if g == 1:
-                break
-            g = gcd(g, *nums)
+            for lo in range(0, len(nums), SLICE):
+                if g == 1:
+                    break
+                g = gcd(g, *nums[lo:lo + SLICE])
         if g > 1:
-            for _, nums in num.values():
-                for i, v in enumerate(nums):
-                    nums[i] = v // g
+            for degree, (codes, nums) in num.items():
+                for lo in range(0, len(nums), SLICE):
+                    quotients = [v // g for v in nums[lo:lo + SLICE]]
+                    nums[lo:lo + SLICE] = array("q", quotients) if type(nums) is array else quotients
+                if type(nums) is list:  # the quotients may fit now
+                    num[degree] = codes, _extended(array("q"), nums)
             den //= g
         return cls._new(alphabet, degree_cap, num, den)
 
@@ -226,7 +241,8 @@ class NCSeries(Immutable):
         # self + sign * other
         self._compatible(other)
         den = lcm(self._den, other._den)
-        num = _linear_sum([(self._num, den // self._den), (other._num, sign * (den // other._den))])
+        num = _linear_sum([(self._num, den // self._den), (other._num, sign * (den // other._den))],
+                          self.alphabet.size)
         return NCSeries._reduced(self.alphabet, self.degree_cap, num, den)
 
     def __add__(self, other: "NCSeries") -> "NCSeries":
@@ -242,7 +258,7 @@ class NCSeries(Immutable):
         scalar = _exact(scalar)
         if not scalar:
             return NCSeries.zero(self.alphabet, self.degree_cap)
-        num = _linear_sum([(self._num, scalar.numerator)])
+        num = _linear_sum([(self._num, scalar.numerator)], self.alphabet.size)
         return NCSeries._reduced(self.alphabet, self.degree_cap, num,
                                  self._den * scalar.denominator)
 
@@ -269,126 +285,163 @@ class NCSeries(Immutable):
         return f"NCSeries(p={self.alphabet.p}, n={self.alphabet.n}, D={self.degree_cap}: {body})"
 
 
-def _linear_sum(parts: Sequence[tuple[IntBuckets, int]]) -> IntBuckets:
-    """The sum of ``factor * buckets`` over one or two parts, each factor
-    nonzero, without zero entries, in fresh arrays and lists.  A degree held
-    by one part is scaled, a degree held by both is merged."""
-    out: IntBuckets = {}
-    for degree in sorted({degree for buckets, _ in parts for degree in buckets}):
-        held = [(buckets[degree], factor) for buckets, factor in parts if degree in buckets]
-        if len(held) == 1:
-            [((codes, nums), factor)] = held
-            out[degree] = (codes[:], [factor * v for v in nums])
-            continue
-        [(a, factor_a), (b, factor_b)] = held
-        bucket = _merge(a, factor_a, b, factor_b)
-        if bucket[1]:
-            out[degree] = bucket
-    return out
+def _extended(nums: Nums, values: list[int]) -> Nums:
+    """``nums`` followed by ``values``, held by the container rule: an
+    ``array('q')`` while every numerator fits in int64, a list from the first
+    one that does not.  ``values`` must be a fresh list: it becomes the
+    bucket when ``nums`` is empty and something does not fit."""
+    if type(nums) is array:
+        try:
+            nums.fromlist(values)  # appends all of values or none
+            return nums
+        except OverflowError:
+            if not nums:
+                return values
+            nums = nums.tolist()
+    nums.extend(values)
+    return nums
 
 
-def _merge(a: Bucket, factor_a: int, b: Bucket, factor_b: int) -> Bucket:
-    """factor_a * a + factor_b * b on one degree, as one sorted merge of the
-    two code arrays that keeps only the nonzero sums."""
-    (codes_a, nums_a), (codes_b, nums_b) = a, b
-    codes, nums = array("q"), []
-    i = j = 0
-    len_a, len_b = len(codes_a), len(codes_b)
-    while i < len_a and j < len_b:
-        code_a, code_b = codes_a[i], codes_b[j]
-        if code_a < code_b:
-            codes.append(code_a)
-            nums.append(factor_a * nums_a[i])
-            i += 1
-        elif code_b < code_a:
-            codes.append(code_b)
-            nums.append(factor_b * nums_b[j])
-            j += 1
-        else:
-            v = factor_a * nums_a[i] + factor_b * nums_b[j]
-            if v:
-                codes.append(code_a)
-                nums.append(v)
-            i += 1
-            j += 1
-    codes.extend(codes_a[i:])
-    nums.extend([factor_a * v for v in nums_a[i:]])
-    codes.extend(codes_b[j:])
-    nums.extend([factor_b * v for v in nums_b[j:]])
-    return codes, nums
+def _linear_sum(parts: Sequence[tuple[IntBuckets, int]], base: int) -> IntBuckets:
+    """The sum of ``factor * buckets`` over the parts, each factor nonzero,
+    without zero entries, in fresh arrays and lists: a degree is the sum of
+    the products of its buckets with constants."""
+    reaching: dict[int, list[Pair]] = {}
+    for buckets, factor in parts:
+        for degree, (codes, nums) in buckets.items():
+            reaching.setdefault(degree, []).append((codes, nums, *_constant(factor), 1))
+    return _sum_of_products(reaching, base)
+
+
+def _constant(value: int) -> Bucket:
+    return array("q", [0]), _extended(array("q"), [value])
 
 
 def _product(left: IntBuckets, right: IntBuckets, cap: int, base: int) -> IntBuckets:
     """Product of two integer series without zero entries, truncated at degree
-    ``cap``, on word codes in ``base``.
-
-    Within one pair of degrees every concatenation is a distinct word with a
-    nonzero numerator, and the codes come out in ascending order, since
-    ``code_b < base**deg_b``: an output degree reached by one pair is filled
-    directly.  A degree reached by several pairs can cancel, and is summed one
-    slice of words at a time: the words that share their first two letters,
-    or their first letter when a pair's lead factor has one letter (X, digit
-    0, is one of the letters).  A slice's words come from one range of each
-    pair's sorted lead codes, found by bisection; the first pair with words in
-    the slice fills its dict, the others add into it, and only its nonzero
-    entries are appended, in order, before the next slice is built.  So the
-    transient is one slice, not the whole bucket.  A word starts with its left
-    factor; a constant left factor only scales, so such a pair leads with the
-    right factor and takes the constant as its other factor.
-    """
-    reaching: dict[int, list[tuple[int, int]]] = {}
-    for deg_a in left:
-        for deg_b in right:
+    ``cap``, on word codes in ``base``: a degree is the sum of the products
+    of the pairs of buckets whose degrees add up to it."""
+    reaching: dict[int, list[Pair]] = {}
+    for deg_a, (codes_a, nums_a) in left.items():
+        for deg_b, (codes_b, nums_b) in right.items():
             if deg_a + deg_b <= cap:
-                reaching.setdefault(deg_a + deg_b, []).append((deg_a, deg_b))
+                reaching.setdefault(deg_a + deg_b, []).append(
+                    (codes_a, nums_a, codes_b, nums_b, base**deg_b))
+    return _sum_of_products(reaching, base)
+
+
+# Two buckets whose product adds into a degree: the left one's codes and
+# numerators, the right one's, and the shift base**(the right one's degree).
+Pair = tuple[array, Nums, array, Nums, int]
+Rows = tuple[int, int, int, int]  # rows i0..i1 of the left bucket, entries j0..j1 of the right
+# the words offset + codes[k] with numerators coeff * nums[k], in ascending order
+Piece = tuple[int, int, Sequence[int], Sequence[int]]
+
+
+def _sum_of_products(reaching: dict[int, list[Pair]], base: int) -> IntBuckets:
+    """For each degree, the sum of the products of the pairs that reach it,
+    without zero entries, in fresh arrays and lists.
+
+    A degree is filled one slice at a time: the words whose codes lie in one
+    range [lo, lo + span), where span is base**k for the largest k <= degree
+    with base**k <= SLICE, but at least one letter.  So a slice is the words
+    that share their first degree - k letters.  A pair's words are
+    ``code_a * shift + code_b`` with ``code_b < shift``, so a slice takes
+    from each pair either whole rows of its left bucket or part of one row,
+    found by bisection (``_slice``).  Within one pair every word is distinct,
+    with a nonzero numerator, and the words come out in ascending order: a
+    slice that one pair reaches is appended as it comes.  A slice that
+    several pairs reach can cancel, and only its nonzero sums are appended
+    (``_append_sums``).  The next slice starts at the least code above this
+    one over all pairs.  So the transient is one slice, not the whole degree,
+    and the buckets' entries are boxed a slice at a time.
+    """
     out: IntBuckets = {}
     for degree, pairs in reaching.items():
-        if len(pairs) == 1:
-            [(deg_a, deg_b)] = pairs
-            (codes_a, nums_a), (codes_b, nums_b), shift = left[deg_a], right[deg_b], base**deg_b
-            codes_b = codes_b.tolist()  # boxed once, not once per row
-            out[degree] = (
-                array("q", (offset + code_b for code_a in codes_a
-                            for offset in [code_a * shift] for code_b in codes_b)),
-                [coeff_a * coeff_b for coeff_a in nums_a for coeff_b in nums_b],
-            )
-            continue
-        lead_degrees = [deg_a or deg_b for deg_a, deg_b in pairs]
-        width = min(2, *lead_degrees)  # the letters that the words of one slice share
-        factors = []
-        for (deg_a, deg_b), lead_degree in zip(pairs, lead_degrees):
-            (codes_a, nums_a), (codes_b, nums_b), shift = (
-                (left[deg_a], right[deg_b], base**deg_b) if deg_a else (right[deg_b], left[0], 1))
-            # the other factor's entries are boxed once, not once per row; a
-            # slice takes the lead codes from prefix * step up to (prefix + 1) * step
-            others = list(zip(codes_b.tolist(), nums_b))
-            factors.append((codes_a, nums_a, others, shift, base ** (lead_degree - width)))
-        prefixes = sorted({code_a // step for codes_a, *_, step in factors for code_a in codes_a})
-        codes, nums = array("q"), []
-        for prefix in prefixes:
-            acc: dict[int, int] = {}
-            for codes_a, nums_a, others, shift, step in factors:
-                lo = bisect_left(codes_a, prefix * step)
-                hi = bisect_left(codes_a, (prefix + 1) * step, lo)
-                if lo == hi:
-                    continue
-                rows = zip(codes_a[lo:hi], nums_a[lo:hi])
-                if not acc:
-                    acc = {offset + code_b: coeff_a * coeff_b
-                           for code_a, coeff_a in rows for offset in [code_a * shift]
-                           for code_b, coeff_b in others}
-                    continue
-                for code_a, coeff_a in rows:
-                    offset = code_a * shift
-                    for code_b, coeff_b in others:
-                        code = offset + code_b
-                        acc[code] = acc.get(code, 0) + coeff_a * coeff_b
-            kept = [code for code in sorted(acc) if acc[code]]
-            codes.extend(kept)
-            nums.extend(map(acc.__getitem__, kept))
-        if nums:
+        span = 1
+        for k in range(degree):
+            if k and span * base > SLICE:
+                break
+            span *= base
+        codes, nums = array("q"), array("q")
+        start = min(codes_a[0] * shift + codes_b[0] for codes_a, _, codes_b, _, shift in pairs)
+        while start is not None:
+            lo = start - start % span
+            sliced = [(pair, *_slice(pair, lo, lo + span)) for pair in pairs]
+            start = min((after for *_, after in sliced if after is not None), default=None)
+            groups = [_pieces(pair, rows) for pair, rows, _ in sliced if rows]
+            if len(groups) > 1:
+                nums = _append_sums(codes, nums, groups, lo, span)
+                continue
+            for offset, coeff, piece_codes, piece_nums in groups[0]:
+                if offset or type(piece_codes) is list:  # fromlist takes only lists
+                    codes.fromlist([offset + code for code in piece_codes])
+                else:
+                    codes.extend(piece_codes)
+                nums = _extended(nums, [coeff * v for v in piece_nums])
+        if codes:
             out[degree] = (codes, nums)
     return out
+
+
+def _slice(pair: Pair, lo: int, hi: int) -> tuple[Rows | None, int | None]:
+    """Where one pair's product has words with codes in [lo, hi), or None,
+    and the least code of that product at or above ``hi``, or None.
+    ``hi - lo`` is a power of the base and ``lo`` a multiple of it, so the
+    range holds whole rows of the left bucket or part of one row."""
+    codes_a, _, codes_b, _, shift = pair
+    if shift <= hi - lo:
+        i0 = bisect_left(codes_a, lo // shift)
+        i1 = bisect_left(codes_a, hi // shift, i0)
+        rows = (i0, i1, 0, len(codes_b)) if i0 < i1 else None
+    else:
+        row = lo // shift
+        i0 = i1 = bisect_left(codes_a, row)
+        rows = None
+        if i0 < len(codes_a) and codes_a[i0] == row:
+            offset = row * shift
+            j0 = bisect_left(codes_b, lo - offset)
+            j1 = bisect_left(codes_b, hi - offset, j0)
+            rows = (i0, i0 + 1, j0, j1) if j0 < j1 else None
+            if j1 < len(codes_b):
+                return rows, offset + codes_b[j1]
+            i1 = i0 + 1
+    return rows, codes_a[i1] * shift + codes_b[0] if i1 < len(codes_a) else None
+
+
+def _pieces(pair: Pair, rows: Rows) -> list[Piece]:
+    """The words of rows i0..i1 of the left bucket times entries j0..j1 of
+    the right, in ascending order: a piece a row, or one piece in all when
+    the right bucket gives one entry.  The right bucket's entries are boxed
+    once for all the rows when there are several."""
+    codes_a, nums_a, codes_b, nums_b, shift = pair
+    i0, i1, j0, j1 = rows
+    if j1 - j0 == 1:
+        lead_codes = codes_a[i0:i1]
+        if shift > 1:
+            lead_codes = [shift * code for code in lead_codes]
+        return [(codes_b[j0], nums_b[j0], lead_codes, nums_a[i0:i1])]
+    row_codes, row_nums = codes_b[j0:j1], nums_b[j0:j1]
+    if i1 - i0 > 1:
+        row_codes = row_codes.tolist()
+        row_nums = row_nums.tolist() if type(row_nums) is array else row_nums
+    return [(code_a * shift, coeff_a, row_codes, row_nums)
+            for code_a, coeff_a in zip(codes_a[i0:i1], nums_a[i0:i1])]
+
+
+def _append_sums(codes: array, nums: Nums, groups: list[list[Piece]], lo: int, span: int) -> Nums:
+    """Appends the nonzero sums by code of the pieces' entries, whose codes
+    lie in [lo, lo + span), to ``codes`` and ``nums`` in ascending order;
+    returns the numerators' container.  The sums are taken in a list
+    indexed by code - lo, whose nonzero entries are read off in one pass."""
+    dense = [0] * span
+    for group in groups:
+        for offset, coeff, piece_codes, piece_nums in group:
+            offset -= lo
+            for code, v in zip(piece_codes, piece_nums):
+                dense[offset + code] += coeff * v
+    codes.fromlist(list(compress(range(lo, lo + span), dense)))
+    return _extended(nums, list(filter(None, dense)))
 
 
 def _power_sum(series: NCSeries, u: IntBuckets, weights: Sequence[tuple[int, int]]) -> NCSeries:
@@ -413,7 +466,7 @@ def _power_sum(series: NCSeries, u: IntBuckets, weights: Sequence[tuple[int, int
         num, den = weights[k]
         if num:
             # u has no constant term
-            horner[0] = (array("q", [0]), [num * (common // (den * c**k))])
+            horner[0] = _constant(num * (common // (den * c**k)))
     return NCSeries._reduced(series.alphabet, cap, horner, common)
 
 
@@ -428,7 +481,7 @@ def exp(series: NCSeries) -> NCSeries:
 def log(series: NCSeries) -> NCSeries:
     """Truncated logarithm; the argument must have constant term 1."""
     constant = series._num.get(0)
-    if constant is None or constant[1] != [series._den]:
+    if constant is None or constant[1][0] != series._den:
         raise ValueError("log requires constant term 1")
     u = {degree: bucket for degree, bucket in series._num.items() if degree}
     weights = [(0, 1)] + [((-1) ** (k + 1), k) for k in range(1, series.degree_cap + 1)]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from array import array
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -579,12 +580,12 @@ def test_x_led_words_match_fraction_oracle(data, shape, c):
 
 
 def storage(s):
-    """The code arrays and numerator lists that hold a series."""
+    """The code arrays and the numerator arrays or lists that hold a series."""
     return [part for bucket in s._num.values() for part in bucket]
 
 
 def contents(s):
-    """A copy of what a series holds."""
+    """A copy of what a series holds: codes and numerators as lists."""
     num = {degree: (codes.tolist(), list(nums)) for degree, (codes, nums) in s._num.items()}
     return num, s._den
 
@@ -624,6 +625,17 @@ def test_log_storage_is_at_most_48_bytes_per_term():
     big, size, _ = traced(lambda: log(s))
     assert big.term_count() == 69_904
     assert size <= 48 * big.term_count()
+
+
+def test_log_storage_is_at_most_20_bytes_per_term():
+    # a degree holds one int64 code and, its numerators fitting in int64, one
+    # int64 numerator per word, in two arrays that may be over-allocated by a
+    # sixteenth
+    s = from_measure(random_lambda_table(2, 2, 2, seed=1), 8)
+    big, size, _ = traced(lambda: log(s))
+    assert big.term_count() == 69_904
+    assert all(type(nums) is array for _, nums in big._num.values())
+    assert size <= 20 * big.term_count()
 
 
 def test_report_round_trip_holds_one_slice_beside_the_log():
@@ -678,3 +690,92 @@ def test_word_codes_fit_in_int64():
     assert exp(y).coeff((1,) * 39) == Fraction(1, factorial(39))
     with pytest.raises(ValueError, match="63 bits"):
         NCSeries.zero(AB2, 40)
+
+
+# Numerators at and across the int64 boundary, mixed with small ones: a
+# bucket is an array('q') exactly when all its numerators fit in int64.
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+BOUNDARY_INTS = st.sampled_from([INT64_MAX, INT64_MIN, 2**63, INT64_MIN - 1, 2**64 + 1,
+                                 -(2**64) - 1, 2**62, 3**40]) | st.integers(-9, 9)
+BOUNDARY_COEFFS = st.builds(Fraction, BOUNDARY_INTS, st.sampled_from([1, 1, 2, 3, 7]))
+BOUNDARY_SHAPES = st.tuples(st.sampled_from([AB2, AB3]), st.integers(0, 5))
+
+
+def follows_container_rule(s):
+    return all((type(nums) is array) == all(INT64_MIN <= v <= INT64_MAX for v in nums)
+               and type(nums) in (array, list)
+               for _, nums in s._num.values())
+
+
+def boundary_series(alphabet, cap, min_degree=0):
+    """Up to 4 words of degree min_degree..cap with BOUNDARY_COEFFS."""
+    if min_degree > cap:
+        return st.just(NCSeries.zero(alphabet, cap))
+    word = st.lists(st.sampled_from(alphabet.letters()), min_size=min_degree, max_size=cap)
+    terms = st.lists(st.tuples(word.map(tuple), BOUNDARY_COEFFS), max_size=4)
+    return terms.map(lambda pairs: NCSeries(alphabet, cap, pairs))
+
+
+BOUNDARY_PAIRS = BOUNDARY_SHAPES.flatmap(
+    lambda shape: st.tuples(boundary_series(*shape), boundary_series(*shape)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=BOUNDARY_PAIRS, scalar=BOUNDARY_COEFFS)
+def test_int64_boundary_arithmetic_matches_fraction_oracle(pair, scalar):
+    a, b = pair
+    assert follows_container_rule(a) and follows_container_rule(b)
+    results = {
+        "mul": (a * b, fraction_mul(a, b)),
+        "add": (a + b, fraction_sum(a, b, 1)),
+        "sub": (a - b, fraction_sum(a, b, -1)),
+        "scale": (a * scalar, fraction_scale(a, scalar)),
+    }
+    for name, (got, expected) in results.items():
+        assert got == expected, name
+        assert follows_container_rule(got), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=BOUNDARY_SHAPES)
+def test_int64_boundary_exp_log_match_fraction_oracle(data, shape):
+    u = data.draw(boundary_series(*shape, min_degree=1))
+    one = NCSeries.one(*shape)
+    for got, expected in ((exp(u), fraction_exp(u)), (log(one + u), fraction_log(one + u))):
+        assert got == expected
+        assert follows_container_rule(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small=series_terms(AB3, 4, 4))
+def test_series_reduced_from_large_numerators_equal_the_small_one(small):
+    # numerators above int64 are held in lists until the gcd divides them
+    # back into range, and then in arrays again
+    for big in (2**63, 2**64, 3**41):
+        scaled = small * big
+        assert follows_container_rule(scaled)
+        assert scaled * Fraction(1, big) == small
+        assert (scaled - small * (big - 1)) == small
+    w = (X, 0)
+    assert NCSeries(AB3, 4, {w: 2**64}) * Fraction(1, 2**64) == NCSeries(AB3, 4, {w: 1})
+    reduced = NCSeries(AB3, 4, {w: 2**64, (): 3 * 2**64}) * Fraction(1, 2**64)
+    assert all(type(nums) is array for _, nums in reduced._num.values())
+
+
+def test_report_round_trip_runs_both_containers(monkeypatch):
+    # at (3, 1, 1) degree 8 the Horner sums inside exp(log(s)) and
+    # log(exp(s - 1)) reach numerators above int64 before they are reduced
+    seen = set()
+    reduce = NCSeries._reduced.__func__
+
+    def spy(cls, alphabet, degree_cap, num, den):
+        seen.update(type(nums) for _, nums in num.values())
+        result = reduce(cls, alphabet, degree_cap, num, den)
+        assert follows_container_rule(result)
+        return result
+
+    monkeypatch.setattr(NCSeries, "_reduced", classmethod(spy))
+    s = from_measure(random_lambda_table(3, 1, 1, seed=3), 8)
+    one = NCSeries.one(s.alphabet, 8)
+    assert exp(log(s)) == s and log(exp(s - one)) == s - one
+    assert seen == {array, list}
