@@ -56,8 +56,8 @@ MAX_EXPONENT_WORDS = 100_000
 # Largest series term-count estimate `report` may exponentiate; (2, 2, 2) at
 # degree 8 estimates 69 904 terms, (3, 2, 2) at degree 8 about 4.4e7.  As a
 # whole CLI process (Python 3.11, 2 cores, spawn to exit, peak RSS from wait4,
-# .pyc files in place, medians of 5), `report --seed 0` takes about 0.18 s and
-# 16.2 MiB at (2, 2, 2) degree 8, and 0.55 s and 18.6 MiB at (5, 1, 1)
+# .pyc files in place, medians of 7), `report --seed 0` takes about 0.22 s and
+# 15.4 MiB at (2, 2, 2) degree 8, and 0.60 s and 17.2 MiB at (5, 1, 1)
 # degree 7 (97 655 terms, the costliest admitted case measured).
 MAX_SERIES_TERMS = 100_000
 # Bytes an `--in` file may read per cell of the cap, plus 4 KiB of header:
@@ -154,8 +154,12 @@ def _load_measure(
     if args.infile is not None:
         cap = size_cap()
         bound = cap * MAX_INPUT_BYTES_PER_CELL + 4096
+        raw = bytearray()
         with open(args.infile, "rb") as handle:
-            raw = handle.read(bound + 1)
+            # 64 KiB at a time: read(bound + 1) allocates the whole bound
+            # before it reads a byte
+            while len(raw) <= bound and (chunk := handle.read(1 << 16)):
+                raw += chunk
         if len(raw) > bound:
             raise ValueError(f"{args.infile} is longer than {bound} bytes, the bound "
                              f"for the cap of {cap} cells")

@@ -5,13 +5,19 @@ the cyclic letters are their residues 0 <= i < p^n.  A series is exact up to a
 fixed truncation degree, and every operation returns a new object.
 
 Inside, a series is ``{degree: (codes, nums)}`` over one positive ``int``
-denominator: ``codes`` is an ``array('q')`` of the degree's word codes in
-ascending order and ``nums`` their int numerators, aligned with it.  ``nums``
-is an ``array('q')`` when every numerator of the degree fits in int64 and a
-list otherwise; ``_extended`` applies that rule wherever a bucket is built, so
-a word costs 16 bytes while its numerator fits.  The form is canonical: no zero
-numerators, no empty degrees, gcd 1 between the denominator and all numerators,
-and the container the rule gives, so equal series hold equal buckets.
+denominator: ``codes`` is an array of the degree's word codes in ascending
+order and ``nums`` their int numerators, aligned with it.  Both are held in the
+narrowest signed array that fits them, by one ladder of typecodes: ``'b'``,
+``'h'``, ``'i'``, ``'q'`` (1, 2, 4 and 8 bytes).  ``codes`` takes the narrowest
+that holds ``base**degree - 1``, so its typecode is fixed by the degree.
+``nums`` takes the narrowest that holds every numerator of the degree, and is a
+list when one does not fit in int64; ``_extended`` applies that rule wherever a
+bucket is built, and a bucket that must change container moves into the new
+one a slice at a time (``_moved``).  So a degree-8 word over X, Y_0..Y_3 costs
+6 bytes while its numerator fits in 16 bits.  The form
+is canonical: no zero numerators, no empty degrees, gcd 1 between the
+denominator and all numerators, and the containers the rule gives, so equal
+series hold equal buckets.
 A degree-d word is coded as the int whose base-(p^n + 1) digits are its letters,
 first letter most significant, with X -> 0 and Y_i -> i + 1.  Concatenation is
 ``code_a * base**deg_b + code_b``, and within one degree code order is tuple
@@ -25,11 +31,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import compress, groupby
+from itertools import compress, groupby, islice, repeat
 from math import factorial, gcd, lcm
-from operator import itemgetter
+from operator import floordiv, itemgetter, mul
 
 from .exact import Immutable, _exact, check_config, format_rational
 from .measures import LevelMeasure
@@ -49,14 +55,21 @@ X = -1
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
-Nums = array | list[int]  # an array('q') when every numerator fits in int64, else a list
-Bucket = tuple[array, Nums]  # ascending word codes, their nonzero numerators
+# the narrowest array('b'/'h'/'i'/'q') that holds every numerator, else a list
+Nums = array | list[int]
+# ascending word codes in the typecode their degree gives, their nonzero numerators
+Bucket = tuple[array, Nums]
 IntBuckets = dict[int, Bucket]  # by degree
 MAX_CODE = 2**63 - 1  # the largest code an array('q') holds
-# Buckets are built and reduced a slice of at most this many codes at a time
-# (one letter's worth when a letter spans more), so that no transient list is
-# as large as a bucket.
+# Each typecode of the ladder, narrowest first, with 2**(its bits - 1).
+TYPECODES = tuple((typecode, 2 ** (8 * array(typecode).itemsize - 1)) for typecode in "bhiq")
+# Buckets are built, reduced and widened a slice of at most this many codes at
+# a time (one letter's worth when a letter spans more), so that no transient
+# list is as large as a bucket.
 SLICE = 4096
+# Numerators a gcd scan unpacks into one call: few, so that it boxes few at a
+# time beside the bucket and stops soon after the gcd reaches 1.
+GCD_CHUNK = 256
 
 
 class Alphabet(Immutable):
@@ -92,6 +105,21 @@ class Alphabet(Immutable):
 
 
 _code = itemgetter(0)  # the code of a (code, value) pair
+
+
+def _typecode(low: int, high: int) -> str | None:
+    """The narrowest typecode of the ladder whose arrays hold every int in
+    [low, high], or None when int64 does not."""
+    for typecode, limit in TYPECODES:
+        if -limit <= low and high < limit:
+            return typecode
+    return None
+
+
+def _codes(base: int, degree: int) -> array:
+    """An empty array for the codes of a degree: the narrowest that holds
+    ``base**degree - 1``."""
+    return array(_typecode(0, base**degree - 1))
 
 
 def _encode(word: Word, base: int) -> int:
@@ -154,31 +182,27 @@ class NCSeries(Immutable):
         for degree, pairs in summed.items():
             kept = [(code, c.numerator * (den // c.denominator)) for code, c in pairs if c]
             if kept:
-                num[degree] = (array("q", map(_code, kept)),
-                               _extended(array("q"), [v for _, v in kept]))
+                codes = _codes(base, degree)
+                codes.fromlist(list(map(_code, kept)))
+                num[degree] = codes, _extended(array("b"), [v for _, v in kept])
         self._assign(alphabet, degree_cap, num, den)
 
     @classmethod
     def _reduced(cls, alphabet: Alphabet, degree_cap: int, num: IntBuckets, den: int) -> "NCSeries":
         # trusted constructor: valid codes, no zero entries or empty buckets,
         # numerators held by the container rule, den > 0.  It takes ownership
-        # of ``num``: the gcd of den and the numerators is divided out in
-        # place, so ``num`` and its arrays and lists must be fresh ones that
-        # no series holds.  Both run a slice at a time, since unpacking a
-        # whole bucket into gcd would box all of it.
-        g = den
-        for _, nums in num.values():
-            for lo in range(0, len(nums), SLICE):
-                if g == 1:
-                    break
-                g = gcd(g, *nums[lo:lo + SLICE])
+        # of ``num``: the gcd of den and the numerators is divided out, each
+        # bucket moving into the container its quotients take, so ``num`` and
+        # its arrays and lists must be fresh ones that no series holds.  Only
+        # exp and log end here: a Horner sum's gcd falls in several steps as
+        # its degrees come, and dividing it out while building (as sums and
+        # products do) made report's round trip 2-12 % slower.
+        g = _gcd(den, num)
         if g > 1:
             for degree, (codes, nums) in num.items():
-                for lo in range(0, len(nums), SLICE):
-                    quotients = [v // g for v in nums[lo:lo + SLICE]]
-                    nums[lo:lo + SLICE] = array("q", quotients) if type(nums) is array else quotients
-                if type(nums) is list:  # the quotients may fit now
-                    num[degree] = codes, _extended(array("q"), nums)
+                # v -> v // g is monotone: the quotients span [min // g, max // g]
+                typecode = _typecode(min(nums) // g, max(nums) // g)
+                num[degree] = codes, _moved(nums, typecode, floordiv, g)
             den //= g
         return cls._new(alphabet, degree_cap, num, den)
 
@@ -241,9 +265,9 @@ class NCSeries(Immutable):
         # self + sign * other
         self._compatible(other)
         den = lcm(self._den, other._den)
-        num = _linear_sum([(self._num, den // self._den), (other._num, sign * (den // other._den))],
-                          self.alphabet.size)
-        return NCSeries._reduced(self.alphabet, self.degree_cap, num, den)
+        num, g = _linear_sum([(self._num, den // self._den),
+                              (other._num, sign * (den // other._den))], self.alphabet.size, den)
+        return NCSeries._new(self.alphabet, self.degree_cap, num, den // g)
 
     def __add__(self, other: "NCSeries") -> "NCSeries":
         return self._combined(other, 1)
@@ -255,20 +279,25 @@ class NCSeries(Immutable):
         return self._scaled(-1)
 
     def _scaled(self, scalar: Fraction | int) -> "NCSeries":
+        # k/m times n_i/den: with g = gcd(k, den) the result is (k/g) n_i over
+        # (den/g) m.  k/g is coprime to den/g and to m, and the n_i have gcd 1
+        # with den, so the gcd left is that of m and the (k/g) n_i: only a
+        # fractional scalar makes the sum look for one
         scalar = _exact(scalar)
         if not scalar:
             return NCSeries.zero(self.alphabet, self.degree_cap)
-        num = _linear_sum([(self._num, scalar.numerator)], self.alphabet.size)
-        return NCSeries._reduced(self.alphabet, self.degree_cap, num,
-                                 self._den * scalar.denominator)
+        k, m = scalar.numerator, scalar.denominator
+        g = gcd(k, self._den)
+        num, left = _linear_sum([(self._num, k // g)], self.alphabet.size, m)
+        return NCSeries._new(self.alphabet, self.degree_cap, num, self._den // g * (m // left))
 
     def __mul__(self, other: "NCSeries | Fraction | int") -> "NCSeries":
         if not isinstance(other, NCSeries):
             return self._scaled(other)
         self._compatible(other)
-        product = _product(self._num, other._num, self.degree_cap, self.alphabet.size)
-        return NCSeries._reduced(self.alphabet, self.degree_cap, product,
-                                 self._den * other._den)
+        den = self._den * other._den
+        product, g = _product(self._num, other._num, self.degree_cap, self.alphabet.size, den)
+        return NCSeries._new(self.alphabet, self.degree_cap, product, den // g)
 
     def __rmul__(self, scalar: Fraction | int) -> "NCSeries":
         return self._scaled(scalar)
@@ -286,48 +315,84 @@ class NCSeries(Immutable):
 
 
 def _extended(nums: Nums, values: list[int]) -> Nums:
-    """``nums`` followed by ``values``, held by the container rule: an
-    ``array('q')`` while every numerator fits in int64, a list from the first
-    one that does not.  ``values`` must be a fresh list: it becomes the
-    bucket when ``nums`` is empty and something does not fit."""
+    """``nums``, held by the container rule, followed by ``values``, held by
+    it too: the narrowest of ``array('b')``, ``'h'``, ``'i'`` and ``'q'``
+    that holds every numerator, and a list when one does not fit in int64.
+    A bucket that must widen moves into the wider container a slice at a
+    time (``_moved``), so it is never held whole in two widths.  ``values``
+    must be a fresh list: it becomes the bucket when ``nums`` is empty and
+    something does not fit in int64."""
     if type(nums) is array:
         try:
             nums.fromlist(values)  # appends all of values or none
             return nums
         except OverflowError:
-            if not nums:
+            # nums holds its entries in the narrowest typecode, and values
+            # did not fit in it, so the values' own typecode is the wider one
+            typecode = _typecode(min(values), max(values))
+            if typecode is None and not nums:
                 return values
-            nums = nums.tolist()
+            nums = _moved(nums, typecode, mul, 1)
     nums.extend(values)
     return nums
 
 
-def _linear_sum(parts: Sequence[tuple[IntBuckets, int]], base: int) -> IntBuckets:
+def _moved(nums: Nums, typecode: str | None, op: Callable[[int, int], int], operand: int) -> Nums:
+    """``op(v, operand)`` for the entries v of ``nums``, in a new array of
+    ``typecode``, or a list when it is None, which must hold them all.  The
+    entries leave ``nums`` a slice at a time from the front, so the two
+    never both hold all of them, and are boxed one at a time."""
+    into = [] if typecode is None else array(typecode)
+    while nums:
+        into.extend(map(op, islice(nums, SLICE), repeat(operand)))
+        del nums[:SLICE]
+    return into
+
+
+def _rescaled(nums: Nums, factor: int) -> Nums:
+    """``nums`` times ``factor`` > 0, in the container the rule gives them."""
+    return _moved(nums, _typecode(min(nums) * factor, max(nums) * factor), mul, factor)
+
+
+def _gcd(g: int, num: IntBuckets) -> int:
+    """The gcd of ``g`` and every numerator of ``num``, given up at 1."""
+    for _, nums in num.values():
+        for lo in range(0, len(nums), GCD_CHUNK):
+            if g == 1:
+                return 1
+            g = gcd(g, *nums[lo:lo + GCD_CHUNK])
+    return g
+
+
+def _linear_sum(parts: Sequence[tuple[IntBuckets, int]], base: int,
+                den: int) -> tuple[IntBuckets, int]:
     """The sum of ``factor * buckets`` over the parts, each factor nonzero,
-    without zero entries, in fresh arrays and lists: a degree is the sum of
-    the products of its buckets with constants."""
+    as ``_sum_of_products`` gives it over ``den``: a degree is the sum of the
+    products of its buckets with constants."""
     reaching: dict[int, list[Pair]] = {}
     for buckets, factor in parts:
         for degree, (codes, nums) in buckets.items():
             reaching.setdefault(degree, []).append((codes, nums, *_constant(factor), 1))
-    return _sum_of_products(reaching, base)
+    return _sum_of_products(reaching, base, den)
 
 
 def _constant(value: int) -> Bucket:
-    return array("q", [0]), _extended(array("q"), [value])
+    return array(_typecode(0, 0), [0]), _extended(array("b"), [value])
 
 
-def _product(left: IntBuckets, right: IntBuckets, cap: int, base: int) -> IntBuckets:
+def _product(left: IntBuckets, right: IntBuckets, cap: int, base: int,
+             den: int) -> tuple[IntBuckets, int]:
     """Product of two integer series without zero entries, truncated at degree
-    ``cap``, on word codes in ``base``: a degree is the sum of the products
-    of the pairs of buckets whose degrees add up to it."""
+    ``cap``, on word codes in ``base``, as ``_sum_of_products`` gives it over
+    ``den``: a degree is the sum of the products of the pairs of buckets whose
+    degrees add up to it."""
     reaching: dict[int, list[Pair]] = {}
     for deg_a, (codes_a, nums_a) in left.items():
         for deg_b, (codes_b, nums_b) in right.items():
             if deg_a + deg_b <= cap:
                 reaching.setdefault(deg_a + deg_b, []).append(
                     (codes_a, nums_a, codes_b, nums_b, base**deg_b))
-    return _sum_of_products(reaching, base)
+    return _sum_of_products(reaching, base, den)
 
 
 # Two buckets whose product adds into a degree: the left one's codes and
@@ -338,9 +403,11 @@ Rows = tuple[int, int, int, int]  # rows i0..i1 of the left bucket, entries j0..
 Piece = tuple[int, int, Sequence[int], Sequence[int]]
 
 
-def _sum_of_products(reaching: dict[int, list[Pair]], base: int) -> IntBuckets:
+def _sum_of_products(reaching: dict[int, list[Pair]], base: int,
+                     den: int) -> tuple[IntBuckets, int]:
     """For each degree, the sum of the products of the pairs that reach it,
-    without zero entries, in fresh arrays and lists.
+    without zero entries, in fresh arrays and lists, divided by g, the gcd
+    of ``den`` and every numerator of the sum; returns the buckets and g.
 
     A degree is filled one slice at a time: the words whose codes lie in one
     range [lo, lo + span), where span is base**k for the largest k <= degree
@@ -355,15 +422,25 @@ def _sum_of_products(reaching: dict[int, list[Pair]], base: int) -> IntBuckets:
     (``_append_sums``).  The next slice starts at the least code above this
     one over all pairs.  So the transient is one slice, not the whole degree,
     and the buckets' entries are boxed a slice at a time.
+
+    g is found as the slices come.  Each slice is stored divided by the gcd
+    of den and the numerators so far, and when a slice lowers it, what is
+    stored already is multiplied up to the new one (``_over_gcd``).  So a sum
+    that reduces is never held in a wider container than its reduced form.
+    Degrees are built in ascending order: the low ones hold few words and
+    mostly settle g before the large ones are stored, where the top degree of
+    a ``log`` shares every factor of its denominator.
     """
     out: IntBuckets = {}
-    for degree, pairs in reaching.items():
+    g = den
+    for degree in sorted(reaching):
+        pairs = reaching[degree]
         span = 1
         for k in range(degree):
             if k and span * base > SLICE:
                 break
             span *= base
-        codes, nums = array("q"), array("q")
+        codes, nums = _codes(base, degree), array("b")
         start = min(codes_a[0] * shift + codes_b[0] for codes_a, _, codes_b, _, shift in pairs)
         while start is not None:
             lo = start - start % span
@@ -371,17 +448,36 @@ def _sum_of_products(reaching: dict[int, list[Pair]], base: int) -> IntBuckets:
             start = min((after for *_, after in sliced if after is not None), default=None)
             groups = [_pieces(pair, rows) for pair, rows, _ in sliced if rows]
             if len(groups) > 1:
-                nums = _append_sums(codes, nums, groups, lo, span)
-                continue
-            for offset, coeff, piece_codes, piece_nums in groups[0]:
-                if offset or type(piece_codes) is list:  # fromlist takes only lists
-                    codes.fromlist([offset + code for code in piece_codes])
-                else:
-                    codes.extend(piece_codes)
-                nums = _extended(nums, [coeff * v for v in piece_nums])
+                values = _append_sums(codes, groups, lo, span)
+            else:
+                values = []
+                for offset, coeff, piece_codes, piece_nums in groups[0]:
+                    # extend takes only arrays of its own typecode, which a
+                    # piece of X...X times a lower degree's codes does not have
+                    if offset or type(piece_codes) is list or piece_codes.typecode != codes.typecode:
+                        codes.fromlist([offset + code for code in piece_codes])
+                    else:
+                        codes.extend(piece_codes)
+                    values += [coeff * v for v in piece_nums]
+            if g > 1:
+                nums, values, g = _over_gcd(out, nums, values, g)
+            nums = _extended(nums, values)
         if codes:
             out[degree] = (codes, nums)
-    return out
+    return out, g
+
+
+def _over_gcd(out: IntBuckets, nums: Nums, values: list[int], g: int) -> tuple[Nums, list[int], int]:
+    """The numerators stored so far, ``out``'s (in place) and ``nums``, are
+    over g; with h the gcd of g and ``values``, returns ``nums`` over h, the
+    values over h and h, having moved ``out``'s buckets over h too."""
+    h = gcd(g, *values)
+    if h < g:
+        for degree, (codes, stored) in out.items():
+            out[degree] = codes, _rescaled(stored, g // h)
+        if nums:
+            nums = _rescaled(nums, g // h)
+    return nums, [v // h for v in values] if h > 1 else values, h
 
 
 def _slice(pair: Pair, lo: int, hi: int) -> tuple[Rows | None, int | None]:
@@ -429,11 +525,11 @@ def _pieces(pair: Pair, rows: Rows) -> list[Piece]:
             for code_a, coeff_a in zip(codes_a[i0:i1], nums_a[i0:i1])]
 
 
-def _append_sums(codes: array, nums: Nums, groups: list[list[Piece]], lo: int, span: int) -> Nums:
-    """Appends the nonzero sums by code of the pieces' entries, whose codes
-    lie in [lo, lo + span), to ``codes`` and ``nums`` in ascending order;
-    returns the numerators' container.  The sums are taken in a list
-    indexed by code - lo, whose nonzero entries are read off in one pass."""
+def _append_sums(codes: array, groups: list[list[Piece]], lo: int, span: int) -> list[int]:
+    """The nonzero sums by code of the pieces' entries, whose codes lie in
+    [lo, lo + span), in ascending order of code; their codes are appended to
+    ``codes``.  The sums are taken in a list indexed by code - lo, whose
+    nonzero entries are read off in one pass."""
     dense = [0] * span
     for group in groups:
         for offset, coeff, piece_codes, piece_nums in group:
@@ -441,7 +537,7 @@ def _append_sums(codes: array, nums: Nums, groups: list[list[Piece]], lo: int, s
             for code, v in zip(piece_codes, piece_nums):
                 dense[offset + code] += coeff * v
     codes.fromlist(list(compress(range(lo, lo + span), dense)))
-    return _extended(nums, list(filter(None, dense)))
+    return list(filter(None, dense))
 
 
 def _power_sum(series: NCSeries, u: IntBuckets, weights: Sequence[tuple[int, int]]) -> NCSeries:
@@ -462,7 +558,7 @@ def _power_sum(series: NCSeries, u: IntBuckets, weights: Sequence[tuple[int, int
     common = lcm(*(den * c**k for k, (num, den) in enumerate(weights) if num))
     horner: IntBuckets = {}
     for k in reversed(range(len(weights))):
-        horner = _product(u, horner, cap - k * low, base)
+        horner, _ = _product(u, horner, cap - k * low, base, 1)
         num, den = weights[k]
         if num:
             # u has no constant term

@@ -318,6 +318,26 @@ def test_oversized_input_exits_two(fuzz_dir, command, monkeypatch):
     assert err.startswith("error:") and f"longer than {input_bound(FUZZ_CAP)} bytes" in err
 
 
+def _limit_address_space_below_the_bound():
+    import resource
+
+    limit = 80 * 1024 * 1024  # the default cap's byte bound is 86.7 MB
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("command", ["vanish", "check-cosets"])
+def test_small_input_reads_below_the_byte_bound_in_memory(command, tmp_path):
+    # the read takes what the file holds, a chunk at a time; a single read of
+    # the whole bound ran out of memory under this limit and exited 1 with a
+    # traceback
+    path = write_measure(tmp_path, random_kernel_measure(3, 1, 2, seed=0))
+    result = subprocess.run([sys.executable, "-m", "mzvkit", command, "--in", path],
+                            capture_output=True, text=True, timeout=60,
+                            preexec_fn=_limit_address_space_below_the_bound)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["all_pass"] is True
+
+
 @pytest.mark.parametrize("name", ["deep.json", "deep-values.json"])
 @pytest.mark.parametrize("command", ["vanish", "moments", "check-cosets"])
 def test_deeply_nested_input_exits_two(fuzz_dir, name, command):

@@ -638,6 +638,17 @@ def test_log_storage_is_at_most_20_bytes_per_term():
     assert size <= 20 * big.term_count()
 
 
+def test_log_storage_is_at_most_8_bytes_per_term():
+    # at degree 8 over X, Y0..Y3 a code needs 4 bytes and the numerators of
+    # log(s) 16 bits, so a word costs 6 bytes, in two arrays that may be
+    # over-allocated by a sixteenth
+    s = from_measure(random_lambda_table(2, 2, 2, seed=1), 8)
+    big, size, _ = traced(lambda: log(s))
+    assert big.term_count() == 69_904
+    assert big._num[8][0].typecode == "i" and big._num[8][1].typecode == "h"
+    assert size <= 8 * big.term_count()
+
+
 def test_report_round_trip_holds_one_slice_beside_the_log():
     # full support: log(s) holds 69 904 terms, and exp(log(s)) cancels its
     # degree-8 bucket of 65 536 words down to nothing
@@ -692,19 +703,38 @@ def test_word_codes_fit_in_int64():
         NCSeries.zero(AB2, 40)
 
 
-# Numerators at and across the int64 boundary, mixed with small ones: a
-# bucket is an array('q') exactly when all its numerators fit in int64.
+# Numerators at and across the bounds of 8-, 16-, 32- and 64-bit ints, mixed
+# with small ones: a bucket is held in the narrowest of array('b'), 'h', 'i'
+# and 'q' that holds all its numerators, and in a list when int64 does not.
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
-BOUNDARY_INTS = st.sampled_from([INT64_MAX, INT64_MIN, 2**63, INT64_MIN - 1, 2**64 + 1,
-                                 -(2**64) - 1, 2**62, 3**40]) | st.integers(-9, 9)
+LADDER_BOUNDS = [sign * 2**bits + step for bits in (7, 15, 31, 63) for sign in (1, -1)
+                 for step in (-1, 0, 1)]
+BOUNDARY_INTS = st.sampled_from([*LADDER_BOUNDS, 2**64 + 1, -(2**64) - 1, 2**62, 3**40]) | \
+    st.integers(-9, 9)
 BOUNDARY_COEFFS = st.builds(Fraction, BOUNDARY_INTS, st.sampled_from([1, 1, 2, 3, 7]))
 BOUNDARY_SHAPES = st.tuples(st.sampled_from([AB2, AB3]), st.integers(0, 5))
 
 
+def narrowest(values):
+    """The first typecode of b, h, i, q whose array holds every value, or
+    None."""
+    for typecode in "bhiq":
+        try:
+            array(typecode, values)
+            return typecode
+        except OverflowError:
+            pass
+    return None
+
+
 def follows_container_rule(s):
-    return all((type(nums) is array) == all(INT64_MIN <= v <= INT64_MAX for v in nums)
+    # codes in the typecode that holds the degree's largest code, numerators
+    # in the narrowest container that holds them
+    base = s.alphabet.size
+    return all(type(codes) is array and codes.typecode == narrowest([base**degree - 1])
                and type(nums) in (array, list)
-               for _, nums in s._num.values())
+               and (nums.typecode if type(nums) is array else None) == narrowest(list(nums))
+               for degree, (codes, nums) in s._num.items())
 
 
 def boundary_series(alphabet, cap, min_degree=0):
@@ -760,6 +790,31 @@ def test_series_reduced_from_large_numerators_equal_the_small_one(small):
     assert NCSeries(AB3, 4, {w: 2**64}) * Fraction(1, 2**64) == NCSeries(AB3, 4, {w: 1})
     reduced = NCSeries(AB3, 4, {w: 2**64, (): 3 * 2**64}) * Fraction(1, 2**64)
     assert all(type(nums) is array for _, nums in reduced._num.values())
+    assert follows_container_rule(reduced)
+
+
+@pytest.mark.parametrize("den", [6, 3 * 2**7, 2**16, 2**33, 2**64])
+def test_sums_whose_gcd_falls_late_hold_the_narrowest_buckets(den):
+    # the degree-1 numerators over den are multiples of den, so a sum first
+    # stores them divided by den; the last word's numerator 1 makes the gcd
+    # fall to 1, and what is stored is multiplied back, into a wider container
+    a = NCSeries(AB3, 3, {(0,): 5, (1,): -7, (2, 2, 2): Fraction(1, den)})
+    zero, one = NCSeries.zero(AB3, 3), NCSeries.one(AB3, 3)
+    for got in (a + zero, zero + a, a - zero, a * one, one * a):
+        assert got == a
+        assert follows_container_rule(got)
+    assert (a + a) * Fraction(1, 2) == a
+
+
+def test_x_led_products_hold_codes_in_their_degrees_typecode():
+    # X.X has code 0, so a slice of its product with a degree-3 bucket is that
+    # bucket's own code array, one byte wide, within degree 5, two bytes wide
+    lower = NCSeries(AB3, 5, {(0, 1, 2): 1, (2, 2, 2): Fraction(1, 2), (X, 0, X): -3})
+    xx = NCSeries(AB3, 5, {(X, X): 3, (1,): 2})
+    for got, expected in ((xx * lower, fraction_mul(xx, lower)),
+                          (lower * xx, fraction_mul(lower, xx))):
+        assert got == expected
+        assert follows_container_rule(got)
 
 
 def test_report_round_trip_runs_both_containers(monkeypatch):
