@@ -67,34 +67,27 @@ MAX_SERIES_TERMS = 100_000
 MAX_INPUT_BYTES_PER_CELL = 8_668
 
 
-def _check_exponent_cap(cap: int) -> None:
-    if cap > MAX_CERTIFICATE_EXPONENT:
-        raise ValueError(f"exponent cap {cap} is above the certificate limit "
-                         f"{MAX_CERTIFICATE_EXPONENT}")
-
-
 def _exponent_words(r: int, cap: int, odd_only: bool) -> list[tuple[int, ...]]:
     """The length-r words with sum at most ``cap`` (odd sum if ``odd_only``),
-    in lexicographic order.  Their number, then the cap itself, which bounds
-    the powers every cell is raised to, are checked before any is built."""
-    count = comb(cap + r, r)
-    if count > MAX_EXPONENT_WORDS:
-        raise ValueError(f"exponent cap {cap} gives {count} words of length {r}, "
-                         f"above the limit {MAX_EXPONENT_WORDS}")
-    _check_exponent_cap(cap)
+    in lexicographic order.  Their number and the cap itself, which bounds the
+    powers every cell is raised to, are checked before any is built: the
+    number first, but the cap first for odd words, each of which needs a
+    certificate."""
+    above_limit = cap > MAX_CERTIFICATE_EXPONENT
+    if not (odd_only and above_limit):
+        count = comb(cap + r, r)
+        if count > MAX_EXPONENT_WORDS:
+            raise ValueError(f"exponent cap {cap} gives {count} words of length {r}, "
+                             f"above the limit {MAX_EXPONENT_WORDS}")
+    if above_limit:
+        raise ValueError(f"exponent cap {cap} is above the certificate limit "
+                         f"{MAX_CERTIFICATE_EXPONENT}")
     words: list[tuple[int, ...]] = [()]
     for _ in range(r):
         words = [word + (e,) for word in words for e in range(cap - sum(word) + 1)]
     if odd_only:
         words = [word for word in words if sum(word) % 2]
     return words
-
-
-def _vanish_words(r: int, cap: int) -> list[tuple[int, ...]]:
-    """The odd words of a vanish sweep; every one needs a certificate, so the
-    certificate limit is checked before the word count."""
-    _check_exponent_cap(cap)
-    return _exponent_words(r, cap, odd_only=True)
 
 
 def _valuation_json(value: int | float) -> int | str:
@@ -154,20 +147,24 @@ def _load_measure(
     if args.infile is not None:
         cap = size_cap()
         bound = cap * MAX_INPUT_BYTES_PER_CELL + 4096
-        raw = bytearray()
-        with open(args.infile, "rb") as handle:
-            # 64 KiB at a time: read(bound + 1) allocates the whole bound
-            # before it reads a byte
-            while len(raw) <= bound and (chunk := handle.read(1 << 16)):
-                raw += chunk
-        if len(raw) > bound:
-            raise ValueError(f"{args.infile} is longer than {bound} bytes, the bound "
-                             f"for the cap of {cap} cells")
         try:
+            raw = bytearray()
+            with open(args.infile, "rb") as handle:
+                # 64 KiB at a time: read(bound + 1) allocates the whole bound
+                # before it reads a byte
+                while len(raw) <= bound and (chunk := handle.read(1 << 16)):
+                    raw += chunk
+            if len(raw) > bound:
+                raise ValueError(f"{args.infile} is longer than {bound} bytes, the bound "
+                                 f"for the cap of {cap} cells")
             data = json.loads(raw.decode("ascii"))
         except RecursionError:
             # json.loads recurses once per nesting level
             raise ValueError(f"{args.infile} is nested too deeply to read") from None
+        except MemoryError:
+            # a memory limit below what the bound admits: bad input, not a verdict
+            raise ValueError(f"{args.infile} does not fit in memory: the bound for the cap "
+                             f"of {cap} cells is {bound} bytes") from None
         mu = measure_from_json_dict(data)
         for flag, got, expected in (
             ("--p", args.p, mu.p),
@@ -260,7 +257,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_vanish(args: argparse.Namespace) -> int:
-    mu, source, words = _load_measure(args, lambda r: _vanish_words(r, args.exp_cap))
+    mu, source, words = _load_measure(args, lambda r: _exponent_words(r, args.exp_cap, True))
     verdicts = vanishing_sweep(mu, words)
     all_pass = all(verdict.passed for verdict in verdicts)
     rows = (
@@ -341,7 +338,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if terms > MAX_SERIES_TERMS:
         raise ValueError(f"--degree {args.degree} needs about {terms} series terms at "
                          f"{cells} cells, above the limit {MAX_SERIES_TERMS}")
-    vanish_words = _vanish_words(r, args.exp_cap)
+    vanish_words = _exponent_words(r, args.exp_cap, odd_only=True)
     coset_words = _exponent_words(r, args.exp_cap, odd_only=False)
 
     table = random_lambda_table(p, n, r, seed=seed)

@@ -111,10 +111,6 @@ class VanishingCertificate(Immutable):
         self._assign(target, combination)
 
     @property
-    def final_exponent(self) -> int:
-        return self.target[-1]
-
-    @property
     def prefix_sum(self) -> int:
         return sum(self.target[:-1])
 

@@ -1,7 +1,8 @@
 """The four-factor rhombus product of a depth-r table.
 
-Its deviation from 1 is the signed four-term combination of the table, the
-series-side view of the operator that ``measures.FOUR_TERM`` writes down.
+Its deviation from 1 is the signed four-term combination of the table, so
+``check-rhombus`` compares two encodings of the reindexing that
+``measures.FOUR_TERM`` writes down; it does not test series multiplication.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ def rhombus_product(mu: LevelMeasure) -> NCSeries:
 
     The factor for (sign, scale, offset) carries sign * value on each nonzero
     cell pushed along the inverse map i -> scale*i - scale*offset, so the
-    factors reindex by i+1, 1-i, -i, i with signs -, +, -, +.  The product's
-    deviation from 1 is exactly the signed four-term combination of the table,
-    which is what the measure-side operator computes cell-wise.
+    factors reindex by i+1, 1-i, -i, i with signs -, +, -, +.  Each factor's
+    non-constant words have degree r and the product is truncated at r, so
+    every cross product drops: the product is 1 plus the four signed factors'
+    layers, the signed four-term combination of the table that the
+    measure-side operator computes cell-wise.
     """
     alphabet = Alphabet(mu.p, mu.n)
     modulus = alphabet.modulus

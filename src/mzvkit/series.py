@@ -23,8 +23,7 @@ first letter most significant, with X -> 0 and Y_i -> i + 1.  Concatenation is
 ``code_a * base**deg_b + code_b``, and within one degree code order is tuple
 order.  A code is an int64, so a series whose largest code
 ``base**degree_cap - 1`` needs more than 63 bits is a ValueError.  Tuples and
-``Fraction``s are built only by ``coeff``, ``terms``, ``repr`` and the JSON
-form.
+``Fraction``s are built only by ``coeff``, ``terms`` and ``repr``.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "exp",
     "log",
     "from_measure",
-    "series_to_json_dict",
 ]
 
 X = -1
@@ -95,13 +93,6 @@ class Alphabet(Immutable):
     def check_letter(self, letter: int) -> None:
         if letter != X and not 0 <= letter < self.modulus:
             raise ValueError(f"letter code {letter} outside alphabet mod {self.modulus}")
-
-    def letter_name(self, letter: int) -> str:
-        self.check_letter(letter)
-        return "X" if letter == X else f"Y{letter}"
-
-    def word_name(self, word: Word) -> str:
-        return ".".join(self.letter_name(letter) for letter in word)
 
 
 _code = itemgetter(0)  # the code of a (code, value) pair
@@ -214,16 +205,6 @@ class NCSeries(Immutable):
     def one(cls, alphabet: Alphabet, degree_cap: int) -> "NCSeries":
         return cls(alphabet, degree_cap, {EMPTY_WORD: 1})
 
-    @classmethod
-    def letter(
-        cls, alphabet: Alphabet, degree_cap: int, letter: int, coeff: Fraction | int = 1
-    ) -> "NCSeries":
-        return cls(alphabet, degree_cap, {(letter,): coeff})
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coeff(EMPTY_WORD)
-
     def coeff(self, word: Word) -> Fraction:
         """Coefficient of a word; asking beyond the truncation degree is an error."""
         word = tuple(word)
@@ -308,7 +289,7 @@ class NCSeries(Immutable):
         else:
             parts = []
             for word, coeff in self.terms():
-                name = self.alphabet.word_name(word) or "1"
+                name = ".".join("X" if letter == X else f"Y{letter}" for letter in word) or "1"
                 parts.append(f"{format_rational(coeff)}*{name}")
             body = " + ".join(parts)
         return f"NCSeries(p={self.alphabet.p}, n={self.alphabet.n}, D={self.degree_cap}: {body})"
@@ -592,16 +573,3 @@ def from_measure(mu: LevelMeasure, degree_cap: int) -> NCSeries:
         raise ValueError("truncation degree below table depth")
     terms = [(point, value) for point, value in zip(mu.points(), mu.values) if value]
     return NCSeries(Alphabet(mu.p, mu.n), degree_cap, [(EMPTY_WORD, 1), *terms])
-
-
-def series_to_json_dict(series: NCSeries) -> dict:
-    """JSON form: {"p", "n", "D", "terms": [{"word": "X.Y0", "coeff": "1/2"}, ...]}."""
-    return {
-        "p": series.alphabet.p,
-        "n": series.alphabet.n,
-        "D": series.degree_cap,
-        "terms": [
-            {"word": series.alphabet.word_name(word), "coeff": format_rational(coeff)}
-            for word, coeff in series.terms()
-        ],
-    }

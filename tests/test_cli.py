@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import itertools
@@ -450,6 +451,36 @@ def test_every_exported_name_is_bound():
             if not hasattr(module, name)] == []
 
 
+def _names_used(path):
+    """Every name a file loads, imports or reads as an attribute; a name that
+    is only defined, or only listed in ``__all__``, is not among them."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_exported_name_is_reached():
+    # a public name that no command, acceptance criterion or traced metric
+    # reaches belongs in the tests that use it
+    reached = set().union(*map(_names_used, (ROOT / "src" / "mzvkit").glob("*.py")),
+                          _names_used(ROOT / "tests" / "test_acceptance.py"))
+    tracer = ast.parse(TRACER.read_text(encoding="utf-8"))
+    traced = {f"mzvkit.{module}.{name}" for node in tracer.body
+              if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
+              for module, name in ast.literal_eval(node.value)}
+    modules = [importlib.import_module(f"mzvkit.{info.name}")
+               for info in pkgutil.iter_modules(mzvkit.__path__) if info.name != "__main__"]
+    unreached = [f"{module.__name__}.{name}" for module in modules for name in module.__all__
+                 if name not in reached]
+    assert [name for name in unreached if name not in traced] == []
+
+
 def test_tracer_resolves_every_traced_name():
     # a name moved out of its module fails every `perfbench/run.py --trace 1` run
     code = LOAD_TRACER + """
@@ -469,10 +500,10 @@ print(json.dumps([f"{module}.{name}" for (module, name), old, new
     assert json.loads(_python("-c", code)) == []
 
 
-def _limit_memory():
+def _limit_memory(megabytes=1536):
     import resource
 
-    limit = 1536 * 1024 * 1024
+    limit = megabytes * 1024 * 1024
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
@@ -520,6 +551,21 @@ def test_resource_guards_exit_two_before_work(argv, message, tmp_path):
     elapsed = time.perf_counter() - start
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("error:") and message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert elapsed < 5
+
+
+def test_in_read_out_of_memory_exits_two():
+    # 80 MB of address space runs out before `--in` reaches its byte bound
+    # (86.7 MB at the default cap): bad input, not a failed verdict
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "mzvkit", "vanish", "--in", "/dev/zero"],
+        capture_output=True, text=True, timeout=60, preexec_fn=lambda: _limit_memory(80),
+    )
+    elapsed = time.perf_counter() - start
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error:") and "does not fit in memory" in result.stderr
     assert "Traceback" not in result.stderr
     assert elapsed < 5
 

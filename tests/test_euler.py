@@ -63,7 +63,7 @@ def test_certificate_base_cases():
 
 def test_certificate_recursion_step():
     cert = make_certificate((2, 2, 3))
-    assert cert.final_exponent == 3
+    assert cert.target[-1] == 3
     assert cert.prefix_sum == 4
     assert dict(cert.combination) == {2: Fraction(1, 4), 4: Fraction(-1, 8)}
     assert cert.slack(2) == 3

@@ -24,8 +24,8 @@ def test_octagon_reduces_to_rhombus(table):
     cap = table.r
     f = from_measure(table, cap)
     q = AB3.modulus
-    rot = {i: NCSeries.letter(AB3, cap, (i + 1) % q) for i in range(q)}
-    inv = {i: NCSeries.letter(AB3, cap, -i % q) for i in range(q)}
+    rot = {i: NCSeries(AB3, cap, {((i + 1) % q,): 1}) for i in range(q)}
+    inv = {i: NCSeries(AB3, cap, {(-i % q,): 1}) for i in range(q)}
     octagon = (fraction_substitute(fraction_inverse(f), rot)
                * fraction_substitute(fraction_substitute(f, inv), rot)
                * fraction_substitute(fraction_inverse(f), inv) * f)
