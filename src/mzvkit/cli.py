@@ -15,7 +15,7 @@ import json
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from math import comb
+from itertools import combinations
 
 from .euler import (
     MAX_CERTIFICATE_EXPONENT,
@@ -72,19 +72,24 @@ def _exponent_words(r: int, cap: int, odd_only: bool) -> list[tuple[int, ...]]:
     in lexicographic order.  Their number and the cap itself, which bounds the
     powers every cell is raised to, are checked before any is built: the
     number first, but the cap first for odd words, each of which needs a
-    certificate."""
+    certificate.  The number is counted up to the limit only.
+
+    By stars and bars, a word's partial sums s_i = e_1 + ... + e_i + i - 1
+    rise strictly within [0, cap + r), so the words are the r-subsets of that
+    range, which ``combinations`` gives in the words' own order."""
     above_limit = cap > MAX_CERTIFICATE_EXPONENT
     if not (odd_only and above_limit):
-        count = comb(cap + r, r)
-        if count > MAX_EXPONENT_WORDS:
-            raise ValueError(f"exponent cap {cap} gives {count} words of length {r}, "
-                             f"above the limit {MAX_EXPONENT_WORDS}")
+        count = 1
+        for k in range(1, r + 1):
+            count = count * (cap + k) // k  # C(cap + k, k)
+            if count > MAX_EXPONENT_WORDS:
+                raise ValueError(f"exponent cap {cap} gives more than {MAX_EXPONENT_WORDS} "
+                                 f"words of length {r}")
     if above_limit:
         raise ValueError(f"exponent cap {cap} is above the certificate limit "
                          f"{MAX_CERTIFICATE_EXPONENT}")
-    words: list[tuple[int, ...]] = [()]
-    for _ in range(r):
-        words = [word + (e,) for word in words for e in range(cap - sum(word) + 1)]
+    words = [tuple(b - a - 1 for a, b in zip((-1, *sums), sums))
+             for sums in combinations(range(cap + r), r)]
     if odd_only:
         words = [word for word in words if sum(word) % 2]
     return words

@@ -9,12 +9,13 @@ moments are plain finite sums evaluated at the canonical representatives in
 
 The signed four-term combination mu(j) - mu(-j) + mu(1-j) - mu(j-1) is
 written down once, as ``FOUR_TERM``: an entry (sign, scale, offset) is the
-term sign * mu(scale*j + offset), coordinate-wise.  Its other views derive
-from that table.  The operator matrix merges the four (cell, sign) pairs of
-each row.  The coset identity sums over the coset based at scale*b + offset
-with final factor (x_r - offset)^{e_r} and sign sign * scale^m, m the exponent
-sum: x -> scale*x + offset scales each of its m linear factors by scale.  The
-rhombus product reindexes along the inverse map j -> scale*j - scale*offset.
+term sign * mu(scale*j + offset), coordinate-wise.  Its index maps, cached
+per modulus and depth, hold the cell scale*j + offset of every cell j once
+per entry, and every cell-wise view reads them: :func:`four_term`, the
+operator matrix ``synth.four_term_matrix`` and the rhombus product.  The
+coset identity sums over the coset based at scale*b + offset with final
+factor (x_r - offset)^{e_r} and sign sign * scale^m, m the exponent sum:
+x -> scale*x + offset scales each of its m linear factors by scale.
 
 Sweeps run on one engine, :func:`coset_sums`, of which :func:`moment_sweep`
 is the case of modulus exponent 0 and final offset 0.  It eliminates the
@@ -24,8 +25,9 @@ summed out of it, keeping x_k mod p^e for coset sums at modulus p^e and
 nothing for moments.  The first table holds the numerators of the nonzero
 cells, and each later table only the keys that some cell reaches.
 Words with a common prefix share its stages, and the final offsets share all
-stages but the last.  :func:`moment` and :func:`coset_moment` evaluate one
-cell at a time and stay as their independent oracles.
+stages but the last.  :func:`coset_moment` evaluates one cell at a time and
+stays as their independent oracle; :func:`moment` is that oracle over the
+whole table, the coset of modulus 1.
 """
 
 from __future__ import annotations
@@ -212,25 +214,11 @@ def _four_term_maps(q: int, r: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=64)
-def _four_term_rows(q: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Sparse rows of the four-term operator on (Z/q)^r: row j lists the
-    (cell, coefficient) pairs of the ``FOUR_TERM`` terms at j, merged where
-    cells coincide, with cancelled cells dropped (a row may be empty)."""
-    rows = []
-    for cells in zip(*_four_term_maps(q, r)):
-        row: dict[int, int] = {}
-        for (sign, _, _), cell in zip(FOUR_TERM, cells):
-            row[cell] = row.get(cell, 0) + sign
-        rows.append(tuple((cell, coeff) for cell, coeff in row.items() if coeff))
-    return tuple(rows)
-
-
 def _four_term_cells(mu: LevelMeasure) -> Iterator[int]:
     """The combination's numerators over ``mu.denominator``."""
     values = mu.numerators
-    for row in _four_term_rows(mu.modulus, mu.r):
-        yield sum(coeff * values[cell] for cell, coeff in row)
+    for cells in zip(*_four_term_maps(mu.modulus, mu.r)):
+        yield sum(sign * values[cell] for (sign, _, _), cell in zip(FOUR_TERM, cells))
 
 
 def four_term(mu: LevelMeasure) -> LevelMeasure:
@@ -251,21 +239,15 @@ def _integrand_value(xs: Sequence[int], exponents: Sequence[int], final_offset: 
     return value
 
 
-@lru_cache(maxsize=512)
-def _integrand_vector(q: int, r: int, exponents: tuple[int, ...], final_offset: int) -> tuple[int, ...]:
-    return tuple(_integrand_value(point, exponents, final_offset) for point in _points(q, r))
-
-
 def moment(mu: LevelMeasure, exponents: Sequence[int]) -> Fraction:
-    """Finite sum of the difference-monomial integrand against the table.
+    """Finite sum of the difference-monomial integrand against the table: the
+    coset moment over the whole table, the coset of modulus 1.
 
     The integrand is (-x_1)^{e_0} (x_1-x_2)^{e_1} ... (x_{r-1}-x_r)^{e_{r-1}} x_r^{e_r},
     evaluated at the canonical representatives in [0, p^n); no factorial
     normalization is applied.
     """
-    exponents = check_word(exponents, mu.r + 1)
-    integrand = _integrand_vector(mu.modulus, mu.r, exponents, 0)
-    return Fraction(sum(map(mul, integrand, mu.numerators)), mu.denominator)
+    return coset_moment(mu, Coset((0,) * mu.r, 0), exponents)
 
 
 _Stage = tuple[list[int], int, list[slice] | None]

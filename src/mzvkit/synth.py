@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Immutable, check_config
-from .measures import (LevelMeasure, _cell_count, _four_term_rows, _points, index_to_point,
-                       point_to_index)
+from .measures import (FOUR_TERM, LevelMeasure, _cell_count, _four_term_maps, _points,
+                       index_to_point, point_to_index)
 
 __all__ = [
     "DEFAULT_CELL_CAP",
@@ -60,10 +60,17 @@ class KernelBasis(Immutable):
 
 
 def four_term_matrix(p: int, n: int, r: int) -> list[dict[int, int]]:
-    """Sparse rows of the four-term operator: row j couples the cells
-    j, -j, 1-j, j-1 with the ``FOUR_TERM`` signs +1, -1, +1, -1 (entries merge
-    when cells coincide, and rows that cancel entirely are kept as empty dicts)."""
-    return [dict(row) for row in _four_term_rows(p**n, r)]
+    """Sparse rows of the four-term operator, read from its index maps: row j
+    couples the cells j, -j, 1-j, j-1 with the ``FOUR_TERM`` signs +1, -1, +1,
+    -1.  The operator matrix merges the four (cell, sign) pairs of each row,
+    so cancelled cells are dropped and a row that cancels entirely is empty."""
+    rows = []
+    for cells in zip(*_four_term_maps(p**n, r)):
+        row: dict[int, int] = {}
+        for (sign, _, _), cell in zip(FOUR_TERM, cells):
+            row[cell] = row.get(cell, 0) + sign
+        rows.append({cell: coeff for cell, coeff in row.items() if coeff})
+    return rows
 
 
 def _kernel_vectors(q: int, r: int) -> list[dict[int, int]]:

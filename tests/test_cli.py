@@ -530,6 +530,10 @@ GUARDED_INPUTS = [
     (("check-cosets", "--p", "7", "--level", "1", "--depth", "1", "--seed", "0",
       "--exp-cap", "99998"), "certificate limit"),
     (("report", "--p", "3", "--level", "2", "--depth", "2", "--seed", "1"), "series terms"),
+    # a 201-digit cap: the count must stop at the limit, not be computed in
+    # full and printed
+    (("check-cosets", "--p", "2", "--level", "0", "--depth", "10000", "--seed", "0",
+      "--exp-cap", "1" + "0" * 200), "words"),
 ]
 # "huge.json" in an argv names this measure file: one value, but a header
 # asking for 2^(200000 * 200000) cells
@@ -622,6 +626,22 @@ def test_exponent_words_enumerate_in_lexicographic_order():
                 expected = [w for w in product(range(cap + 1), repeat=r)
                             if sum(w) <= cap and (sum(w) % 2 or not odd_only)]
                 assert _exponent_words(r, cap, odd_only) == expected
+
+
+def test_deep_level_zero_words_build_quickly():
+    # 1001 words of length 1000: building them must take time linear in
+    # their total length, not cubic in the depth
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "mzvkit", "check-cosets", "--p", "2", "--level", "0",
+         "--depth", "1000", "--seed", "0", "--exp-cap", "1"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    elapsed = time.perf_counter() - start
+    assert (result.returncode, result.stderr) == (0, "")
+    report = json.loads(result.stdout)
+    assert (report["all_pass"], report["total_checks"]) == (True, 1001)
+    assert elapsed < 3
 
 
 # -- exit-code contract under fuzzed argv and input files --

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -240,6 +242,29 @@ def test_four_term_point_masses_mod_three():
 
 def test_four_term_kills_constants():
     assert four_term(LevelMeasure.constant(5, 1, 2, Fraction(7, 3))).is_zero()
+
+
+FOUR_TERM_TABLE_SIZE = """
+import tracemalloc
+from mzvkit.measures import four_term_is_zero
+from mzvkit.synth import random_kernel_measure
+
+mu = random_kernel_measure(97, 1, 2, seed=0)
+mu.points()
+tracemalloc.start()
+assert four_term_is_zero(mu)
+print(tracemalloc.get_traced_memory()[0] / len(mu.numerators))
+"""
+
+
+def test_four_term_table_size():
+    # a fresh interpreter, so that no earlier test has cached the tables.
+    # The index maps, four ints a cell, hold about 160 bytes a cell; the
+    # bound leaves no room for a second table of each cell's merged terms,
+    # which takes about 300 more
+    result = subprocess.run([sys.executable, "-c", FOUR_TERM_TABLE_SIZE],
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert float(result.stdout) <= 250
 
 
 @settings(max_examples=30)

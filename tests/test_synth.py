@@ -5,9 +5,10 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzvkit.exact import is_prime
-from mzvkit.measures import LevelMeasure, four_term_is_zero, project
+from mzvkit.measures import FOUR_TERM, LevelMeasure, four_term, four_term_is_zero, project
 from mzvkit.measures import _cell_count
 from mzvkit.synth import (
     DEFAULT_CELL_CAP,
@@ -116,6 +117,38 @@ def test_matrix_rows_mod_three():
         {1: 1, 2: -1},
         {1: -2, 2: 2},
     ]
+
+
+# levels n <= 2 and depths r <= 3, at most 81 cells each
+VIEW_CONFIGS = [(2, 0, 1), (3, 0, 3), (2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1), (5, 1, 1),
+                (5, 2, 1), (2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 2), (5, 1, 2), (7, 1, 2),
+                (2, 1, 3), (2, 2, 3), (3, 1, 3)]
+
+
+@st.composite
+def view_measures(draw):
+    """Rational measures, half of them in the four-term kernel."""
+    p, n, r = draw(st.sampled_from(VIEW_CONFIGS))
+    scale = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        return random_kernel_measure(p, n, r, seed=draw(st.integers(0, 2**32))) * scale
+    size = p ** (n * r)
+    values = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    return LevelMeasure(p, n, r, values) * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=view_measures())
+def test_four_term_views_match_the_pushforward_oracle(mu):
+    expected = LevelMeasure.zero(mu.p, mu.n, mu.r)
+    for sign, scale, offset in FOUR_TERM:
+        expected = expected + affine_pushforward(mu, scale, offset) * sign
+    assert four_term(mu) == expected
+    assert four_term_is_zero(mu) == expected.is_zero()
+    rows = four_term_matrix(mu.p, mu.n, mu.r)
+    applied = [Fraction(sum(coeff * mu.numerators[cell] for cell, coeff in row.items()),
+                        mu.denominator) for row in rows]
+    assert applied == list(expected.values)
 
 
 @pytest.mark.parametrize("config", SMALL_CONFIGS)
