@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import importlib
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mzvkit
-from mzvkit.cli import MAX_INPUT_BYTES_PER_CELL, main
+from mzvkit.cli import MAX_INPUT_BYTES_PER_CELL, build_parser, main
 from mzvkit.euler import vanishing_check
 from mzvkit.exact import INFINITY, format_rational, padic_valuation
 from mzvkit.measures import LevelMeasure, factorial_norm, measure_to_json_dict, moment
@@ -386,6 +387,58 @@ def test_report_eliminates_once_under_env_cap(monkeypatch):
     )
     assert code == 0
     assert _cached_kernel.cache_info().misses == 1
+
+
+# Every argument of every subcommand, keyed by its option strings (a
+# positional by its dest): (dest, type, default, required, action), and the
+# mutually exclusive groups as (required, options).  The --help text and the
+# order of the arguments are free; nothing else here may change.
+def _config_options(required):
+    return {f"--{flag}": (flag, "int", None, required, "_StoreAction")
+            for flag in ("p", "level", "depth")}
+
+
+HELP_OPTION = {"-h --help": ("help", None, "==SUPPRESS==", False, "_HelpAction")}
+OUT_OPTION = {"--out": ("out", None, None, False, "_StoreAction")}
+EXP_CAP_OPTION = {"--exp-cap": ("exp_cap", "_exponent_cap", 7, False, "_StoreAction")}
+SOURCE_OPTIONS = {"--in": ("infile", None, None, False, "_StoreAction"),
+                  "--seed": ("seed", "_seed", None, False, "_StoreAction")}
+SEED_OPTION = {"--seed": ("seed", "_seed", 0, False, "_StoreAction")}
+SOURCE_GROUP = [(True, ["--in", "--seed"])]
+PARSER_SPEC = {
+    "kernel": ("cmd_kernel", {**_config_options(True), **OUT_OPTION}, []),
+    "vanish": ("cmd_vanish", {**_config_options(False), **SOURCE_OPTIONS, **EXP_CAP_OPTION,
+                              **OUT_OPTION}, SOURCE_GROUP),
+    "certificate": ("cmd_certificate", {
+        "exponents": ("exponents", "_exponent_list", None, True, "_StoreAction"),
+        "--p": ("p", "int", None, True, "_StoreAction"), **OUT_OPTION}, []),
+    "check-rhombus": ("cmd_check_rhombus", {**_config_options(True), **SEED_OPTION,
+                                            **OUT_OPTION}, []),
+    "check-cosets": ("cmd_check_cosets", {
+        **_config_options(False), **SOURCE_OPTIONS, **EXP_CAP_OPTION, **OUT_OPTION,
+        "--perturb": ("perturb", None, False, False, "_StoreTrueAction")}, SOURCE_GROUP),
+    "moments": ("cmd_moments", {**_config_options(False), **SOURCE_OPTIONS, **EXP_CAP_OPTION,
+                                **OUT_OPTION}, SOURCE_GROUP),
+    "report": ("cmd_report", {**_config_options(True), **SEED_OPTION, **EXP_CAP_OPTION,
+                              **OUT_OPTION,
+                              "--degree": ("degree", "int", 8, False, "_StoreAction")}, []),
+}
+
+
+def test_parser_keeps_every_subcommand_argument():
+    parser = build_parser()
+    (subcommands,) = [action.choices for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert list(subcommands) == list(PARSER_SPEC)
+    for name, sub in subcommands.items():
+        func, options, groups = PARSER_SPEC[name]
+        key = lambda action: " ".join(action.option_strings) or action.dest
+        assert sub.get_default("func").__name__ == func, name
+        assert {key(action): (action.dest, getattr(action.type, "__name__", None),
+                              action.default, action.required, type(action).__name__)
+                for action in sub._actions} == {**HELP_OPTION, **options}, name
+        assert sorted((group.required, sorted(map(key, group._group_actions)))
+                      for group in sub._mutually_exclusive_groups) == groups, name
 
 
 def test_usage_errors_exit_two():
