@@ -29,6 +29,7 @@ from .euler import (
 from .exact import INFINITY, check_config, format_rational, padic_valuation
 from .measures import (
     LevelMeasure,
+    _measure_header,
     factorial_norm,
     four_term,
     index_to_point,
@@ -146,9 +147,12 @@ def _load_measure(
     args: argparse.Namespace, words_of: Callable[[int], list[tuple[int, ...]]]
 ) -> tuple[LevelMeasure, dict, list[tuple[int, ...]]]:
     """Measure from --in, or a seeded kernel measure from the config flags,
-    with the exponent words ``words_of(depth)``.  The words are enumerated
-    before a seeded measure is built, so their guard runs first.  The --in
-    byte bound is checked before anything is parsed."""
+    with the exponent words ``words_of(depth)``.  Each check runs before the
+    work it guards, in this order: the --in byte bound, before anything is
+    parsed; the file's header; the config flags, each required without a file
+    and matched against the header with one; the cell cap; the words' guard.
+    Only then are the file's values parsed or the seeded measure built."""
+    config = given = args.p, args.level, args.depth
     if args.infile is not None:
         cap = size_cap()
         bound = cap * MAX_INPUT_BYTES_PER_CELL + 4096
@@ -170,23 +174,18 @@ def _load_measure(
             # a memory limit below what the bound admits: bad input, not a verdict
             raise ValueError(f"{args.infile} does not fit in memory: the bound for the cap "
                              f"of {cap} cells is {bound} bytes") from None
-        mu = measure_from_json_dict(data)
-        for flag, got, expected in (
-            ("--p", args.p, mu.p),
-            ("--level", args.level, mu.n),
-            ("--depth", args.depth, mu.r),
-        ):
-            if got is not None and got != expected:
-                raise ValueError(f"{flag} {got} does not match the input file's {expected}")
-        check_size(mu.p, mu.n, mu.r)
-        return mu, {"file": args.infile}, words_of(mu.r)
-    for flag, got in (("--p", args.p), ("--level", args.level), ("--depth", args.depth)):
-        if got is None:
+        config = _measure_header(data)[:3]
+    for flag, got, expected in zip(("--p", "--level", "--depth"), given, config):
+        if expected is None:
             raise ValueError(f"{flag} is required when no input file is given")
-    check_size(args.p, args.level, args.depth)
-    words = words_of(args.depth)
-    mu = random_kernel_measure(args.p, args.level, args.depth, seed=args.seed)
-    return mu, {"seed": args.seed}, words
+        if got is not None and got != expected:
+            raise ValueError(f"{flag} {got} does not match the input file's {expected}")
+    p, n, r = config
+    check_size(p, n, r)
+    words = words_of(r)
+    if args.infile is None:
+        return random_kernel_measure(p, n, r, seed=args.seed), {"seed": args.seed}, words
+    return measure_from_json_dict(data), {"file": args.infile}, words
 
 
 def _measure_report(command: str, mu: LevelMeasure, source: dict, exp_cap: int,
@@ -335,6 +334,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     check_size(args.p, args.level, args.depth)
     if args.degree > DEGREE_CAP:
         raise ValueError(f"--degree is capped at {DEGREE_CAP}")
+    if args.degree < args.depth:
+        raise ValueError(f"--degree {args.degree} is below --depth {args.depth}")
     p, n, r, seed = args.p, args.level, args.depth, args.seed
     # exp and log of 1 + (the depth-r layer) reach every product of up to
     # degree // r of its p^(n*r) words
@@ -415,81 +416,67 @@ def _exponent_list(raw: str) -> tuple[int, ...]:
     return word
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--p", type=int, required=required, help="prime base")
-    parser.add_argument("--level", type=int, required=required, help="tower level n")
-    parser.add_argument("--depth", type=int, required=required, help="depth r")
-
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="FILE", help="also write the report to FILE")
-
-
-def _add_measure_source(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--in", dest="infile", metavar="FILE", help="measure JSON file")
-    source.add_argument("--seed", type=_seed, help="seeded kernel measure")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # each shared flag is declared once, in a parent parser that the
+    # subcommands list; the config flags come required or optional
+    config = {}
+    for required in (True, False):
+        config[required] = argparse.ArgumentParser(add_help=False)
+        for flag, help_text in (("--p", "prime base"), ("--level", "tower level n"),
+                                ("--depth", "depth r")):
+            config[required].add_argument(flag, type=int, required=required, help=help_text)
+    source = argparse.ArgumentParser(add_help=False)
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument("--in", dest="infile", metavar="FILE", help="measure JSON file")
+    group.add_argument("--seed", type=_seed, help="seeded kernel measure")
+    exp_cap = argparse.ArgumentParser(add_help=False)
+    exp_cap.add_argument("--exp-cap", type=_exponent_cap, default=DEFAULT_EXPONENT_CAP,
+                         help="largest exponent sum to sweep")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="FILE", help="also write the report to FILE")
+
     parser = argparse.ArgumentParser(
         prog="mzvkit",
         description="exact checks for depth-graded measures, kernels, and congruences",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    measure_flags = [config[False], source, exp_cap, out]
 
-    kernel = sub.add_parser("kernel", help="four-term kernel basis and dimension")
-    _add_config_flags(kernel, required=True)
-    _add_output_flags(kernel)
+    kernel = sub.add_parser("kernel", parents=[config[True], out],
+                            help="four-term kernel basis and dimension")
     kernel.set_defaults(func=cmd_kernel)
 
-    vanish = sub.add_parser("vanish", help="odd-moment vanishing congruences")
-    _add_config_flags(vanish, required=False)
-    _add_measure_source(vanish)
-    vanish.add_argument("--exp-cap", type=_exponent_cap, default=DEFAULT_EXPONENT_CAP,
-                        help="largest exponent sum to sweep")
-    _add_output_flags(vanish)
+    vanish = sub.add_parser("vanish", parents=measure_flags,
+                            help="odd-moment vanishing congruences")
     vanish.set_defaults(func=cmd_vanish)
 
-    certificate = sub.add_parser("certificate", help="four-term combination for a target")
+    certificate = sub.add_parser("certificate", parents=[out],
+                                 help="four-term combination for a target")
     certificate.add_argument("exponents", type=_exponent_list,
                              help="comma-separated exponent word, e.g. 1,2,4")
     certificate.add_argument("--p", type=int, required=True, help="prime for the slack")
-    _add_output_flags(certificate)
     certificate.set_defaults(func=cmd_certificate)
 
-    rhombus = sub.add_parser("check-rhombus", help="rhombus product against the four-term table")
-    _add_config_flags(rhombus, required=True)
+    rhombus = sub.add_parser("check-rhombus", parents=[config[True], out],
+                             help="rhombus product against the four-term table")
     rhombus.add_argument("--seed", type=_seed, default=0, help="seed for the random table")
-    _add_output_flags(rhombus)
     rhombus.set_defaults(func=cmd_check_rhombus)
 
-    cosets = sub.add_parser("check-cosets", help="signed coset moment identities")
-    _add_config_flags(cosets, required=False)
-    _add_measure_source(cosets)
-    cosets.add_argument("--exp-cap", type=_exponent_cap, default=DEFAULT_EXPONENT_CAP,
-                        help="largest exponent sum to sweep")
+    cosets = sub.add_parser("check-cosets", parents=measure_flags,
+                            help="signed coset moment identities")
     cosets.add_argument("--perturb", action="store_true",
                         help="apply a one-cell edit first (the identity must then fail)")
-    _add_output_flags(cosets)
     cosets.set_defaults(func=cmd_check_cosets)
 
-    moments = sub.add_parser("moments", help="moment and normalized-coefficient table")
-    _add_config_flags(moments, required=False)
-    _add_measure_source(moments)
-    moments.add_argument("--exp-cap", type=_exponent_cap, default=DEFAULT_EXPONENT_CAP,
-                         help="largest exponent sum to tabulate")
-    _add_output_flags(moments)
+    moments = sub.add_parser("moments", parents=measure_flags,
+                             help="moment and normalized-coefficient table")
     moments.set_defaults(func=cmd_moments)
 
-    report = sub.add_parser("report", help="aggregate of every check at one configuration")
-    _add_config_flags(report, required=True)
+    report = sub.add_parser("report", parents=[config[True], exp_cap, out],
+                            help="aggregate of every check at one configuration")
     report.add_argument("--seed", type=_seed, default=0, help="seed for tables and measures")
     report.add_argument("--degree", type=int, default=DEGREE_CAP,
                         help="series truncation degree for the round-trip check")
-    report.add_argument("--exp-cap", type=_exponent_cap, default=DEFAULT_EXPONENT_CAP,
-                        help="largest exponent sum to sweep")
-    _add_output_flags(report)
     report.set_defaults(func=cmd_report)
 
     return parser

@@ -4,8 +4,9 @@ A measure level is a dense row-major table over residue tuples, held as int
 numerators over one int denominator, so every measure, integral or not, is
 read one way: sums run over the numerators and are divided once.  Polynomial
 moments are plain finite sums evaluated at the canonical representatives in
-[0, p^n).  It is the package's one depth-r table: ``series.from_measure`` and
-``paths.rhombus_product`` read the same table as series.
+[0, p^n).  It is the package's one depth-r table, and ``series.from_measure``
+is the one place a table becomes a series, each factor of
+``paths.rhombus_product`` included.
 
 The signed four-term combination mu(j) - mu(-j) + mu(1-j) - mu(j-1) is
 written down once, as ``FOUR_TERM``: an entry (sign, scale, offset) is the
@@ -455,13 +456,26 @@ def measure_to_json_dict(mu: LevelMeasure) -> dict:
     }
 
 
-def measure_from_json_dict(data: Mapping) -> LevelMeasure:
-    """Inverse of :func:`measure_to_json_dict`.  Raises ValueError unless p, n
-    and r are JSON integers (not booleans) and ``values`` is a list."""
+def _measure_header(data: object) -> tuple[int, int, int, list]:
+    """(p, n, r, values) of a measure's JSON form, values unparsed.  Raises
+    ValueError unless ``data`` is an object with every field, p, n and r are
+    JSON integers (not booleans) and ``values`` is a list."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a measure must be a JSON object, got {type(data).__name__}")
+    for key in ("p", "n", "r", "values"):
+        if key not in data:
+            raise ValueError(f'measure field "{key}" is missing')
     for key in ("p", "n", "r"):
         if type(data[key]) is not int:
             raise ValueError(f'measure field "{key}" must be an integer, got {data[key]!r}')
     values = data["values"]
     if not isinstance(values, list):
         raise ValueError(f'measure field "values" must be a list, got {type(values).__name__}')
-    return LevelMeasure(data["p"], data["n"], data["r"], tuple(map(parse_rational, values)))
+    return data["p"], data["n"], data["r"], values
+
+
+def measure_from_json_dict(data: Mapping) -> LevelMeasure:
+    """Inverse of :func:`measure_to_json_dict`; the header is checked as
+    :func:`_measure_header` checks it before any value is parsed."""
+    p, n, r, values = _measure_header(data)
+    return LevelMeasure(p, n, r, tuple(map(parse_rational, values)))

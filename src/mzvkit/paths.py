@@ -12,7 +12,7 @@ from functools import reduce
 from operator import mul
 
 from .measures import FOUR_TERM, LevelMeasure, _four_term_maps
-from .series import Alphabet, NCSeries
+from .series import NCSeries, from_measure
 
 __all__ = ["rhombus_product"]
 
@@ -21,21 +21,15 @@ def rhombus_product(mu: LevelMeasure) -> NCSeries:
     """Four-factor depth-graded product of the table's series, one factor per
     ``FOUR_TERM`` entry in reverse order, truncated at depth r.
 
-    The factor for (sign, scale, offset) gives each word j the value sign *
-    mu(scale*j + offset), read from the entry's index map, on the words where
-    that value is nonzero.  Each factor's non-constant words have degree r and
-    the product is truncated at r, so every cross product drops: the product
-    is 1 plus the four signed factors' layers, the signed four-term
-    combination of the table that the measure-side operator computes
-    cell-wise.
+    The factor for (sign, scale, offset) is ``series.from_measure`` of the
+    table j -> sign * mu(scale*j + offset), read from the entry's index map.
+    Each factor's non-constant words have degree r and the product is
+    truncated at r, so every cross product drops: the product is 1 plus the
+    four signed factors' layers, the signed four-term combination of the
+    table that the measure-side operator computes cell-wise.
     """
-    alphabet = Alphabet(mu.p, mu.n)
-    points, values = mu.points(), mu.values
-
-    def factor(sign: int, cells: tuple[int, ...]) -> NCSeries:
-        terms = [(point, sign * values[cell]) for point, cell in zip(points, cells) if values[cell]]
-        return NCSeries(alphabet, mu.r, [((), 1), *terms])
-
     maps = _four_term_maps(mu.modulus, mu.r)
-    return reduce(mul, (factor(sign, cells)
-                        for (sign, _, _), cells in zip(reversed(FOUR_TERM), reversed(maps))))
+    factors = (LevelMeasure._reduced(mu.p, mu.n, mu.r,
+                                     [sign * mu.numerators[cell] for cell in cells], mu.denominator)
+               for (sign, _, _), cells in zip(reversed(FOUR_TERM), reversed(maps)))
+    return reduce(mul, (from_measure(factor, mu.r) for factor in factors))

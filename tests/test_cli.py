@@ -164,6 +164,16 @@ def test_report_degree_cap():
     assert "--degree" in err
 
 
+@pytest.mark.parametrize("degree", ["1", "-1"])
+def test_report_degree_below_depth_exits_before_any_table(degree, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built before --degree was checked")
+
+    monkeypatch.setattr("mzvkit.cli.random_lambda_table", no_table)
+    argv = ["report", "--p", "3", "--level", "1", "--depth", "2", "--degree", degree]
+    assert run_cli(argv) == (2, "", f"error: --degree {degree} is below --depth 2\n")
+
+
 def test_out_file_matches_stdout(tmp_path):
     target = tmp_path / "report.json"
     code, out, err = run_cli(
@@ -290,6 +300,16 @@ def test_malformed_measure_header_exits_two(fuzz_dir, name):
     code, out, err = run_cli(["vanish", "--in", str(fuzz_dir / name)])
     assert (code, out) == (2, "")
     assert err.startswith("error: measure field")
+
+
+@pytest.mark.parametrize("name,message", [
+    ("list.json", "a measure must be a JSON object, got list"),
+    ("null.json", "a measure must be a JSON object, got NoneType"),
+    ("string.json", "a measure must be a JSON object, got str"),
+    ("missing-key.json", 'measure field "r" is missing'),
+])
+def test_measure_file_that_is_not_a_measure_object_exits_two(fuzz_dir, name, message):
+    assert run_cli(["vanish", "--in", str(fuzz_dir / name)]) == (2, "", f"error: {message}\n")
 
 
 def input_bound(cap):
@@ -627,6 +647,26 @@ def test_in_read_out_of_memory_exits_two():
     assert elapsed < 5
 
 
+@pytest.mark.parametrize("command", ["vanish", "moments", "check-cosets"])
+def test_over_cap_measure_file_exits_two_before_its_values_are_parsed(command, tmp_path):
+    # 2^20 short values (4.2 MB, far under the byte bound) under a header
+    # above the cell cap: parsing every value first ran out of memory under
+    # this limit and exited 1 with a traceback
+    path = tmp_path / "over-cap.json"
+    path.write_text(json.dumps({"p": 2, "n": 20, "r": 1, "values": ["0"] * 2**20}),
+                    encoding="ascii")
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "mzvkit", command, "--in", str(path)],
+        capture_output=True, text=True, timeout=60, preexec_fn=lambda: _limit_memory(80),
+    )
+    elapsed = time.perf_counter() - start
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error:") and "above the cap" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert elapsed < 5
+
+
 # Configurations at the cell cap whose dense kernel basis took 0.5 to 4 GiB,
 # and a cap-sized moment table.  The `kernel` digest is that of json.dumps of
 # the dense report; the `check-cosets` digest was recorded with the dense
@@ -730,6 +770,8 @@ FUZZ_TEXTS = {
     "non-ascii.json": '{"p": 3, "values": ["\u00e9"]}',
     # json.dumps cannot write this literal; it loads as a float infinity
     "overflow-header.json": '{"p": 1e400, "n": 1, "r": 1, "values": ["0", "0", "0"]}',
+    "null.json": "null",
+    "string.json": '"values"',
     "deep.json": "[" * 100_000 + "]" * 100_000,
     "deep-values.json": '{"p": 3, "n": 1, "r": 1, "values": ' + "[" * 100_000 + "]" * 100_000 + "}",
     # well formed but for its length: trailing spaces take it past the bound
