@@ -134,6 +134,14 @@ def run(argv):
     return code, out.sha.hexdigest()
 
 
+def file_digest(path):
+    sha = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 16):
+            sha.update(chunk)
+    return sha.hexdigest()
+
+
 @pytest.fixture
 def measure_dir(tmp_path, monkeypatch):
     for name, data in MEASURE_FILES.items():
@@ -145,3 +153,28 @@ def measure_dir(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv,exit_code,digest", CASES, ids=[" ".join(c[0]) for c in CASES])
 def test_stdout_matches_golden_digest(measure_dir, argv, exit_code, digest):
     assert run(argv) == (exit_code, digest)
+
+
+# every case but the 116 MB kernel report, which the case above covers
+OUT_CASES = [case for case in CASES
+             if case[0] != ("kernel", "--p", "2", "--level", "4", "--depth", "3")]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", OUT_CASES,
+                         ids=[" ".join(c[0]) for c in OUT_CASES])
+def test_out_file_holds_the_golden_stdout(measure_dir, argv, exit_code, digest):
+    """``--out FILE`` leaves stdout and the exit code as they are, and FILE
+    holds the same bytes."""
+    assert run((*argv, "--out", "report.json")) == (exit_code, digest)
+    assert file_digest("report.json") == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("vanish", "--in", "kernel-3-1-2.json"),
+    ("report", "--p", "3", "--level", "1", "--depth", "1", "--seed", "5", "--degree", "4"),
+])
+def test_out_into_a_missing_directory_exits_2_before_any_output(measure_dir, argv, capsys):
+    assert main([*argv, "--out", "missing/report.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
