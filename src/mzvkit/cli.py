@@ -3,9 +3,12 @@
 Every command prints one JSON document (sorted keys, two-space indent, ASCII)
 so that a fixed configuration and seed produce byte-identical output.  Exit
 codes: 0 when every verdict passes, 1 when any check fails, 2 on usage or
-input errors.  ``kernel``, ``moments`` and ``vanish`` stream their rows: each
-is formatted straight into the text ``json.dumps`` would give it and written
-as it is made, so neither the rows nor the whole document are held.
+input errors.  Each ``cmd_*`` returns its report's text chunks and its verdict;
+:func:`main` alone writes the chunks, to stdout and with ``--out`` to a file,
+and turns the verdict or an error into the exit code.  ``kernel``, ``moments``
+and ``vanish`` stream their rows: each is formatted straight into the text
+``json.dumps`` would give it and written as it is made, so neither the rows nor
+the whole document are held.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import combinations
 
 from .euler import (
     MAX_CERTIFICATE_EXPONENT,
-    CongruenceVerdict,
     _require_kernel_integer,
+    _valuation_json,
     certificate_to_json_dict,
     coset_identity_sweep,
     make_certificate,
@@ -96,31 +100,18 @@ def _exponent_words(r: int, cap: int, odd_only: bool) -> list[tuple[int, ...]]:
     return words
 
 
-def _valuation_json(value: int | float) -> int | str:
-    return "inf" if value == INFINITY else int(value)
+def _header(command: str, p: int, n: int, r: int, **fields: object) -> dict:
+    return {"command": command, "p": p, "n": n, "r": r, **fields}
 
 
-def _write(chunks: Iterable[str], out: str | None) -> int:
-    """Write the chunks to stdout and, with ``--out``, the same bytes to FILE."""
-    if not out:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
-        return 0
-    with open(out, "w", encoding="ascii") as handle:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
-            handle.write(chunk)
-    return 0
-
-
-def _emit(report: dict, out: str | None) -> int:
-    return _write([json.dumps(report, indent=2, sort_keys=True) + "\n"], out)
+def _document(report: dict) -> list[str]:
+    return [json.dumps(report, indent=2, sort_keys=True) + "\n"]
 
 
 def _with_rows(report: dict, key: str, rows: Iterable[str]) -> Iterator[str]:
-    """``report`` with the list ``rows`` at ``key``, printed as :func:`_emit`
-    would print it, in chunks: each row is already the text that json.dumps
-    gives an entry of that list, and is written as it comes."""
+    """``report`` with the list ``rows`` at ``key``, printed as :func:`_document`
+    prints it, in chunks: each row is already the text that json.dumps gives
+    an entry of that list, and is yielded as it comes."""
     opened = f'"{key}": ['
     head, _, tail = json.dumps({**report, key: []}, indent=2, sort_keys=True).partition(
         opened + "]")
@@ -188,19 +179,12 @@ def _load_measure(
     return measure_from_json_dict(data), {"file": args.infile}, words
 
 
-def _measure_report(command: str, mu: LevelMeasure, source: dict, exp_cap: int,
-                    **fields: object) -> dict:
-    """Report of a command that reads a measure: the shared header plus ``fields``."""
-    return {"command": command, "p": mu.p, "n": mu.n, "r": mu.r, "source": source,
-            "exponent_cap": exp_cap, **fields}
-
-
 def _coset_sweep(mu: LevelMeasure,
                  words: list[tuple[int, ...]]) -> tuple[int, list[dict], int | float]:
     """Every signed coset identity at modulus exponents {1, n} and every
     word: the number of checks, the failing ones as report rows in (modulus
     exponent, base, word) order, and the worst valuation.  Passing verdicts
-    are not kept."""
+    are not kept; a failing valuation is below n, so a finite int."""
     total = 0
     failures = []
     worst: int | float = INFINITY
@@ -213,14 +197,14 @@ def _coset_sweep(mu: LevelMeasure,
             failed += [(base_index, word_index, valuation)
                        for base_index, valuation in word_failures]
         for base_index, word_index, valuation in sorted(failed):
-            failures.append(
-                {
-                    "modulus_exponent": modulus_exponent,
-                    "base": list(index_to_point(base_index, mu.p**modulus_exponent, mu.r)),
-                    "exponents": list(words[word_index]),
-                    **CongruenceVerdict(valuation, mu.n, False).to_json_dict(),
-                }
-            )
+            failures.append({
+                "modulus_exponent": modulus_exponent,
+                "base": list(index_to_point(base_index, mu.p**modulus_exponent, mu.r)),
+                "exponents": list(words[word_index]),
+                "valuation": valuation,
+                "threshold": mu.n,
+                "pass": False,
+            })
     return total, failures, worst
 
 
@@ -253,14 +237,13 @@ def _kernel_rows(basis: KernelBasis) -> Iterator[str]:
         yield "".join(pieces)
 
 
-def cmd_kernel(args: argparse.Namespace) -> int:
+def cmd_kernel(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     basis = four_term_kernel(args.p, args.level, args.depth)
-    report = {"command": "kernel", "p": basis.p, "n": basis.n, "r": basis.r,
-              "dimension": basis.dimension}
-    return _write(_with_rows(report, "basis", _kernel_rows(basis)), args.out)
+    report = _header("kernel", basis.p, basis.n, basis.r, dimension=basis.dimension)
+    return _with_rows(report, "basis", _kernel_rows(basis)), True
 
 
-def cmd_vanish(args: argparse.Namespace) -> int:
+def cmd_vanish(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     mu, source, words = _load_measure(args, lambda r: _exponent_words(r, args.exp_cap, True))
     verdicts = vanishing_sweep(mu, words)
     all_pass = all(verdict.passed for verdict in verdicts)
@@ -270,35 +253,27 @@ def cmd_vanish(args: argparse.Namespace) -> int:
         f'      "valuation": {_valuation_text(verdict.valuation)}\n    }}'
         for word, verdict in zip(words, verdicts)
     )
-    report = _measure_report("vanish", mu, source, args.exp_cap, all_pass=all_pass)
-    _write(_with_rows(report, "checks", rows), args.out)
-    return 0 if all_pass else 1
+    report = _header("vanish", mu.p, mu.n, mu.r, source=source, exponent_cap=args.exp_cap,
+                     all_pass=all_pass)
+    return _with_rows(report, "checks", rows), all_pass
 
 
-def cmd_certificate(args: argparse.Namespace) -> int:
+def cmd_certificate(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     check_config(args.p, 0, 1)  # a certificate has no level or depth; this checks p
     cert = make_certificate(args.exponents)
-    report = {"command": "certificate", "p": args.p, **certificate_to_json_dict(cert, args.p)}
-    return _emit(report, args.out)
+    return _document({"command": "certificate", "p": args.p,
+                      **certificate_to_json_dict(cert, args.p)}), True
 
 
-def cmd_check_rhombus(args: argparse.Namespace) -> int:
+def cmd_check_rhombus(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     check_size(args.p, args.level, args.depth)
     table = random_lambda_table(args.p, args.level, args.depth, seed=args.seed)
     matched = _rhombus_matches(table)
-    report = {
-        "command": "check-rhombus",
-        "p": args.p,
-        "n": args.level,
-        "r": args.depth,
-        "seed": args.seed,
-        "pass": matched,
-    }
-    _emit(report, args.out)
-    return 0 if matched else 1
+    report = _header("check-rhombus", args.p, args.level, args.depth, seed=args.seed)
+    return _document({**report, "pass": matched}), matched
 
 
-def cmd_check_cosets(args: argparse.Namespace) -> int:
+def cmd_check_cosets(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     mu, source, words = _load_measure(args, lambda r: _exponent_words(r, args.exp_cap, False))
     if args.perturb:
         # one-cell edit at the all-ones point: for modulus > 2 this leaves the
@@ -307,16 +282,14 @@ def cmd_check_cosets(args: argparse.Namespace) -> int:
     else:
         _require_kernel_integer(mu)
     total, failures, worst = _coset_sweep(mu, words)
-    all_pass = not failures
-    report = _measure_report(
-        "check-cosets", mu, source, args.exp_cap, perturbed=args.perturb, total_checks=total,
-        worst_valuation=_valuation_json(worst), failures=failures, all_pass=all_pass,
-    )
-    _emit(report, args.out)
-    return 0 if all_pass else 1
+    report = _header("check-cosets", mu.p, mu.n, mu.r, source=source,
+                     exponent_cap=args.exp_cap, perturbed=args.perturb, total_checks=total,
+                     worst_valuation=_valuation_json(worst), failures=failures,
+                     all_pass=not failures)
+    return _document(report), not failures
 
 
-def cmd_moments(args: argparse.Namespace) -> int:
+def cmd_moments(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     mu, source, words = _load_measure(args, lambda r: _exponent_words(r + 1, args.exp_cap, False))
     values = moment_sweep(mu, words)
     rows = (
@@ -326,11 +299,11 @@ def cmd_moments(args: argparse.Namespace) -> int:
         f'      "valuation": {_valuation_text(padic_valuation(value, mu.p))}\n    }}'
         for word, value in zip(words, values)
     )
-    report = _measure_report("moments", mu, source, args.exp_cap)
-    return _write(_with_rows(report, "moments", rows), args.out)
+    report = _header("moments", mu.p, mu.n, mu.r, source=source, exponent_cap=args.exp_cap)
+    return _with_rows(report, "moments", rows), True
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     check_size(args.p, args.level, args.depth)
     if args.degree > DEGREE_CAP:
         raise ValueError(f"--degree is capped at {DEGREE_CAP}")
@@ -388,8 +361,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         },
         "all_pass": all_pass,
     }
-    _emit(report, args.out)
-    return 0 if all_pass else 1
+    return _document(report), all_pass
 
 
 def _seed(raw: str) -> int:
@@ -483,13 +455,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: write its report's chunks to stdout and, with
+    ``--out``, the same bytes to FILE, which is opened before the first chunk
+    is made.  Exit 0 or 1 by the verdict, and 2 on an input error."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        chunks, passed = args.func(args)
+        with open(args.out, "w", encoding="ascii") if args.out else nullcontext() as copy:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+                if copy is not None:
+                    copy.write(chunk)
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

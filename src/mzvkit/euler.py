@@ -177,11 +177,13 @@ class CongruenceVerdict(Immutable):
         self._assign(valuation, threshold, passed)
 
     def to_json_dict(self) -> dict:
-        return {
-            "valuation": "inf" if self.valuation == INFINITY else int(self.valuation),
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
+        return {"valuation": _valuation_json(self.valuation), "threshold": self.threshold,
+                "pass": self.passed}
+
+
+def _valuation_json(value: int | float) -> int | str:
+    """A valuation as a report holds it: an int, or "inf" for a zero value."""
+    return "inf" if value == INFINITY else int(value)
 
 
 def _require_kernel_integer(mu: LevelMeasure) -> None:

@@ -461,6 +461,33 @@ def test_parser_keeps_every_subcommand_argument():
                       for group in sub._mutually_exclusive_groups) == groups, name
 
 
+# one call per subcommand; the perturbed coset check fails
+COMMAND_CALLS = [
+    (["kernel", "--p", "2", "--level", "1", "--depth", "1"], True),
+    (["vanish", "--p", "3", "--level", "1", "--depth", "2", "--seed", "9"], True),
+    (["certificate", "1,2,4", "--p", "2"], True),
+    (["check-rhombus", "--p", "2", "--level", "1", "--depth", "2"], True),
+    (["check-cosets", "--p", "3", "--level", "1", "--depth", "1", "--seed", "0", "--perturb"],
+     False),
+    (["moments", "--p", "2", "--level", "1", "--depth", "1", "--seed", "0"], True),
+    (["report", "--p", "2", "--level", "1", "--depth", "1", "--degree", "2"], True),
+]
+
+
+@pytest.mark.parametrize("argv,passed", COMMAND_CALLS, ids=[c[0][0] for c in COMMAND_CALLS])
+def test_commands_return_their_report_and_main_writes_it(argv, passed, tmp_path):
+    """A command returns its report's chunks and its verdict; it writes no
+    stdout and opens no --out.  main writes exactly those chunks and exits 0
+    or 1 by the verdict."""
+    target = tmp_path / "report.json"
+    args = build_parser().parse_args([*argv, "--out", str(target)])
+    with redirect_stdout(StringIO()) as out:
+        chunks, verdict = args.func(args)
+        text = "".join(chunks)
+    assert (out.getvalue(), verdict, target.exists()) == ("", passed, False)
+    assert run_cli(argv) == (0 if passed else 1, text, "")
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["no-such-command"])
