@@ -171,10 +171,14 @@ def certificate_to_json_dict(cert: VanishingCertificate, p: int) -> dict:
 
 
 class CongruenceVerdict(Immutable):
-    _fields = ("valuation", "threshold", "passed")
+    _fields = ("valuation", "threshold")
 
-    def __init__(self, valuation: int | float, threshold: int, passed: bool) -> None:
-        self._assign(valuation, threshold, passed)
+    def __init__(self, valuation: int | float, threshold: int) -> None:
+        self._assign(valuation, threshold)
+
+    @property
+    def passed(self) -> bool:
+        return self.valuation >= self.threshold
 
     def to_json_dict(self) -> dict:
         return {"valuation": _valuation_json(self.valuation), "threshold": self.threshold,
@@ -200,11 +204,6 @@ def _odd_word(mu: LevelMeasure, exponents: Sequence[int]) -> tuple[int, ...]:
     return exponents
 
 
-def _vanishing_verdict(value: Fraction | int, p: int, threshold: int) -> CongruenceVerdict:
-    valuation = padic_valuation(value, p)
-    return CongruenceVerdict(valuation, threshold, valuation >= threshold)
-
-
 def vanishing_check(
     mu: LevelMeasure,
     exponents: Sequence[int],
@@ -221,7 +220,7 @@ def vanishing_check(
     if validate:
         _require_kernel_integer(mu)
     threshold = mu.n - make_certificate(exponents).slack(mu.p)
-    return _vanishing_verdict(moment(mu, (0, *exponents)), mu.p, threshold)
+    return CongruenceVerdict(padic_valuation(moment(mu, (0, *exponents)), mu.p), threshold)
 
 
 def vanishing_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[CongruenceVerdict]:
@@ -236,7 +235,7 @@ def vanishing_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[Co
     by_final = {word[-1]: word for word in words}
     slack = {a: make_certificate(word).slack(mu.p) for a, word in by_final.items()}
     values = moment_sweep(mu, [(0, *word) for word in words])
-    return [_vanishing_verdict(value, mu.p, mu.n - slack[word[-1]])
+    return [CongruenceVerdict(padic_valuation(value, mu.p), mu.n - slack[word[-1]])
             for word, value in zip(words, values)]
 
 
@@ -276,20 +275,7 @@ def coset_four_term_check(
     total = Fraction(0)
     for sign, value in zip(_identity_signs(sum(exponents)), sums):
         total += value if sign > 0 else -value  # negation is cheaper than int * Fraction
-    valuation = padic_valuation(total, mu.p)
-    return CongruenceVerdict(valuation, mu.n, valuation >= mu.n)
-
-
-def _identity_sum_tables(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
-                         modulus_exponent: int) -> Iterator[list[list[int]]]:
-    """Per word (n_1, ..., n_r), the coset sums at the final offset of each
-    ``FOUR_TERM`` entry, in that order, times ``mu.denominator``: the
-    identity's unsigned sum for that entry at base b is the entry's table at
-    index ``_four_term_maps(p^modulus_exponent, r)[entry][b]``."""
-    offsets = sorted({-offset for _, _, offset in FOUR_TERM})
-    slots = [offsets.index(-offset) for _, _, offset in FOUR_TERM]
-    stream = coset_sums(mu, [(0, *word) for word in words], modulus_exponent, offsets)
-    return ([sums[slot] for slot in slots] for sums in stream)
+    return CongruenceVerdict(padic_valuation(total, mu.p), mu.n)
 
 
 def _identity_totals(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
@@ -297,15 +283,18 @@ def _identity_totals(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
     """Per word (n_1, ..., n_r), the coset identity's signed totals at the
     bases in row-major order, times ``mu.denominator``."""
     maps = _four_term_maps(mu.p**modulus_exponent, mu.r)
-    # per parity of the exponent sum, the entries with sign + first: every
-    # parity has two of each sign, so one pattern a + b - c - d serves both
+    offsets = sorted({-offset for _, _, offset in FOUR_TERM})
+    # per parity of the exponent sum, the entries with sign + first (two of
+    # each sign, so one pattern a + b - c - d serves both), each read from its
+    # final offset's coset sums at the index its map sends the base to
     orders = [sorted(range(len(FOUR_TERM)), key=lambda entry: -_identity_signs(m)[entry])
               for m in (0, 1)]
+    slots = [[offsets.index(-FOUR_TERM[entry][2]) for entry in order] for order in orders]
     cells = [list(zip(*(maps[entry] for entry in order))) for order in orders]
-    tables = _identity_sum_tables(mu, words, modulus_exponent)
-    for word, sums in zip(words, tables):
+    stream = coset_sums(mu, [(0, *word) for word in words], modulus_exponent, offsets)
+    for word, sums in zip(words, stream):
         odd = sum(word) % 2
-        a, b, c, d = (sums[entry] for entry in orders[odd])
+        a, b, c, d = (sums[slot] for slot in slots[odd])
         yield [a[i] + b[j] - c[k] - d[l] for i, j, k, l in cells[odd]]
 
 
@@ -355,16 +344,15 @@ def coset_lambda_tables(
     """Factorial-normalized coset-moment tables for the four index patterns
     i, -i, -i+1, i-1 (with the matching shifted final factors), indexed by the
     base tuple.  These are the four summands of the signed coset identity in
-    normalized-coefficient form."""
+    normalized-coefficient form, each read from the one-coset oracle."""
     exponents = check_word(exponents, mu.r)
-    norm = factorial_norm(exponents) * mu.denominator
-    (tables,) = _identity_sum_tables(mu, [exponents], modulus_exponent)
-    q = mu.p**modulus_exponent
-    bases = _points(q, mu.r)
-    return tuple(
-        {base: Fraction(table[cell], norm) for base, cell in zip(bases, cells)}
-        for table, cells in zip(tables, _four_term_maps(q, mu.r))
-    )
+    if not 0 <= modulus_exponent <= mu.n:
+        raise ValueError("coset modulus exponent must lie between 0 and the measure level")
+    norm = factorial_norm(exponents)
+    bases = _points(mu.p**modulus_exponent, mu.r)
+    sums = [_identity_sums(mu, base, modulus_exponent, (0, *exponents)) for base in bases]
+    return tuple({base: row[entry] / norm for base, row in zip(bases, sums)}
+                 for entry in range(len(FOUR_TERM)))
 
 
 def coefficient_four_term_check(
@@ -387,7 +375,7 @@ def coefficient_four_term_check(
     for idx in t0:
         combo = sum(sign * table[idx] for sign, table in zip(signs, tables))
         worst = min(worst, padic_valuation(combo, p))
-    return CongruenceVerdict(worst, threshold, worst >= threshold)
+    return CongruenceVerdict(worst, threshold)
 
 
 def depth_one_bernoulli_value(scaling: Fraction | int, n: int) -> Fraction:

@@ -62,10 +62,6 @@ __all__ = [
 FOUR_TERM = ((1, 1, 0), (-1, -1, 0), (1, -1, 1), (-1, 1, -1))
 
 
-def _cell_count(q: int, r: int) -> int:
-    return q**r
-
-
 def point_to_index(point: Sequence[int], q: int) -> int:
     index = 0
     for coordinate in point:
@@ -141,16 +137,16 @@ class LevelMeasure(Immutable):
 
     @classmethod
     def zero(cls, p: int, n: int, r: int) -> "LevelMeasure":
-        return cls(p, n, r, (0,) * _cell_count(p**n, r))
+        return cls(p, n, r, (0,) * p ** (n * r))
 
     @classmethod
     def constant(cls, p: int, n: int, r: int, value: Fraction | int = 1) -> "LevelMeasure":
-        return cls(p, n, r, (value,) * _cell_count(p**n, r))
+        return cls(p, n, r, (value,) * p ** (n * r))
 
     @classmethod
     def point_mass(cls, p: int, n: int, r: int, point: Sequence[int], mass: Fraction | int = 1) -> "LevelMeasure":
         q = p**n
-        cells: list[Fraction | int] = [0] * _cell_count(q, r)
+        cells: list[Fraction | int] = [0] * q**r
         cells[point_to_index(tuple(c % q for c in point), q)] = mass
         return cls(p, n, r, cells)
 
@@ -197,7 +193,7 @@ def project(mu: LevelMeasure) -> LevelMeasure:
     if mu.n == 0:
         raise ValueError("cannot project below level 0")
     q_new = mu.p ** (mu.n - 1)
-    cells = [0] * _cell_count(q_new, mu.r)
+    cells = [0] * q_new**mu.r
     for point, value in zip(mu.points(), mu.numerators):
         if value:
             cells[point_to_index(tuple(c % q_new for c in point), q_new)] += value
@@ -393,7 +389,7 @@ def coset_sums(
     order, stages, placements = _elimination_plan([x for x, _ in support], mu.r,
                                                   mu.p**modulus_exponent, final_offsets)
     sums = _chain_products([support[i][1] for i in order], stages, words)
-    size = _cell_count(mu.p**modulus_exponent, mu.r)
+    size = mu.p ** (modulus_exponent * mu.r)
     return (_placed(last, placements, size) for last in sums)
 
 

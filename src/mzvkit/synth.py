@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Immutable, check_config
-from .measures import (FOUR_TERM, LevelMeasure, _cell_count, _four_term_maps, _points,
-                       index_to_point, point_to_index)
+from .measures import (FOUR_TERM, LevelMeasure, _four_term_maps, _points, index_to_point,
+                       point_to_index)
 
 __all__ = [
     "DEFAULT_CELL_CAP",
@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 DEFAULT_CELL_CAP = 10_000
+
+# seeded draws lie in [-9, 9]: perfbench/workloads.py replays random_lambda_table's draws
+_MAGNITUDE = 9
 
 
 class KernelBasis(Immutable):
@@ -54,7 +57,7 @@ class KernelBasis(Immutable):
 
     def measures(self) -> list[LevelMeasure]:
         """The basis vectors as dense measures."""
-        cells = range(_cell_count(self.p**self.n, self.r))
+        cells = range(self.p ** (self.n * self.r))
         return [LevelMeasure(self.p, self.n, self.r, [vector.get(i, 0) for i in cells])
                 for vector in self.vectors]
 
@@ -154,27 +157,26 @@ def four_term_kernel(p: int, n: int, r: int) -> KernelBasis:
     return _cached_kernel(p, n, r)
 
 
-def random_kernel_measure(
-    p: int, n: int, r: int, seed: int, magnitude: int = 9
-) -> LevelMeasure:
-    """Seeded integer combination of the kernel basis vectors."""
+def random_kernel_measure(p: int, n: int, r: int, seed: int) -> LevelMeasure:
+    """Seeded integer combination of the kernel basis vectors, with one
+    ``randint(-_MAGNITUDE, _MAGNITUDE)`` coefficient per vector."""
     basis = four_term_kernel(p, n, r)
     rng = random.Random(seed)
     cells = [0] * (p ** (n * r))
     for vector in basis.vectors:
-        coefficient = rng.randint(-magnitude, magnitude)
+        coefficient = rng.randint(-_MAGNITUDE, _MAGNITUDE)
         if coefficient:
             for column, value in vector.items():
                 cells[column] += coefficient * value
     return LevelMeasure(p, n, r, cells)
 
 
-def random_lambda_table(p: int, n: int, r: int, seed: int, magnitude: int = 9) -> LevelMeasure:
+def random_lambda_table(p: int, n: int, r: int, seed: int) -> LevelMeasure:
     """Seeded table with uniform small integer values: one
-    ``randint(-magnitude, magnitude)`` per cell, in row-major order."""
+    ``randint(-_MAGNITUDE, _MAGNITUDE)`` per cell, in row-major order."""
     rng = random.Random(seed)
-    return LevelMeasure(p, n, r, [rng.randint(-magnitude, magnitude)
-                                  for _ in range(_cell_count(p**n, r))])
+    return LevelMeasure(p, n, r, [rng.randint(-_MAGNITUDE, _MAGNITUDE)
+                                  for _ in range(p ** (n * r))])
 
 
 def lift(mu: LevelMeasure) -> LevelMeasure:
@@ -184,7 +186,7 @@ def lift(mu: LevelMeasure) -> LevelMeasure:
     share = Fraction(1, mu.p**mu.r)
     q_old = mu.modulus
     values = []
-    for index in range(_cell_count(q_new, mu.r)):
+    for index in range(q_new**mu.r):
         point = index_to_point(index, q_new, mu.r)
         values.append(mu.value(tuple(c % q_old for c in point)) * share)
     return LevelMeasure(mu.p, mu.n + 1, mu.r, tuple(values))

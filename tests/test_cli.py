@@ -307,6 +307,7 @@ def test_malformed_measure_header_exits_two(fuzz_dir, name):
     ("null.json", "a measure must be a JSON object, got NoneType"),
     ("string.json", "a measure must be a JSON object, got str"),
     ("missing-key.json", 'measure field "r" is missing'),
+    ("too-many-values.json", "expected 3 cells, got 4"),
 ])
 def test_measure_file_that_is_not_a_measure_object_exits_two(fuzz_dir, name, message):
     assert run_cli(["vanish", "--in", str(fuzz_dir / name)]) == (2, "", f"error: {message}\n")
@@ -774,6 +775,7 @@ FUZZ_FILES = {
     "zero-denominator.json": {"p": 3, "n": 1, "r": 1, "values": ["1/0", "0", "0"]},
     "float-value.json": {"p": 3, "n": 1, "r": 1, "values": [1.5, "0", "0"]},
     "wrong-length.json": {"p": 3, "n": 1, "r": 1, "values": ["1", "2"]},
+    "too-many-values.json": {"p": 3, "n": 1, "r": 1, "values": ["1", "2", "3", "4"]},
     "huge-header.json": {"p": 2, "n": 200000, "r": 200000, "values": ["1"]},
     "string-header.json": {"p": "3", "n": 1, "r": 1, "values": ["0", "0", "0"]},
     "float-header.json": {"p": 3.9, "n": 1, "r": 1, "values": ["0", "0", "0"]},

@@ -236,6 +236,9 @@ def test_sweeps_validate_like_their_oracles():
         moment_sweep(mu, [(0, 1)])
     with pytest.raises(ValueError):
         coset_sums(mu, [(0, 0, 1)], 2, (0,))
+    for e in (-1, 2):
+        with pytest.raises(ValueError, match="between 0 and the measure level"):
+            coset_lambda_tables(mu, (0, 1), e)
     with pytest.raises(ValueError):
         coset_identity_sweep(mu, [(1, -1)], 1)
     with pytest.raises(ValueError):

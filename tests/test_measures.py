@@ -64,6 +64,8 @@ def test_measure_shape_validation():
         LevelMeasure(4, 1, 1, (Fraction(0),) * 4)
     with pytest.raises(ValueError):
         LevelMeasure(2, 1, 2, (Fraction(0),) * 3)
+    with pytest.raises(ValueError, match="different base, level, or depth"):
+        LevelMeasure.zero(2, 1, 1) + LevelMeasure.zero(2, 1, 2)
 
 
 def test_values_must_be_exact():
@@ -223,6 +225,8 @@ def test_coset_modulus_cannot_exceed_level():
     mu = LevelMeasure.zero(3, 1, 1)
     with pytest.raises(ValueError):
         coset_moment(mu, Coset((0,), 2), (0, 1))
+    with pytest.raises(ValueError, match="coset base must have depth 1"):
+        coset_moment(mu, Coset((0, 0), 1), (0, 1))
 
 
 def test_four_term_vanishes_mod_two():

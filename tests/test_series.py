@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mzvkit.exact import format_rational
 from mzvkit.measures import LevelMeasure
@@ -695,6 +695,7 @@ def test_mul_matches_fraction_oracle(pair, scalar):
     a, b = pair
     assert a * b == fraction_mul(a, b)
     assert a * scalar == scalar * a == fraction_scale(a, scalar)
+    assert -a == fraction_scale(a, -1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -763,8 +764,17 @@ BOUNDARY_PAIRS = BOUNDARY_SHAPES.flatmap(
     lambda shape: st.tuples(boundary_series(*shape), boundary_series(*shape)))
 
 
+# a + b = 2*w1 + 1/2*w2 over 2: the slice of degree 6 that holds w1 stores
+# its numerator 4 divided by the running gcd 2, and the later slice that
+# holds w2, of numerator 1, lowers that gcd to 1, so what is stored is rescaled
+W1, W2 = (0, 1, 2, 3, 0, 1), (1, 1, 2, 3, 0, 1)
+GCD_FALLS_IN_DEGREE = (NCSeries(Alphabet(2, 2), 6, {W1: 1, W2: Fraction(1, 2)}),
+                       NCSeries(Alphabet(2, 2), 6, {W1: 1}))
+
+
 @settings(max_examples=80, deadline=None)
 @given(pair=BOUNDARY_PAIRS, scalar=BOUNDARY_COEFFS)
+@example(pair=GCD_FALLS_IN_DEGREE, scalar=Fraction(1))
 def test_int64_boundary_arithmetic_matches_fraction_oracle(pair, scalar):
     a, b = pair
     assert follows_container_rule(a) and follows_container_rule(b)

@@ -22,9 +22,9 @@ VALUES = [
     (VanishingCertificate, {"target": (1, 2), "combination": ((2, Fraction(-1, 4)),)},
      [{"target": (3, 2)}, {"combination": ((2, Fraction(1, 4)),)}],
      "VanishingCertificate(target=(1, 2), combination=((2, Fraction(-1, 4)),))", True),
-    (CongruenceVerdict, {"valuation": 3, "threshold": 1, "passed": True},
-     [{"valuation": INFINITY}, {"threshold": 2}, {"passed": False}],
-     "CongruenceVerdict(valuation=3, threshold=1, passed=True)", True),
+    (CongruenceVerdict, {"valuation": 3, "threshold": 1},
+     [{"valuation": INFINITY}, {"threshold": 2}],
+     "CongruenceVerdict(valuation=3, threshold=1)", True),
     (Coset, {"base": (1, 0), "modulus_exponent": 1},
      [{"base": (0, 1)}, {"modulus_exponent": 2}],
      "Coset(base=(1, 0), modulus_exponent=1)", True),
