@@ -26,17 +26,17 @@ from .euler import (
     _require_kernel_integer,
     _valuation_json,
     certificate_to_json_dict,
-    coset_identity_sweep,
+    coset_family,
     make_certificate,
     vanishing_sweep,
+    verdict_family,
 )
-from .exact import INFINITY, check_config, format_rational, padic_valuation
+from .exact import check_config, format_rational, padic_valuation
 from .measures import (
     LevelMeasure,
     _measure_header,
     factorial_norm,
     four_term,
-    index_to_point,
     measure_from_json_dict,
     moment_sweep,
 )
@@ -130,10 +130,6 @@ def _exponents_text(word: tuple[int, ...]) -> str:
     return '      "exponents": [\n        ' + ",\n        ".join(map(str, word)) + "\n      ],\n"
 
 
-def _valuation_text(value: int | float) -> str:
-    return '"inf"' if value == INFINITY else str(value)
-
-
 def _load_measure(
     args: argparse.Namespace, words_of: Callable[[int], list[tuple[int, ...]]]
 ) -> tuple[LevelMeasure, dict, list[tuple[int, ...]]]:
@@ -179,35 +175,6 @@ def _load_measure(
     return measure_from_json_dict(data), {"file": args.infile}, words
 
 
-def _coset_sweep(mu: LevelMeasure,
-                 words: list[tuple[int, ...]]) -> tuple[int, list[dict], int | float]:
-    """Every signed coset identity at modulus exponents {1, n} and every
-    word: the number of checks, the failing ones as report rows in (modulus
-    exponent, base, word) order, and the worst valuation.  Passing verdicts
-    are not kept; a failing valuation is below n, so a finite int."""
-    total = 0
-    failures = []
-    worst: int | float = INFINITY
-    for modulus_exponent in sorted({1, mu.n}) if mu.n >= 1 else [0]:
-        total += len(words) * mu.p ** (modulus_exponent * mu.r)
-        failed = []
-        sweep = coset_identity_sweep(mu, words, modulus_exponent)
-        for word_index, (word_worst, word_failures) in enumerate(sweep):
-            worst = min(worst, word_worst)
-            failed += [(base_index, word_index, valuation)
-                       for base_index, valuation in word_failures]
-        for base_index, word_index, valuation in sorted(failed):
-            failures.append({
-                "modulus_exponent": modulus_exponent,
-                "base": list(index_to_point(base_index, mu.p**modulus_exponent, mu.r)),
-                "exponents": list(words[word_index]),
-                "valuation": valuation,
-                "threshold": mu.n,
-                "pass": False,
-            })
-    return total, failures, worst
-
-
 def _rhombus_matches(table: LevelMeasure) -> bool:
     """Whether the rhombus product equals the four-term layer of the table."""
     return rhombus_product(table) == from_measure(four_term(table), table.r)
@@ -246,16 +213,16 @@ def cmd_kernel(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
 def cmd_vanish(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     mu, source, words = _load_measure(args, lambda r: _exponent_words(r, args.exp_cap, True))
     verdicts = vanishing_sweep(mu, words)
-    all_pass = all(verdict.passed for verdict in verdicts)
+    passed = verdict_family(verdicts).passed
     rows = (
         f'    {{\n{_exponents_text(word)}      "pass": {"true" if verdict.passed else "false"},\n'
         f'      "threshold": {verdict.threshold},\n'
-        f'      "valuation": {_valuation_text(verdict.valuation)}\n    }}'
+        f'      "valuation": {json.dumps(_valuation_json(verdict.valuation))}\n    }}'
         for word, verdict in zip(words, verdicts)
     )
     report = _header("vanish", mu.p, mu.n, mu.r, source=source, exponent_cap=args.exp_cap,
-                     all_pass=all_pass)
-    return _with_rows(report, "checks", rows), all_pass
+                     all_pass=passed)
+    return _with_rows(report, "checks", rows), passed
 
 
 def cmd_certificate(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
@@ -281,12 +248,15 @@ def cmd_check_cosets(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
         mu = mu + LevelMeasure.point_mass(mu.p, mu.n, mu.r, (1,) * mu.r)
     else:
         _require_kernel_integer(mu)
-    total, failures, worst = _coset_sweep(mu, words)
+    family = coset_family(mu, words)
+    failures = [{"modulus_exponent": e, "base": list(base), "exponents": list(word),
+                 "valuation": valuation, "threshold": mu.n, "pass": False}
+                for e, base, word, valuation in family.failures]
     report = _header("check-cosets", mu.p, mu.n, mu.r, source=source,
-                     exponent_cap=args.exp_cap, perturbed=args.perturb, total_checks=total,
-                     worst_valuation=_valuation_json(worst), failures=failures,
-                     all_pass=not failures)
-    return _document(report), not failures
+                     exponent_cap=args.exp_cap, perturbed=args.perturb,
+                     total_checks=family.total, worst_valuation=_valuation_json(family.worst),
+                     failures=failures, all_pass=family.passed)
+    return _document(report), family.passed
 
 
 def cmd_moments(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
@@ -296,7 +266,7 @@ def cmd_moments(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
         f'    {{\n{_exponents_text(word)}'
         f'      "lambda": "{format_rational(Fraction(value, factorial_norm(word)))}",\n'
         f'      "moment": "{format_rational(value)}",\n'
-        f'      "valuation": {_valuation_text(padic_valuation(value, mu.p))}\n    }}'
+        f'      "valuation": {json.dumps(_valuation_json(padic_valuation(value, mu.p)))}\n    }}'
         for word, value in zip(words, values)
     )
     report = _header("moments", mu.p, mu.n, mu.r, source=source, exponent_cap=args.exp_cap)
@@ -325,15 +295,18 @@ def cmd_report(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     one = NCSeries.one(series.alphabet, args.degree)
     series_ok = exp(log(series)) == series and log(exp(series - one)) == series - one
 
-    rhombus_ok = _rhombus_matches(table)
-
     basis = four_term_kernel(p, n, r)
     mu = random_kernel_measure(p, n, r, seed=seed)
-    vanish_verdicts = vanishing_sweep(mu, vanish_words)
-    vanish_failures = sum(not verdict.passed for verdict in vanish_verdicts)
-    coset_total, coset_failures, _ = _coset_sweep(mu, coset_words)
-
-    all_pass = series_ok and rhombus_ok and vanish_failures == 0 and not coset_failures
+    families = {"vanishing": verdict_family(vanishing_sweep(mu, vanish_words)),
+                "cosets": coset_family(mu, coset_words)}
+    checks = {
+        "series_round_trip": {"pass": series_ok},
+        "rhombus_four_term": {"pass": _rhombus_matches(table)},
+        "kernel": {"dimension": basis.dimension},
+        **{name: {"total": family.total, "failures": len(family.failures),
+                  "pass": family.passed} for name, family in families.items()},
+    }
+    all_pass = all(check.get("pass", True) for check in checks.values())
     report = {
         "command": "report",
         "config": {
@@ -344,21 +317,7 @@ def cmd_report(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
             "exponent_cap": args.exp_cap,
             "seed": seed,
         },
-        "checks": {
-            "series_round_trip": {"pass": series_ok},
-            "rhombus_four_term": {"pass": rhombus_ok},
-            "kernel": {"dimension": basis.dimension},
-            "vanishing": {
-                "total": len(vanish_verdicts),
-                "failures": vanish_failures,
-                "pass": vanish_failures == 0,
-            },
-            "cosets": {
-                "total": coset_total,
-                "failures": len(coset_failures),
-                "pass": not coset_failures,
-            },
-        },
+        "checks": checks,
         "all_pass": all_pass,
     }
     return _document(report), all_pass

@@ -26,10 +26,13 @@ __all__ = [
     "VanishingCertificate",
     "make_certificate",
     "CongruenceVerdict",
+    "CheckFamily",
     "vanishing_check",
     "vanishing_sweep",
+    "verdict_family",
     "coset_four_term_check",
     "coset_identity_sweep",
+    "coset_family",
     "coset_lambda_tables",
     "coefficient_four_term_check",
     "depth_one_bernoulli_value",
@@ -185,6 +188,21 @@ class CongruenceVerdict(Immutable):
                 "pass": self.passed}
 
 
+class CheckFamily(Immutable):
+    """One family of checks as every report reads it: how many ran, the
+    failing ones in report order, and the worst valuation (``INFINITY`` when
+    every checked value is 0 or none ran).  It passes when none failed."""
+
+    _fields = ("total", "failures", "worst")
+
+    def __init__(self, total: int, failures: tuple, worst: int | float) -> None:
+        self._assign(total, failures, worst)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
 def _valuation_json(value: int | float) -> int | str:
     """A valuation as a report holds it: an int, or "inf" for a zero value."""
     return "inf" if value == INFINITY else int(value)
@@ -237,6 +255,12 @@ def vanishing_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[Co
     values = moment_sweep(mu, [(0, *word) for word in words])
     return [CongruenceVerdict(padic_valuation(value, mu.p), mu.n - slack[word[-1]])
             for word, value in zip(words, values)]
+
+
+def verdict_family(verdicts: Sequence[CongruenceVerdict]) -> CheckFamily:
+    """The family of ``verdicts``: the failures are the failing verdicts, in order."""
+    return CheckFamily(len(verdicts), tuple(verdict for verdict in verdicts if not verdict.passed),
+                       min((verdict.valuation for verdict in verdicts), default=INFINITY))
 
 
 def _identity_signs(m: int) -> list[int]:
@@ -334,6 +358,26 @@ def coset_identity_sweep(
                 for totals in _identity_totals(mu, words, modulus_exponent))
     return ((worst - shift, [(index, v - shift) for index, v in failures])
             for worst, failures in screened)
+
+
+def coset_family(mu: LevelMeasure, words: Sequence[tuple[int, ...]]) -> CheckFamily:
+    """Every signed coset identity at modulus exponents {1, n} (only 0 at
+    level 0) and every word.  A failure is a (modulus exponent, base point,
+    word, valuation) tuple, in (modulus exponent, base, word) order; a
+    failing valuation is below n, so a finite int."""
+    total = 0
+    failures = []
+    worst: int | float = INFINITY
+    for modulus_exponent in sorted({1, mu.n}) if mu.n >= 1 else [0]:
+        total += len(words) * mu.p ** (modulus_exponent * mu.r)
+        failed = []
+        sweep = coset_identity_sweep(mu, words, modulus_exponent)
+        for word_index, (word_worst, word_failures) in enumerate(sweep):
+            worst = min(worst, word_worst)
+            failed += [(base, word_index, v) for base, v in word_failures]
+        failures += [(modulus_exponent, _points(mu.p**modulus_exponent, mu.r)[base],
+                      words[word_index], v) for base, word_index, v in sorted(failed)]
+    return CheckFamily(total, tuple(failures), worst)
 
 
 def coset_lambda_tables(

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import mzvkit
 from mzvkit.cli import MAX_INPUT_BYTES_PER_CELL, build_parser, main
-from mzvkit.euler import vanishing_check
+from mzvkit.euler import CheckFamily, CongruenceVerdict, vanishing_check
 from mzvkit.exact import INFINITY, format_rational, padic_valuation
 from mzvkit.measures import LevelMeasure, factorial_norm, measure_to_json_dict, moment
 from mzvkit.synth import _cached_kernel, four_term_kernel, random_kernel_measure
@@ -154,6 +154,27 @@ def test_report_aggregates_all_checks():
     assert checks["kernel"]["dimension"] == 3
     assert checks["vanishing"]["failures"] == 0
     assert checks["cosets"]["failures"] == 0
+
+
+# One fault per family of `report`, patched in: the series round trip, the
+# rhombus comparison, one failing vanishing verdict and a failing coset family.
+REPORT_FAULTS = {
+    "series_round_trip": ("mzvkit.cli.exp", lambda series: series),
+    "rhombus_four_term": ("mzvkit.cli._rhombus_matches", lambda table: False),
+    "vanishing": ("mzvkit.cli.vanishing_sweep", lambda mu, words: [CongruenceVerdict(0, 1)]),
+    "cosets": ("mzvkit.cli.coset_family",
+               lambda mu, words: CheckFamily(1, ((1, (0,), (1,), 0),), 0)),
+}
+
+
+@pytest.mark.parametrize("family", REPORT_FAULTS)
+def test_report_fails_when_one_family_fails(family, monkeypatch):
+    monkeypatch.setattr(*REPORT_FAULTS[family])
+    code, report = run_json(["report", "--p", "2", "--level", "1", "--depth", "1",
+                             "--degree", "8"])
+    assert (code, report["all_pass"]) == (1, False)
+    assert [name for name, check in report["checks"].items()
+            if not check.get("pass", True)] == [family]
 
 
 def test_report_degree_cap():
@@ -505,6 +526,39 @@ def test_usage_errors_exit_two():
         assert excinfo.value.code == 2
 
 
+def exit_code(argv):
+    try:
+        return run_cli(argv)[0]
+    except SystemExit as exc:  # argparse rejects a flag's value
+        return exc.code
+
+
+SMALLEST = ("--p", "2", "--level", "1", "--depth", "1")
+# Each guard at its limit, which passes, and one past it, which exits 2:
+# (cli constant lowered so that the limit is cheap to reach, or None; argv;
+# exit code).  28 words is C(8, 2), the pairs of exponent sum at most 6, and
+# `report` at degree 8 on 2 cells estimates 2 + 4 + ... + 2^8 = 510 terms.
+GUARD_BOUNDARIES = {
+    "seed": [(None, ("check-rhombus", *SMALLEST, "--seed", seed), code)
+             for seed, code in (("0", 0), (str(2**64 - 1), 0), (str(2**64), 2), ("-1", 2))],
+    "exponent words": [(("MAX_EXPONENT_WORDS", 28),
+                        ("moments", *SMALLEST, "--seed", "0", "--exp-cap", cap), code)
+                       for cap, code in (("6", 0), ("7", 2))],
+    "series terms": [(("MAX_SERIES_TERMS", limit), ("report", *SMALLEST, "--degree", "8"), code)
+                     for limit, code in ((510, 0), (509, 2))],
+    "certificate exponent": [(None, ("vanish", *SMALLEST, "--seed", "0", "--exp-cap", cap), code)
+                             for cap, code in (("200", 0), ("201", 2))],
+}
+
+
+@pytest.mark.parametrize("guard", GUARD_BOUNDARIES)
+def test_guard_admits_its_limit_and_rejects_one_past(guard, monkeypatch):
+    for constant, argv, code in GUARD_BOUNDARIES[guard]:
+        if constant is not None:
+            monkeypatch.setattr(f"mzvkit.cli.{constant[0]}", constant[1])
+        assert exit_code(list(argv)) == code, argv
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "mzvkit", "kernel", "--p", "2", "--level", "1", "--depth", "1"],
@@ -622,6 +676,7 @@ GUARDED_INPUTS = [
     (("report", "--p", "2", "--level", "1", "--depth", "1", "--exp-cap", "100000"),
      "certificate limit"),
     (("certificate", "1,100000", "--p", "3"), "limit"),
+    (("certificate", "2,201", "--p", "3"), "limit"),
     (("kernel", "--p", "2305843009213693951", "--level", "1", "--depth", "1"), "above the cap"),
     (("kernel", "--p", "2", "--level", "100000000", "--depth", "1"), "above the cap"),
     (("kernel", "--p", "2", "--level", "0", "--depth", "99999999999"), "depth"),

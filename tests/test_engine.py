@@ -4,12 +4,12 @@
 table over the nonzero cells and sum each coordinate out after the last factor
 that reads it, keeping it mod p^e for coset sums.  ``moment``,
 ``coset_moment``, ``coset_four_term_check`` and ``vanishing_check`` evaluate
-one cell (or one coset) at a time; the sweeps must agree with them for integer
-kernel measures, single sparse kernel basis vectors, perturbed measures
-outside the kernel and Fraction-valued measures, at every modulus exponent
-0..n, and for word lists in any order, with repeats, or with the gaps of a
-``vanish`` sweep.  The coset sweep's gcd screen must agree with every total's
-own valuation.
+one cell (or one coset) at a time; the sweeps, and the check families built
+from them, must agree with them for integer kernel measures, single sparse
+kernel basis vectors, perturbed measures outside the kernel and
+Fraction-valued measures, at every modulus exponent 0..n, and for word lists
+in any order, with repeats, or with the gaps of a ``vanish`` sweep.  The
+coset sweep's gcd screen must agree with every total's own valuation.
 """
 
 from fractions import Fraction
@@ -19,13 +19,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mzvkit.euler import (
+    CheckFamily,
     _identity_totals,
     _screened_failures,
+    coset_family,
     coset_four_term_check,
     coset_identity_sweep,
     coset_lambda_tables,
     vanishing_check,
     vanishing_sweep,
+    verdict_family,
 )
 from mzvkit.exact import INFINITY, padic_valuation
 from mzvkit.measures import (
@@ -37,6 +40,7 @@ from mzvkit.measures import (
     factorial_norm,
     moment,
     moment_sweep,
+    point_to_index,
 )
 from mzvkit.synth import four_term_kernel, random_kernel_measure
 
@@ -127,6 +131,14 @@ def test_coset_sweep_matches_coset_four_term_check(case):
             ]
             assert worst == min(valuations)
             assert failures == [(i, v) for i, v in enumerate(valuations) if v < mu.n]
+    # the family: modulus exponents {1, n} (0 at level 0), in (exponent, base, word) order
+    checks = [(e, base, word,
+               coset_four_term_check(mu, Coset(base, e), word, validate=False).valuation)
+              for e in (sorted({1, mu.n}) if mu.n else [0])
+              for base in LevelMeasure.zero(mu.p, e, mu.r).points() for word in words]
+    assert coset_family(mu, words) == CheckFamily(
+        len(checks), tuple(check for check in checks if check[3] < mu.n),
+        min((check[3] for check in checks), default=INFINITY))
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,17 +219,23 @@ def test_gcd_screen_on_integer_totals(case):
 
 @settings(max_examples=20, deadline=None)
 @given(measures_and_words(extra=0, max_words=4))
-def test_coset_lambda_tables_match_coset_moment(case):
+def test_coset_lambda_tables_match_coset_sums(case):
+    """Each table entry, read from the one-coset oracle, against the engine's
+    coset sum at its final offset and its mapped base."""
     mu, words = case
+    offsets = sorted({-offset for _, _, offset in FOUR_TERM})
     for word in words:
+        norm = factorial_norm(word)
         for e in range(mu.n + 1):
-            tables = coset_lambda_tables(mu, word, e)
-            norm = factorial_norm(word)
             stride = mu.p**e
+            (sums,) = coset_sums(mu, [(0, *word)], e, offsets)
+            tables = coset_lambda_tables(mu, word, e)
             for table, (_, scale, offset) in zip(tables, FOUR_TERM):
+                vector = sums[offsets.index(-offset)]
                 for base, value in table.items():
-                    coset = Coset(tuple((scale * b + offset) % stride for b in base), e)
-                    assert value == coset_moment(mu, coset, (0, *word), -offset) / norm
+                    cell = point_to_index(tuple((scale * b + offset) % stride for b in base),
+                                          stride)
+                    assert value == Fraction(vector[cell], mu.denominator * norm)
 
 
 @settings(max_examples=30, deadline=None)
@@ -227,7 +245,12 @@ def test_vanishing_sweep_matches_vanishing_check(config, seed, raw):
     p, n, r = config
     mu = build_measure(p, n, r, ("kernel", "sparse")[seed % 2], seed)
     words = [tuple(w[:r]) for w in raw if sum(w[:r]) % 2]
-    assert vanishing_sweep(mu, words) == [vanishing_check(mu, word) for word in words]
+    verdicts = [vanishing_check(mu, word) for word in words]
+    swept = vanishing_sweep(mu, words)
+    assert swept == verdicts
+    assert verdict_family(swept) == CheckFamily(
+        len(verdicts), tuple(v for v in verdicts if v.valuation < v.threshold),
+        min((v.valuation for v in verdicts), default=INFINITY))
 
 
 def test_sweeps_validate_like_their_oracles():

@@ -66,6 +66,9 @@ CASES = [
      "5310e829ff690d08abb50a8989031550809a8a24f344656a5f1f352ef0d4d061"),
     (("certificate", "1,198", "--p", "3"), 0,
      "eb37db649151026fd7e4fdc384f597d27fe0cb94c20df62913964818776c634d"),
+    # a 0 exponent is a valid word
+    (("certificate", "0,3", "--p", "3"), 0,
+     "793280166a6e5c083fd74bb5e717764fc11c9df21cdfc460fa8c132cf7095f1f"),
     (("check-rhombus", "--p", "5", "--level", "1", "--depth", "2", "--seed", "1"), 0,
      "ef810107dce803ee398c7d9cecff295e7c7002fd698eb857d2b199d3987e0879"),
     (("check-rhombus", "--p", "2", "--level", "1", "--depth", "3", "--seed", "2"), 0,
