@@ -8,7 +8,9 @@ input errors.  Each ``cmd_*`` returns its report's text chunks and its verdict;
 and turns the verdict or an error into the exit code.  ``kernel``, ``moments``
 and ``vanish`` stream their rows: each is formatted straight into the text
 ``json.dumps`` would give it and written as it is made, so neither the rows nor
-the whole document are held.
+the whole document are held.  ``moments`` holds no values either: the engine
+yields each as its row is made.  ``vanish`` holds its verdicts, because its
+``all_pass`` field sorts before its ``checks``.
 """
 
 from __future__ import annotations
@@ -153,7 +155,11 @@ def _load_measure(
             if len(raw) > bound:
                 raise ValueError(f"{args.infile} is longer than {bound} bytes, the bound "
                                  f"for the cap of {cap} cells")
-            data = json.loads(raw.decode("ascii"))
+            # one stage at a time: the bytes go once decoded, the text once parsed
+            text = raw.decode("ascii")
+            del raw
+            data = json.loads(text)
+            del text
         except RecursionError:
             # json.loads recurses once per nesting level
             raise ValueError(f"{args.infile} is nested too deeply to read") from None

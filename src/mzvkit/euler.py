@@ -174,7 +174,8 @@ def certificate_to_json_dict(cert: VanishingCertificate, p: int) -> dict:
 
 
 class CongruenceVerdict(Immutable):
-    _fields = ("valuation", "threshold")
+    # slots: a sweep holds one verdict per word
+    __slots__ = _fields = ("valuation", "threshold")
 
     def __init__(self, valuation: int | float, threshold: int) -> None:
         self._assign(valuation, threshold)

@@ -141,8 +141,12 @@ def check_config(p: int, n: int, r: int, max_cells: int | None = None,
 
 def check_word(exponents: Iterable[int], length: int | None = None) -> tuple[int, ...]:
     """An exponent word as a tuple of non-negative ints: ``length`` of them
-    when given, else at least one."""
-    word = tuple(map(index, exponents))
+    when given, else at least one.  A tuple of ints that passes every check is
+    returned as it is, so a sweep holds each word once."""
+    if type(exponents) is tuple and all(type(e) is int for e in exponents):
+        word = exponents
+    else:
+        word = tuple(map(index, exponents))
     if not word:
         raise ValueError("exponent word must be non-empty")
     if length is not None and len(word) != length:

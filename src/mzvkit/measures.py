@@ -393,12 +393,16 @@ def coset_sums(
     return (_placed(last, placements, size) for last in sums)
 
 
-def moment_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[Fraction | int]:
-    """``moment(mu, w)`` for every exponent word w, in the given order: the
-    coset sums at modulus 1 with final offset 0, over ``mu.denominator``.
-    The values are ints when the denominator is 1, else Fractions."""
-    sums = [table[0] for (table,) in coset_sums(mu, words, 0, (0,))]
-    return sums if mu.denominator == 1 else [Fraction(s, mu.denominator) for s in sums]
+def moment_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> Iterator[Fraction | int]:
+    """Yields ``moment(mu, w)`` for every exponent word w, in the given order:
+    the coset sums at modulus 1 with final offset 0, over ``mu.denominator``.
+    The values are ints when the denominator is 1, else Fractions.  As in
+    :func:`coset_sums`, the words are checked when it is called; the values
+    come one at a time and are not collected."""
+    sums = coset_sums(mu, words, 0, (0,))
+    if mu.denominator == 1:
+        return (table[0] for (table,) in sums)
+    return (Fraction(table[0], mu.denominator) for (table,) in sums)
 
 
 def factorial_norm(exponents: Sequence[int]) -> int:

@@ -1,14 +1,18 @@
 import argparse
 import ast
+import gc
 import hashlib
 import importlib
 import itertools
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -18,7 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mzvkit
-from mzvkit.cli import MAX_INPUT_BYTES_PER_CELL, build_parser, main
+from mzvkit.cli import (MAX_INPUT_BYTES_PER_CELL, _exponent_words, _load_measure, build_parser,
+                        main)
 from mzvkit.euler import CheckFamily, CongruenceVerdict, vanishing_check
 from mzvkit.exact import INFINITY, format_rational, padic_valuation
 from mzvkit.measures import LevelMeasure, factorial_norm, measure_to_json_dict, moment
@@ -351,6 +356,49 @@ def test_longest_legitimate_input_reads(tmp_path, monkeypatch):
     path.write_text(text.ljust(input_bound(9) + 1), encoding="ascii")
     assert run_cli(argv) == (2, "", f"error: {path} is longer than {input_bound(9)} bytes, "
                                     "the bound for the cap of 9 cells\n")
+
+
+def traced(compute):
+    """The traced size that compute()'s result holds and the traced peak while
+    it ran, in bytes above what was traced before.  A full collection first
+    empties the interpreter's free lists, so earlier calls do not change the
+    count."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = compute()  # held while its size is read
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return size - before, peak - before
+
+
+def test_input_load_holds_one_stage_at_a_time(tmp_path):
+    # 1 024 values of 4 000 digits, 4.1 MB pretty-printed.  Holding the file's
+    # bytes, its text and its parsed values at once peaked at 3.0 times its
+    # size; dropping the bytes once decoded and the text once parsed, 2.0
+    rng = random.Random(0)
+    values = [str(rng.randrange(10**3999, 10**4000)) for _ in range(1024)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"p": 2, "n": 10, "r": 1, "values": values}, indent=2),
+                    encoding="ascii")
+    args = build_parser().parse_args(["moments", "--in", str(path)])
+    load = lambda: _load_measure(args, lambda r: [])
+    load()  # imports and caches settle outside the trace
+    assert traced(load)[1] <= 2.5 * path.stat().st_size
+
+
+def test_moments_streams_its_values():
+    # 3 876 words of length 4.  Holding every moment and a second copy of
+    # every word before the first row peaked at 3.4 times the traced size of
+    # the word list; streamed from the engine with the words held once, 2.0
+    args = build_parser().parse_args(["moments", "--p", "3", "--level", "2", "--depth", "3",
+                                      "--seed", "1", "--exp-cap", "15"])
+    drain = lambda: deque(args.func(args)[0], maxlen=0)
+    drain()  # the kernel basis and the engine's caches settle outside the trace
+    words = traced(lambda: _exponent_words(4, 15, False))[0]
+    assert traced(drain)[1] <= 2.5 * words
 
 
 @pytest.mark.parametrize("command", ["vanish", "moments", "check-cosets"])

@@ -207,9 +207,17 @@ def test_check_config_runs_cheap_guards_first():
 
 def test_check_word_rules():
     assert check_word([0, 3], 2) == (0, 3)
+    assert type(check_word([0, 3], 2)) is tuple
+    # a valid tuple of ints is the word itself, so a sweep holds it once;
+    # a bool is converted as any other index
+    word = (0, 3)
+    assert check_word(word, 2) is word and check_word(word) is word
+    flagged = (True, 3)
+    assert check_word(flagged, 2) == (1, 3) and type(check_word(flagged, 2)[0]) is int
     assert check_word((5,)) == (5,)
     for word, length in (((), None), ((), 2), ((1, 2), 3), ((1, -1), 2)):
         with pytest.raises(ValueError):
             check_word(word, length)
     with pytest.raises(TypeError):
         check_word((1.5, 2), 2)
+

@@ -90,6 +90,15 @@ def test_series_is_immutable_and_unhashable():
     assert ONE == NCSeries.one(ALPHABET, 2) and ONE != ONE_PLUS_Y0
 
 
+def test_verdicts_hold_no_instance_dict():
+    # a sweep holds one verdict per word
+    verdict = CongruenceVerdict(1, 1)
+    assert not hasattr(verdict, "__dict__")
+    with pytest.raises(AttributeError):
+        verdict.valuation = 2
+    assert verdict == CongruenceVerdict(1, 1) and verdict.passed
+
+
 def test_defaults_and_normalized_fields():
     assert Coset([1, 0], 1).base == (1, 0)
     mu = LevelMeasure(2, 1, 1, [Fraction(1, 2), 3])
