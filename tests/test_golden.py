@@ -109,6 +109,12 @@ CASES = [
      "f1d60f59d9c824764f801c1b91de2cb4e49dd2fd37121d73f4e66a2372446720"),
     (("moments", "--in", "kernel-5-1-1.json", "--exp-cap", "0"), 0,
      "e88bdba36344157888278756cc94243736dae7aa3e2eab93cb304c8e4e044459"),
+    # cap-scale moment tables: many first exponents over a wide table (97, 1, 2),
+    # and a long depth-one column (2, 13, 1)
+    (("moments", "--p", "97", "--level", "1", "--depth", "2", "--seed", "0", "--exp-cap", "40"), 0,
+     "d03d2d7cc6b3895f7a63ee485273ee30e5863c98f9598bbb71b9ba91993ed519"),
+    (("moments", "--p", "2", "--level", "13", "--depth", "1", "--seed", "0", "--exp-cap", "60"), 0,
+     "1cff19873288e142d3abc74bea9cd61f57de18d7b2f2b9da7fd38c0466e6000e"),
     (("report", "--p", "3", "--level", "1", "--depth", "1", "--seed", "5", "--degree", "4"), 0,
      "d5d8f0ce5afb3158e4a4cb27a0691a483b9c8aee0befb5a56c7f6c2ed82c21a2"),
     (("report", "--p", "5", "--level", "1", "--depth", "1", "--seed", "2", "--degree", "3"), 0,
