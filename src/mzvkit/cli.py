@@ -8,9 +8,10 @@ input errors.  Each ``cmd_*`` returns its report's text chunks and its verdict;
 and turns the verdict or an error into the exit code.  ``kernel``, ``moments``
 and ``vanish`` stream their rows: each is formatted straight into the text
 ``json.dumps`` would give it and written as it is made, so neither the rows nor
-the whole document are held.  ``moments`` holds no values either: the engine
-yields each as its row is made.  ``vanish`` holds its verdicts, because its
-``all_pass`` field sorts before its ``checks``.
+the whole document are held.  ``moments`` holds no word list and one level
+of the table at a time: ``measures.moment_table`` makes each word as its row
+is made.  ``vanish`` holds its verdicts, because its ``all_pass`` field sorts
+before its ``checks``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import json
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
-from fractions import Fraction
-from itertools import combinations
+from math import factorial, gcd, prod
 
 from .euler import (
     MAX_CERTIFICATE_EXPONENT,
@@ -33,14 +33,14 @@ from .euler import (
     vanishing_sweep,
     verdict_family,
 )
-from .exact import check_config, format_rational, padic_valuation
+from .exact import INFINITY, _int_valuation, check_config
 from .measures import (
     LevelMeasure,
     _measure_header,
-    factorial_norm,
+    exponent_words,
     four_term,
     measure_from_json_dict,
-    moment_sweep,
+    moment_table,
 )
 from .paths import rhombus_product
 from .series import NCSeries, exp, from_measure, log
@@ -74,16 +74,12 @@ MAX_SERIES_TERMS = 100_000
 MAX_INPUT_BYTES_PER_CELL = 8_668
 
 
-def _exponent_words(r: int, cap: int, odd_only: bool) -> list[tuple[int, ...]]:
-    """The length-r words with sum at most ``cap`` (odd sum if ``odd_only``),
-    in lexicographic order.  Their number and the cap itself, which bounds the
-    powers every cell is raised to, are checked before any is built: the
-    number first, but the cap first for odd words, each of which needs a
-    certificate.  The number is counted up to the limit only.
-
-    By stars and bars, a word's partial sums s_i = e_1 + ... + e_i + i - 1
-    rise strictly within [0, cap + r), so the words are the r-subsets of that
-    range, which ``combinations`` gives in the words' own order."""
+def _check_word_count(r: int, cap: int, odd_only: bool) -> None:
+    """Refuse an exponent cap whose length-r words (odd sum if ``odd_only``)
+    are too many, or which exceeds the certificate limit that bounds the
+    powers every cell is raised to; checked before any word is built.  The
+    number comes first, but the cap first for odd words, each of which needs
+    a certificate.  The number is counted up to the limit only."""
     above_limit = cap > MAX_CERTIFICATE_EXPONENT
     if not (odd_only and above_limit):
         count = 1
@@ -95,11 +91,14 @@ def _exponent_words(r: int, cap: int, odd_only: bool) -> list[tuple[int, ...]]:
     if above_limit:
         raise ValueError(f"exponent cap {cap} is above the certificate limit "
                          f"{MAX_CERTIFICATE_EXPONENT}")
-    words = [tuple(b - a - 1 for a, b in zip((-1, *sums), sums))
-             for sums in combinations(range(cap + r), r)]
-    if odd_only:
-        words = [word for word in words if sum(word) % 2]
-    return words
+
+
+def _exponent_words(r: int, cap: int, odd_only: bool) -> list[tuple[int, ...]]:
+    """The length-r words with sum at most ``cap`` (odd sum if ``odd_only``),
+    in lexicographic order, once :func:`_check_word_count` admits them."""
+    _check_word_count(r, cap, odd_only)
+    words = exponent_words(r, cap)
+    return [word for word in words if sum(word) % 2] if odd_only else list(words)
 
 
 def _header(command: str, p: int, n: int, r: int, **fields: object) -> dict:
@@ -132,15 +131,22 @@ def _exponents_text(word: tuple[int, ...]) -> str:
     return '      "exponents": [\n        ' + ",\n        ".join(map(str, word)) + "\n      ],\n"
 
 
+def _valuation_text(valuation: int | float) -> str:
+    """A valuation as json.dumps writes its report form."""
+    value = _valuation_json(valuation)
+    return f'"{value}"' if type(value) is str else str(value)
+
+
 def _load_measure(
-    args: argparse.Namespace, words_of: Callable[[int], list[tuple[int, ...]]]
-) -> tuple[LevelMeasure, dict, list[tuple[int, ...]]]:
+    args: argparse.Namespace, words_of: Callable[[int], list[tuple[int, ...]] | None]
+) -> tuple[LevelMeasure, dict, list[tuple[int, ...]] | None]:
     """Measure from --in, or a seeded kernel measure from the config flags,
-    with the exponent words ``words_of(depth)``.  Each check runs before the
-    work it guards, in this order: the --in byte bound, before anything is
-    parsed; the file's header; the config flags, each required without a file
-    and matched against the header with one; the cell cap; the words' guard.
-    Only then are the file's values parsed or the seeded measure built."""
+    with ``words_of(depth)``: the exponent words, or None where it only
+    guards their number.  Each check runs before the work it guards, in this
+    order: the --in byte bound, before anything is parsed; the file's header;
+    the config flags, each required without a file and matched against the
+    header with one; the cell cap; the words' guard.  Only then are the
+    file's values parsed or the seeded measure built."""
     config = given = args.p, args.level, args.depth
     if args.infile is not None:
         cap = size_cap()
@@ -223,7 +229,7 @@ def cmd_vanish(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     rows = (
         f'    {{\n{_exponents_text(word)}      "pass": {"true" if verdict.passed else "false"},\n'
         f'      "threshold": {verdict.threshold},\n'
-        f'      "valuation": {json.dumps(_valuation_json(verdict.valuation))}\n    }}'
+        f'      "valuation": {_valuation_text(verdict.valuation)}\n    }}'
         for word, verdict in zip(words, verdicts)
     )
     report = _header("vanish", mu.p, mu.n, mu.r, source=source, exponent_cap=args.exp_cap,
@@ -265,18 +271,33 @@ def cmd_check_cosets(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     return _document(report), family.passed
 
 
+def _moment_rows(mu: LevelMeasure, cap: int) -> Iterator[str]:
+    """The moments report's entries as json.dumps indents them, written from
+    ints by one template for the depth: the moment a/b in lowest terms,
+    lambda = a / (b * prod e_i!) with the factorials read from a table and
+    reduced by one gcd (gcd(a, b) is 1), and the valuation v_p(a) - v_p(b)."""
+    table = moment_table(mu, cap)
+    factorials = [factorial(e) for e in range(cap + 1)]
+    exponents = ",\n        ".join(["{}"] * (mu.r + 1))
+    template = (f'    {{{{\n      "exponents": [\n        {exponents}\n      ],\n'
+                '      "lambda": "{}",\n      "moment": "{}",\n      "valuation": {}\n    }}')
+    p, zero_valuation = mu.p, _valuation_text(INFINITY)
+    for word, value in table:
+        a, b = value.numerator, value.denominator
+        norm = b * prod(map(factorials.__getitem__, word))
+        g = gcd(a, norm)
+        yield template.format(
+            *word,
+            a // g if g == norm else f"{a // g}/{norm // g}",
+            a if b == 1 else f"{a}/{b}",
+            _int_valuation(a, p) - _int_valuation(b, p) if a else zero_valuation,
+        )
+
+
 def cmd_moments(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
-    mu, source, words = _load_measure(args, lambda r: _exponent_words(r + 1, args.exp_cap, False))
-    values = moment_sweep(mu, words)
-    rows = (
-        f'    {{\n{_exponents_text(word)}'
-        f'      "lambda": "{format_rational(Fraction(value, factorial_norm(word)))}",\n'
-        f'      "moment": "{format_rational(value)}",\n'
-        f'      "valuation": {json.dumps(_valuation_json(padic_valuation(value, mu.p)))}\n    }}'
-        for word, value in zip(words, values)
-    )
+    mu, source, _ = _load_measure(args, lambda r: _check_word_count(r + 1, args.exp_cap, False))
     report = _header("moments", mu.p, mu.n, mu.r, source=source, exponent_cap=args.exp_cap)
-    return _with_rows(report, "moments", rows), True
+    return _with_rows(report, "moments", _moment_rows(mu, args.exp_cap)), True
 
 
 def cmd_report(args: argparse.Namespace) -> tuple[Iterable[str], bool]:

@@ -139,11 +139,15 @@ def check_config(p: int, n: int, r: int, max_cells: int | None = None,
     return cells
 
 
+_INT_TYPE = {int}
+
+
 def check_word(exponents: Iterable[int], length: int | None = None) -> tuple[int, ...]:
     """An exponent word as a tuple of non-negative ints: ``length`` of them
     when given, else at least one.  A tuple of ints that passes every check is
-    returned as it is, so a sweep holds each word once."""
-    if type(exponents) is tuple and all(type(e) is int for e in exponents):
+    returned as it is, so a sweep holds each word once; its element types
+    and its least entry are each read in one pass in C."""
+    if type(exponents) is tuple and set(map(type, exponents)) <= _INT_TYPE:
         word = exponents
     else:
         word = tuple(map(index, exponents))
@@ -151,7 +155,7 @@ def check_word(exponents: Iterable[int], length: int | None = None) -> tuple[int
         raise ValueError("exponent word must be non-empty")
     if length is not None and len(word) != length:
         raise ValueError(f"exponent word must have length {length}, got {len(word)}")
-    if any(e < 0 for e in word):
+    if min(word) < 0:
         raise ValueError("exponents must be non-negative")
     return word
 

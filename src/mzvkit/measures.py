@@ -26,19 +26,23 @@ summed out of it, keeping x_k mod p^e for coset sums at modulus p^e and
 nothing for moments.  The first table holds the numerators of the nonzero
 cells, and each later table only the keys that some cell reaches.
 Words with a common prefix share its stages, and the final offsets share all
-stages but the last.  :func:`coset_moment` evaluates one cell at a time and
-stays as their independent oracle; :func:`moment` is that oracle over the
-whole table, the coset of modulus 1.
+stages but the last.  :func:`moment_table` takes from the engine only the words
+of first exponent 0 and makes each later level of the table from the one
+before, by a recurrence in the first exponent that adds and never multiplies.
+:func:`coset_moment` evaluates one cell at a time and stays as their
+independent oracle; :func:`moment` is that oracle over the whole table, the
+coset of modulus 1.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product, repeat
+from itertools import combinations, islice, product, repeat
 from math import factorial, gcd, lcm, prod
-from operator import mul
+from operator import mul, neg, sub
 
 from .exact import Immutable, _exact, check_config, check_word, format_rational, parse_rational
 
@@ -51,6 +55,8 @@ __all__ = [
     "four_term_is_zero",
     "moment",
     "moment_sweep",
+    "moment_table",
+    "exponent_words",
     "coset_sums",
     "factorial_norm",
     "coset_moment",
@@ -203,12 +209,17 @@ def project(mu: LevelMeasure) -> LevelMeasure:
 @lru_cache(maxsize=64)
 def _four_term_maps(q: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Per ``FOUR_TERM`` entry, the index of the cell scale*j + offset for
-    every cell j of (Z/q)^r, row-major."""
-    points = _points(q, r)
-    return tuple(
-        tuple(point_to_index(tuple((scale * c + offset) % q for c in point), q) for point in points)
-        for _, scale, offset in FOUR_TERM
-    )
+    every cell j of (Z/q)^r, row-major.  The map acts coordinate-wise, so
+    each coordinate appends its residue's image to the indices of the
+    coordinates before it."""
+    maps = []
+    for _, scale, offset in FOUR_TERM:
+        images = [(scale * c + offset) % q for c in range(q)]
+        index = [0]
+        for _ in range(r):
+            index = [i * q + image for i in index for image in images]
+        maps.append(tuple(index))
+    return tuple(maps)
 
 
 def _four_term_cells(mu: LevelMeasure) -> Iterator[int]:
@@ -405,6 +416,67 @@ def moment_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> Iterator[F
     return (Fraction(table[0], mu.denominator) for (table,) in sums)
 
 
+def exponent_words(length: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """The words of ``length`` non-negative ints with sum at most ``cap``, in
+    lexicographic order.
+
+    By stars and bars, a word's partial sums s_i = e_1 + ... + e_i + i - 1
+    rise strictly within [0, cap + length), so the words are the
+    ``length``-subsets of that range, which ``combinations`` gives in the
+    words' own order."""
+    for sums in combinations(range(cap + length), length):
+        yield tuple(b - a - 1 for a, b in zip((-1, *sums), sums))
+
+
+def _first_level(mu: LevelMeasure, cap: int) -> dict[tuple[int, ...], list[int]]:
+    """The numerators, over ``mu.denominator``, of the moments at the words
+    (0, e_1, ..., e_r) with sum at most ``cap``, from :func:`coset_sums`: per
+    prefix (e_1, ..., e_{r-1}) in lexicographic order, the run over
+    e_r = 0, 1, ...  The engine and its word list are dropped on return."""
+    runs = [(prefix, cap - sum(prefix) + 1) for prefix in exponent_words(mu.r - 1, cap)]
+    words = ((0, *prefix, e) for prefix, size in runs for e in range(size))
+    values = (table[0] for (table,) in coset_sums(mu, words, 0, (0,)))
+    return {prefix: list(islice(values, size)) for prefix, size in runs}
+
+
+def _next_level(level: dict[tuple[int, ...], list[int]]) -> dict[tuple[int, ...], list[int]]:
+    """The runs of level e_0 from those of level e_0 - 1, by
+    W(e_0, e) = -sum_j W(e_0 - 1, e + u_j): the shift of e_r is a run's own
+    tail, and the shift of e_j, j < r, the run at the prefix with e_j + 1.
+    A prefix whose run has one entry has no words left."""
+    lowered = {}
+    for prefix, run in level.items():
+        if len(run) > 1:
+            values = list(map(neg, run[1:]))
+            for j, e in enumerate(prefix):
+                values = list(map(sub, values, level[prefix[:j] + (e + 1,) + prefix[j + 1:]]))
+            lowered[prefix] = values
+    return lowered
+
+
+def moment_table(mu: LevelMeasure, cap: int) -> Iterator[tuple[tuple[int, ...], Fraction | int]]:
+    """Yields every word (e_0, ..., e_r) with sum at most ``cap`` and its
+    moment, in lexicographic order: what :func:`moment_sweep` gives over
+    those words, ints when the denominator is 1, else Fractions.
+
+    The words with e_0 = 0 come from :func:`coset_sums`.  Since
+    x_1 = (x_1 - x_2) + ... + (x_{r-1} - x_r) + x_r, the factor -x_1 splits,
+    and over Z W(e_0, e) = -sum_j W(e_0 - 1, e + u_j), u_j the j-th unit
+    word; so each word with e_0 > 0 costs r additions of numerators and no
+    table multiply, and only the previous and the current level are held.
+    The words are made as they are yielded, so none is checked, and only the
+    engine holds a list of them, the first level's, while it runs."""
+    den = mu.denominator
+    level = _first_level(mu, cap)
+    for e0 in range(cap + 1):
+        if e0:
+            level = _next_level(level)
+        for prefix, run in level.items():
+            head = (e0, *prefix)
+            for e, value in enumerate(run):
+                yield head + (e,), value if den == 1 else Fraction(value, den)
+
+
 def factorial_norm(exponents: Sequence[int]) -> int:
     """Product of the exponent factorials, which turns a moment into a coefficient."""
     return prod(factorial(e) for e in exponents)
@@ -474,8 +546,20 @@ def _measure_header(data: object) -> tuple[int, int, int, list]:
     return data["p"], data["n"], data["r"], values
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _parse_value(text: object) -> Fraction | int:
+    """A value of a measure's JSON form: an int when ``text`` is an integer
+    in :func:`parse_rational`'s grammar, matched before any digit is read;
+    anything else goes to :func:`parse_rational`."""
+    if isinstance(text, str) and _INTEGER.fullmatch(text):
+        return int(text)
+    return parse_rational(text)
+
+
 def measure_from_json_dict(data: Mapping) -> LevelMeasure:
     """Inverse of :func:`measure_to_json_dict`; the header is checked as
     :func:`_measure_header` checks it before any value is parsed."""
     p, n, r, values = _measure_header(data)
-    return LevelMeasure(p, n, r, tuple(map(parse_rational, values)))
+    return LevelMeasure(p, n, r, tuple(map(_parse_value, values)))

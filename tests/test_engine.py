@@ -9,7 +9,9 @@ from them, must agree with them for integer kernel measures, single sparse
 kernel basis vectors, perturbed measures outside the kernel and
 Fraction-valued measures, at every modulus exponent 0..n, and for word lists
 in any order, with repeats, or with the gaps of a ``vanish`` sweep.  The
-coset sweep's gcd screen must agree with every total's own valuation.
+coset sweep's gcd screen must agree with every total's own valuation, and
+``moment_table``, which makes each word with a first exponent above 0 from
+the level below it, must agree with ``moment_sweep`` on every word.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzvkit.cli import _exponent_words
 from mzvkit.euler import (
     CheckFamily,
     _identity_totals,
@@ -40,6 +43,7 @@ from mzvkit.measures import (
     factorial_norm,
     moment,
     moment_sweep,
+    moment_table,
     point_to_index,
 )
 from mzvkit.synth import four_term_kernel, random_kernel_measure
@@ -94,6 +98,22 @@ def test_moment_sweep_matches_moment_in_any_order(case, c):
     # ints exactly when the measure is integral
     assert {type(value) for value in swept} <= {int if mu.is_integer_valued() else Fraction}
     assert list(moment_sweep(c * mu, words)) == [c * value for value in swept]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("config", CONFIGS, ids=str)
+def test_moment_table_matches_moment_sweep(config, kind):
+    """The first-exponent recurrence against the engine on every word, for
+    each kind of measure and every cap up to 6."""
+    p, n, r = config
+    mu = build_measure(p, n, r, kind, seed=5)
+    for cap in range(7):
+        words = _exponent_words(r + 1, cap, False)
+        table = list(moment_table(mu, cap))
+        assert table == list(zip(words, moment_sweep(mu, words)))
+        assert {type(value) for _, value in table} == {
+            int if mu.is_integer_valued() else Fraction}
+    assert list(moment_table(mu, -1)) == []
 
 
 @settings(max_examples=30, deadline=None)

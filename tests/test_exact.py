@@ -221,3 +221,18 @@ def test_check_word_rules():
     with pytest.raises(TypeError):
         check_word((1.5, 2), 2)
 
+
+@pytest.mark.parametrize("word,length,message", [
+    ((), 2, "non-empty"),
+    ([], None, "non-empty"),
+    ((1, -1, 3), 2, "length 2, got 3"),
+    ((True, -1), 3, "length 3, got 2"),
+    ((1, -1), 2, "non-negative"),
+    ([-2], None, "non-negative"),
+])
+def test_check_word_reports_the_first_rule_broken(word, length, message):
+    # emptiness, then the length, then the signs, on tuples of ints and on
+    # anything else alike
+    with pytest.raises(ValueError, match=message):
+        check_word(word, length)
+

@@ -6,11 +6,15 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvkit.exact import padic_valuation
+from mzvkit.exact import padic_valuation, parse_rational
 from mzvkit.measures import (
+    FOUR_TERM,
     Coset,
     LevelMeasure,
+    _four_term_maps,
     _integrand_value,
+    _parse_value,
+    _points,
     coset_moment,
     factorial_norm,
     four_term,
@@ -244,6 +248,19 @@ def test_four_term_point_masses_mod_three():
     assert four_term(delta(3, 1, 1, (1,))) == expected
 
 
+@pytest.mark.parametrize("q,r", [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (4, 3), (5, 2),
+                                 (9, 2), (97, 1), (97, 2)])
+def test_four_term_maps_match_the_cell_by_cell_oracle(q, r):
+    # the maps are built a coordinate at a time; the oracle maps every cell's
+    # point and indexes it
+    oracle = tuple(
+        tuple(point_to_index(tuple((scale * c + offset) % q for c in point), q)
+              for point in _points(q, r))
+        for _, scale, offset in FOUR_TERM
+    )
+    assert _four_term_maps(q, r) == oracle
+
+
 def test_four_term_kills_constants():
     assert four_term(LevelMeasure.constant(5, 1, 2, Fraction(7, 3))).is_zero()
 
@@ -296,6 +313,21 @@ def test_negation_pushforward_change_of_variables(mu, k):
     lhs = moment(affine_pushforward(mu, -1, 0), e)
     rhs = (-1) ** k * moment(mu, e)
     assert padic_valuation(lhs - rhs, mu.p) >= mu.n
+
+
+def test_integer_values_load_as_ints():
+    # an integer needs no Fraction; the rest, and every refusal, is parse_rational's
+    for text, value in (("0", 0), ("-0", 0), ("007", 7), ("-12", -12), ("9" * 40, int("9" * 40))):
+        assert _parse_value(text) == value and type(_parse_value(text)) is int
+    for text in ("1/3", "-4/6", "5/1"):
+        assert _parse_value(text) == parse_rational(text)
+        assert type(_parse_value(text)) is Fraction
+    for bad in (7, None, "", "-", "+1", " 1", "1e5", "1.0", "1_0", "\u0663", "1/0", "1/-2"):
+        with pytest.raises(ValueError) as expected:
+            parse_rational(bad)
+        with pytest.raises(ValueError) as refused:
+            _parse_value(bad)
+        assert str(refused.value) == str(expected.value)
 
 
 def test_measure_json_round_trip():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -619,7 +620,10 @@ def test_operations_leave_their_operands_unchanged(data, shape):
 
 def traced(compute):
     """compute()'s result, the traced size it holds and the traced peak while
-    it ran, in bytes above what was traced before."""
+    it ran, in bytes above what was traced before.  A full collection first
+    empties the interpreter's free lists, so earlier calls do not change the
+    count."""
+    gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
