@@ -8,9 +8,9 @@ input errors.  Each ``cmd_*`` returns its report's text chunks and its verdict;
 and turns the verdict or an error into the exit code.  ``kernel``, ``moments``
 and ``vanish`` stream their rows: each is formatted straight into the text
 ``json.dumps`` would give it and written as it is made, so neither the rows nor
-the whole document are held.  ``moments`` holds no word list and one level
-of the table at a time: ``measures.moment_table`` makes each word as its row
-is made.  ``vanish`` holds its verdicts, because its ``all_pass`` field sorts
+the whole document are held.  ``moments`` holds no word list and at most
+two levels of the table: ``measures.moment_table`` makes each word as its
+row is made.  ``vanish`` holds its verdicts, because its ``all_pass`` field sorts
 before its ``checks``.
 """
 

@@ -248,8 +248,9 @@ def format_rational(q: Fraction | int) -> str:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`: a string ``-?[0-9]+(/[0-9]+)?``.
+def parse_rational(text: str) -> Fraction | int:
+    """Inverse of :func:`format_rational`: a string ``-?[0-9]+(/[0-9]+)?``,
+    read as an int when it has no ``/``, else as a Fraction.
 
     Raises ValueError for a non-string, any other string (no spaces, signs
     but a leading minus, decimal points, exponents or underscores) and a
@@ -261,7 +262,9 @@ def parse_rational(text: str) -> Fraction:
     if _RATIONAL.fullmatch(text) is None:
         raise ValueError(f'rational must be "n" or "n/d" in decimal digits, got {text[:40]!r}')
     numerator, _, denominator = text.partition("/")
+    if not denominator:
+        return int(numerator)
     try:
-        return Fraction(int(numerator), int(denominator or 1))
+        return Fraction(int(numerator), int(denominator))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None

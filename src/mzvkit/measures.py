@@ -36,12 +36,11 @@ coset of modulus 1.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, islice, product, repeat
-from math import factorial, gcd, lcm, prod
+from itertools import chain, combinations_with_replacement, product, repeat, takewhile
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul, neg, sub
 
 from .exact import Immutable, _exact, check_config, check_word, format_rational, parse_rational
@@ -56,7 +55,6 @@ __all__ = [
     "moment",
     "moment_sweep",
     "moment_table",
-    "exponent_words",
     "coset_sums",
     "factorial_norm",
     "coset_moment",
@@ -420,38 +418,54 @@ def exponent_words(length: int, cap: int) -> Iterator[tuple[int, ...]]:
     """The words of ``length`` non-negative ints with sum at most ``cap``, in
     lexicographic order.
 
-    By stars and bars, a word's partial sums s_i = e_1 + ... + e_i + i - 1
-    rise strictly within [0, cap + length), so the words are the
-    ``length``-subsets of that range, which ``combinations`` gives in the
-    words' own order."""
-    for sums in combinations(range(cap + length), length):
-        yield tuple(b - a - 1 for a, b in zip((-1, *sums), sums))
+    A word's partial sums t_i = e_1 + ... + e_i never fall and stay within
+    [0, cap], and two words first differ where their partial sums do, so the
+    words come from ``combinations_with_replacement`` in their own order,
+    each as the differences of its partial sums."""
+    for sums in combinations_with_replacement(range(cap + 1), length):
+        yield tuple(map(sub, sums, (0, *sums)))
 
 
-def _first_level(mu: LevelMeasure, cap: int) -> dict[tuple[int, ...], list[int]]:
-    """The numerators, over ``mu.denominator``, of the moments at the words
-    (0, e_1, ..., e_r) with sum at most ``cap``, from :func:`coset_sums`: per
-    prefix (e_1, ..., e_{r-1}) in lexicographic order, the run over
-    e_r = 0, 1, ...  The engine and its word list are dropped on return."""
-    runs = [(prefix, cap - sum(prefix) + 1) for prefix in exponent_words(mu.r - 1, cap)]
-    words = ((0, *prefix, e) for prefix, size in runs for e in range(size))
-    values = (table[0] for (table,) in coset_sums(mu, words, 0, (0,)))
-    return {prefix: list(islice(values, size)) for prefix, size in runs}
+def _shift_sums(level: list[int], length: int, budget: int, size: list[list[int]]) -> list[int]:
+    """-sum_j level[e + u_j] at every word e of ``length`` entries with sum
+    below ``budget``, u_j the j-th unit word, from ``level`` listed over the
+    words with sum at most ``budget``; both in lexicographic order, and
+    ``size[k][b]`` the number of words of k entries with sum at most b.
+
+    The words that share a prefix p of k entries fill one slice of either
+    list, made of one sub-slice per value of e_(k+1).  Shifting e_(k+1) maps
+    p's slice of the result onto p's slice of ``level`` without its first
+    sub-slice, so each prefix with sum below ``budget`` costs one slice
+    subtraction; the empty prefix's starts the result.  The prefixes are
+    walked by their sums and offsets alone, and no word is made."""
+    sums = list(map(neg, level[size[length - 1][budget]:]))
+    stack = [(0, 0, 0, 0)]  # per prefix: entries, sum, offset in level, offset in sums
+    while stack:
+        k, s, x, y = stack.pop()
+        rest = size[length - k - 1]
+        if k:
+            n, skip = size[length - k][budget - 1 - s], rest[budget - s]
+            sums[y:y + n] = map(sub, sums[y:y + n], level[x + skip:x + skip + n])
+        if k < length - 1:
+            for v in range(s, budget):
+                stack.append((k + 1, v, x, y))
+                x += rest[budget - v]
+                y += rest[budget - 1 - v]
+    return sums
 
 
-def _next_level(level: dict[tuple[int, ...], list[int]]) -> dict[tuple[int, ...], list[int]]:
-    """The runs of level e_0 from those of level e_0 - 1, by
-    W(e_0, e) = -sum_j W(e_0 - 1, e + u_j): the shift of e_r is a run's own
-    tail, and the shift of e_j, j < r, the run at the prefix with e_j + 1.
-    A prefix whose run has one entry has no words left."""
-    lowered = {}
-    for prefix, run in level.items():
-        if len(run) > 1:
-            values = list(map(neg, run[1:]))
-            for j, e in enumerate(prefix):
-                values = list(map(sub, values, level[prefix[:j] + (e + 1,) + prefix[j + 1:]]))
-            lowered[prefix] = values
-    return lowered
+def _levels(mu: LevelMeasure, cap: int) -> Iterator[list[int]]:
+    """Per first exponent e_0 = 0, ..., cap, the moments' numerators at the
+    words (e_0, e_1, ..., e_r) with sum at most ``cap``, in lexicographic
+    order: the first from :func:`coset_sums`, each later one by
+    :func:`_shift_sums` from the one before it."""
+    words = takewhile(lambda word: not word[0], exponent_words(mu.r + 1, cap))
+    level = [table[0] for (table,) in coset_sums(mu, words, 0, (0,))]
+    size = [[comb(b + k, k) for b in range(cap + 1)] for k in range(mu.r + 1)]
+    for e0 in range(cap + 1):
+        if e0:
+            level = _shift_sums(level, mu.r, cap - e0 + 1, size)
+        yield level
 
 
 def moment_table(mu: LevelMeasure, cap: int) -> Iterator[tuple[tuple[int, ...], Fraction | int]]:
@@ -461,20 +475,17 @@ def moment_table(mu: LevelMeasure, cap: int) -> Iterator[tuple[tuple[int, ...], 
 
     The words with e_0 = 0 come from :func:`coset_sums`.  Since
     x_1 = (x_1 - x_2) + ... + (x_{r-1} - x_r) + x_r, the factor -x_1 splits,
-    and over Z W(e_0, e) = -sum_j W(e_0 - 1, e + u_j), u_j the j-th unit
-    word; so each word with e_0 > 0 costs r additions of numerators and no
-    table multiply, and only the previous and the current level are held.
-    The words are made as they are yielded, so none is checked, and only the
+    and over Z W(e_0, e) = -sum_j W(e_0 - 1, e + u_j); so each word with
+    e_0 > 0 costs r subtractions of numerators (:func:`_shift_sums`) and no
+    table multiply.  Each level is one list of numerators, and only the
+    previous and the current level are held.  The words are made as they are
+    yielded, a run over e_r per prefix, so none is checked, and only the
     engine holds a list of them, the first level's, while it runs."""
     den = mu.denominator
-    level = _first_level(mu, cap)
-    for e0 in range(cap + 1):
-        if e0:
-            level = _next_level(level)
-        for prefix, run in level.items():
-            head = (e0, *prefix)
-            for e, value in enumerate(run):
-                yield head + (e,), value if den == 1 else Fraction(value, den)
+    values = chain.from_iterable(_levels(mu, cap))
+    for head in exponent_words(mu.r, cap):
+        for e, value in zip(range(cap - sum(head) + 1), values):
+            yield head + (e,), value if den == 1 else Fraction(value, den)
 
 
 def factorial_norm(exponents: Sequence[int]) -> int:
@@ -546,20 +557,8 @@ def _measure_header(data: object) -> tuple[int, int, int, list]:
     return data["p"], data["n"], data["r"], values
 
 
-_INTEGER = re.compile(r"-?[0-9]+")
-
-
-def _parse_value(text: object) -> Fraction | int:
-    """A value of a measure's JSON form: an int when ``text`` is an integer
-    in :func:`parse_rational`'s grammar, matched before any digit is read;
-    anything else goes to :func:`parse_rational`."""
-    if isinstance(text, str) and _INTEGER.fullmatch(text):
-        return int(text)
-    return parse_rational(text)
-
-
 def measure_from_json_dict(data: Mapping) -> LevelMeasure:
     """Inverse of :func:`measure_to_json_dict`; the header is checked as
     :func:`_measure_header` checks it before any value is parsed."""
     p, n, r, values = _measure_header(data)
-    return LevelMeasure(p, n, r, tuple(map(_parse_value, values)))
+    return LevelMeasure(p, n, r, tuple(map(parse_rational, values)))

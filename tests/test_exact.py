@@ -186,6 +186,14 @@ def test_parse_rational_reads_leading_zeros_and_negative_zero():
         parse_rational("3/00")
 
 
+def test_parse_rational_reads_an_integer_as_an_int():
+    # an integer needs no Fraction; a value with "/" is one even when it is whole
+    for text, value in (("0", 0), ("-0", 0), ("007", 7), ("-12", -12), ("9" * 40, int("9" * 40))):
+        assert type(parse_rational(text)) is int and parse_rational(text) == value
+    for text, value in (("1/3", Fraction(1, 3)), ("-4/6", Fraction(-2, 3)), ("5/1", 5)):
+        assert type(parse_rational(text)) is Fraction and parse_rational(text) == value
+
+
 def test_check_config_runs_cheap_guards_first():
     assert check_config(3, 2, 2, 81) == 81
     assert check_config(3, 2, 2) is None

@@ -6,14 +6,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvkit.exact import padic_valuation, parse_rational
+from mzvkit.exact import padic_valuation
 from mzvkit.measures import (
     FOUR_TERM,
     Coset,
     LevelMeasure,
     _four_term_maps,
     _integrand_value,
-    _parse_value,
     _points,
     coset_moment,
     factorial_norm,
@@ -313,21 +312,6 @@ def test_negation_pushforward_change_of_variables(mu, k):
     lhs = moment(affine_pushforward(mu, -1, 0), e)
     rhs = (-1) ** k * moment(mu, e)
     assert padic_valuation(lhs - rhs, mu.p) >= mu.n
-
-
-def test_integer_values_load_as_ints():
-    # an integer needs no Fraction; the rest, and every refusal, is parse_rational's
-    for text, value in (("0", 0), ("-0", 0), ("007", 7), ("-12", -12), ("9" * 40, int("9" * 40))):
-        assert _parse_value(text) == value and type(_parse_value(text)) is int
-    for text in ("1/3", "-4/6", "5/1"):
-        assert _parse_value(text) == parse_rational(text)
-        assert type(_parse_value(text)) is Fraction
-    for bad in (7, None, "", "-", "+1", " 1", "1e5", "1.0", "1_0", "\u0663", "1/0", "1/-2"):
-        with pytest.raises(ValueError) as expected:
-            parse_rational(bad)
-        with pytest.raises(ValueError) as refused:
-            _parse_value(bad)
-        assert str(refused.value) == str(expected.value)
 
 
 def test_measure_json_round_trip():
