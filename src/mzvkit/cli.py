@@ -10,8 +10,8 @@ and ``vanish`` stream their rows: each is formatted straight into the text
 ``json.dumps`` would give it and written as it is made, so neither the rows nor
 the whole document are held.  ``moments`` holds no word list and at most
 two levels of the table: ``measures.moment_table`` makes each word as its
-row is made.  ``vanish`` holds its verdicts, because its ``all_pass`` field sorts
-before its ``checks``.
+row is made.  ``vanish`` holds its verdicts, because its ``all_pass`` field
+sorts before its ``checks``.
 """
 
 from __future__ import annotations
@@ -314,8 +314,10 @@ def cmd_report(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     if terms > MAX_SERIES_TERMS:
         raise ValueError(f"--degree {args.degree} needs about {terms} series terms at "
                          f"{cells} cells, above the limit {MAX_SERIES_TERMS}")
-    vanish_words = _exponent_words(r, args.exp_cap, odd_only=True)
-    coset_words = _exponent_words(r, args.exp_cap, odd_only=False)
+    # the words' guards run before any work; the words are built after the
+    # series round trip, so they are not held through it
+    _check_word_count(r, args.exp_cap, odd_only=True)
+    _check_word_count(r, args.exp_cap, odd_only=False)
 
     table = random_lambda_table(p, n, r, seed=seed)
     series = from_measure(table, args.degree)
@@ -324,6 +326,8 @@ def cmd_report(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
 
     basis = four_term_kernel(p, n, r)
     mu = random_kernel_measure(p, n, r, seed=seed)
+    coset_words = list(exponent_words(r, args.exp_cap))
+    vanish_words = [word for word in coset_words if sum(word) % 2]
     families = {"vanishing": verdict_family(vanishing_sweep(mu, vanish_words)),
                 "cosets": coset_family(mu, coset_words)}
     checks = {
