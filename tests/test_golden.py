@@ -115,6 +115,9 @@ CASES = [
      "d03d2d7cc6b3895f7a63ee485273ee30e5863c98f9598bbb71b9ba91993ed519"),
     (("moments", "--p", "2", "--level", "13", "--depth", "1", "--seed", "0", "--exp-cap", "60"), 0,
      "1cff19873288e142d3abc74bea9cd61f57de18d7b2f2b9da7fd38c0466e6000e"),
+    # a cap-scale coset sweep on a kernel measure: 861 words at 9 409 cosets, 8.1 million checks
+    (("check-cosets", "--p", "97", "--level", "1", "--depth", "2", "--seed", "0", "--exp-cap", "40"), 0,
+     "1c4da76b902555d3f090cb8f3dbf15950ec7b16742254da443b166c8b43175f4"),
     (("report", "--p", "3", "--level", "1", "--depth", "1", "--seed", "5", "--degree", "4"), 0,
      "d5d8f0ce5afb3158e4a4cb27a0691a483b9c8aee0befb5a56c7f6c2ed82c21a2"),
     (("report", "--p", "5", "--level", "1", "--depth", "1", "--seed", "2", "--degree", "3"), 0,
