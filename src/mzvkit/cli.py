@@ -256,7 +256,8 @@ def cmd_check_cosets(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     mu, source, words = _load_measure(args, lambda r: _exponent_words(r, args.exp_cap, False))
     if args.perturb:
         # one-cell edit at the all-ones point: for modulus > 2 this leaves the
-        # four-term kernel, so the identity must fail
+        # four-term kernel, so some identity fails; at modulus 1 or 2 the
+        # operator is 0 and every identity still holds
         mu = mu + LevelMeasure.point_mass(mu.p, mu.n, mu.r, (1,) * mu.r)
     else:
         _require_kernel_integer(mu)
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     cosets = sub.add_parser("check-cosets", parents=measure_flags,
                             help="signed coset moment identities")
     cosets.add_argument("--perturb", action="store_true",
-                        help="apply a one-cell edit first (the identity must then fail)")
+                        help="apply a one-cell edit first (a check fails if p^n > 2)")
     cosets.set_defaults(func=cmd_check_cosets)
 
     moments = sub.add_parser("moments", parents=measure_flags,

@@ -16,7 +16,7 @@ from math import factorial, gcd
 from .exact import (INFINITY, Immutable, binomial, bernoulli, check_word, format_rational,
                     padic_valuation)
 from .measures import (FOUR_TERM, Coset, LevelMeasure, _four_term_maps, _points, coset_moment,
-                       coset_sums, factorial_norm, four_term_is_zero, moment, moment_sweep)
+                       coset_sums, factorial_norm, four_term_is_zero, moment)
 
 __all__ = [
     "Poly",
@@ -243,7 +243,8 @@ def vanishing_check(
 
 
 def vanishing_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[CongruenceVerdict]:
-    """:func:`vanishing_check` for every word, in order, from one moment sweep.
+    """:func:`vanishing_check` for every word, in order, from one engine sweep
+    at modulus 1.
 
     The kernel and integrality hypotheses are checked once, first.  The slack
     depends only on the final exponent, so one certificate is built per final
@@ -253,9 +254,9 @@ def vanishing_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[Co
     _require_kernel_integer(mu)
     by_final = {word[-1]: word for word in words}
     slack = {a: make_certificate(word).slack(mu.p) for a, word in by_final.items()}
-    values = moment_sweep(mu, [(0, *word) for word in words])
-    return [CongruenceVerdict(padic_valuation(value, mu.p), mu.n - slack[word[-1]])
-            for word, value in zip(words, values)]
+    sums = coset_sums(mu, words, 0, (0,))
+    return [CongruenceVerdict(padic_valuation(table[0], mu.p), mu.n - slack[word[-1]])
+            for word, (table,) in zip(words, sums)]
 
 
 def verdict_family(verdicts: Sequence[CongruenceVerdict]) -> CheckFamily:
@@ -316,7 +317,7 @@ def _identity_totals(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
               for m in (0, 1)]
     slots = [[offsets.index(-FOUR_TERM[entry][2]) for entry in order] for order in orders]
     cells = [list(zip(*(maps[entry] for entry in order))) for order in orders]
-    stream = coset_sums(mu, [(0, *word) for word in words], modulus_exponent, offsets)
+    stream = coset_sums(mu, words, modulus_exponent, offsets)
     for word, sums in zip(words, stream):
         odd = sum(word) % 2
         a, b, c, d = (sums[slot] for slot in slots[odd])
@@ -365,17 +366,31 @@ def coset_family(mu: LevelMeasure, words: Sequence[tuple[int, ...]]) -> CheckFam
     """Every signed coset identity at modulus exponents {1, n} (only 0 at
     level 0) and every word.  A failure is a (modulus exponent, base point,
     word, valuation) tuple, in (modulus exponent, base, word) order; a
-    failing valuation is below n, so a finite int."""
+    failing valuation is below n, so a finite int.
+
+    On an integer measure every signed total is congruent mod p^n to the sum
+    of the word's integrand times the four-term combination over its coset
+    (README, "How checks are computed").  So on an integer kernel measure no
+    check fails and no total lies below n, and the sweep stops at the first
+    total of valuation n: the worst is then n, whatever the rest hold.  Any
+    other measure is swept in full."""
+    # the worst valuation at which the sweep may stop, below any it can reach
+    # unless the congruence applies
+    settled = mu.n if mu.is_integer_valued() and four_term_is_zero(mu) else -INFINITY
     total = 0
     failures = []
     worst: int | float = INFINITY
     for modulus_exponent in sorted({1, mu.n}) if mu.n >= 1 else [0]:
         total += len(words) * mu.p ** (modulus_exponent * mu.r)
+        if worst <= settled:
+            continue
         failed = []
         sweep = coset_identity_sweep(mu, words, modulus_exponent)
         for word_index, (word_worst, word_failures) in enumerate(sweep):
             worst = min(worst, word_worst)
             failed += [(base, word_index, v) for base, v in word_failures]
+            if worst <= settled:
+                break
         failures += [(modulus_exponent, _points(mu.p**modulus_exponent, mu.r)[base],
                       words[word_index], v) for base, word_index, v in sorted(failed)]
     return CheckFamily(total, tuple(failures), worst)

@@ -18,16 +18,16 @@ coset identity sums over the coset based at scale*b + offset with final
 factor (x_r - offset)^{e_r} and sign sign * scale^m, m the exponent sum:
 x -> scale*x + offset scales each of its m linear factors by scale.
 
-Sweeps run on one engine, :func:`coset_sums`, of which :func:`moment_sweep`
-is the case of modulus exponent 0 and final offset 0.  It eliminates the
-integrand's variables along the difference chain: factor k reads x_k and
-x_{k+1} only, so once factors 0..k are multiplied into the table, x_k is
-summed out of it, keeping x_k mod p^e for coset sums at modulus p^e and
-nothing for moments.  The first table holds the numerators of the nonzero
-cells, and each later table only the keys that some cell reaches.
+Sweeps run on one engine, :func:`coset_sums`, over r-words: (e_1, ..., e_r)
+stands for the integrand of (0, e_1, ..., e_r), whose first factor is 1.  It
+eliminates the integrand's variables along the difference chain: factor k
+reads x_k and x_{k+1} only, so once factors 1..k are multiplied into the
+table, x_k is summed out of it, keeping x_k mod p^e for coset sums at modulus
+p^e, and nothing at modulus 1.  The first table holds the numerators of the
+nonzero cells, and each later table only the keys that some cell reaches.
 Words with a common prefix share its stages, and the final offsets share all
-stages but the last.  :func:`moment_table` takes from the engine only the words
-of first exponent 0 and makes each later level of the table from the one
+stages but the last.  :func:`moment_table` takes from the engine the words of
+first exponent 0 and makes each later level of the table from the one
 before, by a recurrence in the first exponent that adds and never multiplies.
 :func:`coset_moment` evaluates one cell at a time and stays as their
 independent oracle; :func:`moment` is that oracle over the whole table, the
@@ -39,9 +39,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations_with_replacement, product, repeat, takewhile
+from itertools import chain, combinations_with_replacement, product, repeat
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul, neg, sub
+from operator import add, mul, neg, sub
 
 from .exact import Immutable, _exact, check_config, check_word, format_rational, parse_rational
 
@@ -53,7 +53,6 @@ __all__ = [
     "four_term",
     "four_term_is_zero",
     "moment",
-    "moment_sweep",
     "moment_table",
     "coset_sums",
     "factorial_norm",
@@ -260,57 +259,63 @@ _Stage = tuple[list[int], int, list[slice] | None]
 
 
 def _elimination_plan(
-    points: Sequence[tuple[int, ...]], r: int, stride: int, final_offsets: Sequence[int],
+    cells: Sequence[int], q: int, r: int, stride: int, final_offsets: Sequence[int],
 ) -> tuple[list[int], list[_Stage], list[list[tuple[slice, slice]]]]:
-    """The stages that multiply the integrand's r + 1 factors into a table
-    over ``points`` and sum each coordinate out after the last factor that
-    reads it.
+    """The stages that multiply the integrand's r factors into a table over
+    the row-major ``cells`` of (Z/q)^r and sum each coordinate out after the
+    last factor that reads it.
 
-    Factor 0 is -x_1, factor k (0 < k < r) is x_k - x_{k+1}, and factor r is
-    x_r + o, once per final offset o.  With s = ``stride``, a point's key is
-    (x_1 % s, ..., x_r % s, x_r // s, ..., x_1 // s).  Stage k > 0 sums out
-    x_k // s, the last component of every key, so the points are sorted by
-    key and every sum runs over a contiguous slice; what is left of x_k is
-    x_k % s.  A stage is (column, copies, slices): the factor per entry, the
-    number of copies of the incoming table it multiplies (one per final offset
-    at stage r, else one), and the slices to sum, or None where no two entries
-    share a key.  Only keys that some point reaches are held.
+    Factor k (0 < k < r) is x_k - x_{k+1}, and factor r is x_r + o, once per
+    final offset o.  With s = ``stride`` and t = q/s, a cell's key is the
+    mixed-radix int with digits x_1 % s, ..., x_r % s (radix s) and then
+    x_r // s, ..., x_1 // s (radix t), so keys order as those digit tuples
+    would.  Stage k sums out x_k // s, the last digit: the cells are sorted by
+    key, a stage's group is key // t, every sum runs over a contiguous slice,
+    and what is left of x_k is x_k % s.  The last keys are the row-major
+    indices of the bases in (Z/s)^r.  A stage is (column, copies, slices): the
+    factor per entry, the number of copies of the incoming table it multiplies
+    (one per final offset at stage r, else one), and the slices to sum, or
+    None where no two entries share a group.  Only keys that some cell reaches
+    are held, and each coordinate is one list of ints over them.
 
-    Returns the order of ``points`` that the first stage expects, the stages,
+    Returns the order of ``cells`` that the first stage expects, the stages,
     and per final offset the placements of the last stage's sums among the
     bases of (Z/s)^r in row-major order: (bases, sums) slice pairs, one per
-    run of consecutive bases that some point reaches.
+    run of consecutive bases that some cell reaches.
     """
-
-    def key(x: tuple[int, ...]) -> tuple[int, ...]:
-        return (*(c % stride for c in x), *(c // stride for c in reversed(x)))
-
-    keyed = sorted((key(x), i) for i, x in enumerate(points))
-    order = [i for _, i in keyed]
-    keys = [k for k, _ in keyed]
-    reps = [points[i] for i in order]
-    stages: list[_Stage] = [([-x[0] for x in reps], 1, None)]
-    for k in range(1, r + 1):
-        if k < r:
-            column, copies = [x[k - 1] - x[k] for x in reps], 1
+    t = q // stride
+    coords = [[cell // q ** (r - 1 - k) % q for cell in cells] for k in range(r)]
+    keys = [0] * len(cells)
+    for k, column in enumerate(coords):
+        low, high = stride ** (r - 1 - k) * t**r, t**k
+        digits = [c % stride * low + c // stride * high for c in range(q)]
+        keys = list(map(add, keys, map(digits.__getitem__, column)))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [keys[i] for i in order]
+    coords = [[column[i] for i in order] for column in coords]
+    stages: list[_Stage] = []
+    for k in range(r):
+        if k < r - 1:
+            column, copies = list(map(sub, coords[k], coords[k + 1])), 1
         else:
-            column = [x[-1] + offset for offset in final_offsets for x in reps]
+            column = [c + offset for offset in final_offsets for c in coords[k]]
             copies = len(final_offsets)
         size = len(keys)
-        starts = [i for i in range(size) if i == 0 or keys[i][:-1] != keys[i - 1][:-1]]
+        groups = [key // t for key in keys]
+        starts = [i for i in range(size) if i == 0 or groups[i] != groups[i - 1]]
         slices = None
         if len(starts) < size:
             bounds = list(zip(starts, starts[1:] + [size]))
             slices = [slice(a + copy * size, b + copy * size)
                       for copy in range(copies) for a, b in bounds]
+            groups = [groups[i] for i in starts]
+            coords[k + 1:] = [[column[i] for i in starts] for column in coords[k + 1:]]
         stages.append((column, copies, slices))
-        reps = [reps[i] for i in starts]
-        keys = [keys[i][:-1] for i in starts]
-    bases = [point_to_index(base, stride) for base in keys]
-    starts = [i for i in range(len(bases)) if i == 0 or bases[i] != bases[i - 1] + 1]
-    runs = list(zip(starts, starts[1:] + [len(bases)]))
+        keys = groups
+    starts = [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1] + 1]
+    runs = list(zip(starts, starts[1:] + [len(keys)]))
     placements = [
-        [(slice(bases[a], bases[a] + b - a), slice(a + copy * len(keys), b + copy * len(keys)))
+        [(slice(keys[a], keys[a] + b - a), slice(a + copy * len(keys), b + copy * len(keys)))
          for a, b in runs]
         for copy in range(len(final_offsets))
     ]
@@ -382,36 +387,25 @@ def coset_sums(
     final_offsets: Sequence[int],
 ) -> Iterator[tuple[list[int], ...]]:
     """Every coset sum at modulus p^modulus_exponent at once, times
-    ``mu.denominator``.
+    ``mu.denominator``, for r-words: a word (e_1, ..., e_r) stands for the
+    integrand of (0, e_1, ..., e_r).
 
     Yields, per exponent word and then per final offset o, the list of ints
     whose entry at the row-major index of a base b (in
     (Z/p^modulus_exponent)^r) equals ``mu.denominator`` times
-    ``coset_moment(mu, Coset(b, modulus_exponent), word, o)``.  Any word order
-    is valid; lexicographic order shares the most work.  The arguments are
-    checked when it is called, before the first word is yielded.
+    ``coset_moment(mu, Coset(b, modulus_exponent), (0, *word), o)``.  Any word
+    order is valid; lexicographic order shares the most work.  The arguments
+    are checked when it is called, before the first word is yielded.
     """
     if not 0 <= modulus_exponent <= mu.n:
         raise ValueError("coset modulus exponent must lie between 0 and the measure level")
-    words = [check_word(w, mu.r + 1) for w in words]
-    support = [(x, v) for x, v in zip(mu.points(), mu.numerators) if v]
-    order, stages, placements = _elimination_plan([x for x, _ in support], mu.r,
+    words = [check_word(w, mu.r) for w in words]
+    cells = [cell for cell, v in enumerate(mu.numerators) if v]
+    order, stages, placements = _elimination_plan(cells, mu.modulus, mu.r,
                                                   mu.p**modulus_exponent, final_offsets)
-    sums = _chain_products([support[i][1] for i in order], stages, words)
+    sums = _chain_products([mu.numerators[cells[i]] for i in order], stages, words)
     size = mu.p ** (modulus_exponent * mu.r)
     return (_placed(last, placements, size) for last in sums)
-
-
-def moment_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> Iterator[Fraction | int]:
-    """Yields ``moment(mu, w)`` for every exponent word w, in the given order:
-    the coset sums at modulus 1 with final offset 0, over ``mu.denominator``.
-    The values are ints when the denominator is 1, else Fractions.  As in
-    :func:`coset_sums`, the words are checked when it is called; the values
-    come one at a time and are not collected."""
-    sums = coset_sums(mu, words, 0, (0,))
-    if mu.denominator == 1:
-        return (table[0] for (table,) in sums)
-    return (Fraction(table[0], mu.denominator) for (table,) in sums)
 
 
 def exponent_words(length: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -457,9 +451,9 @@ def _shift_sums(level: list[int], length: int, budget: int, size: list[list[int]
 def _levels(mu: LevelMeasure, cap: int) -> Iterator[list[int]]:
     """Per first exponent e_0 = 0, ..., cap, the moments' numerators at the
     words (e_0, e_1, ..., e_r) with sum at most ``cap``, in lexicographic
-    order: the first from :func:`coset_sums`, each later one by
-    :func:`_shift_sums` from the one before it."""
-    words = takewhile(lambda word: not word[0], exponent_words(mu.r + 1, cap))
+    order: the first from :func:`coset_sums` over the r-words, each later one
+    by :func:`_shift_sums` from the one before it."""
+    words = exponent_words(mu.r, cap)
     level = [table[0] for (table,) in coset_sums(mu, words, 0, (0,))]
     size = [[comb(b + k, k) for b in range(cap + 1)] for k in range(mu.r + 1)]
     for e0 in range(cap + 1):
@@ -470,8 +464,8 @@ def _levels(mu: LevelMeasure, cap: int) -> Iterator[list[int]]:
 
 def moment_table(mu: LevelMeasure, cap: int) -> Iterator[tuple[tuple[int, ...], Fraction | int]]:
     """Yields every word (e_0, ..., e_r) with sum at most ``cap`` and its
-    moment, in lexicographic order: what :func:`moment_sweep` gives over
-    those words, ints when the denominator is 1, else Fractions.
+    moment, in lexicographic order: ``moment(mu, word)``, an int when the
+    denominator is 1, else a Fraction.
 
     The words with e_0 = 0 come from :func:`coset_sums`.  Since
     x_1 = (x_1 - x_2) + ... + (x_{r-1} - x_r) + x_r, the factor -x_1 splits,

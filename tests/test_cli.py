@@ -26,7 +26,8 @@ from mzvkit.cli import (MAX_INPUT_BYTES_PER_CELL, _exponent_words, _load_measure
                         main)
 from mzvkit.euler import CheckFamily, CongruenceVerdict, vanishing_check
 from mzvkit.exact import INFINITY, format_rational, padic_valuation
-from mzvkit.measures import LevelMeasure, factorial_norm, measure_to_json_dict, moment
+from mzvkit.measures import (LevelMeasure, factorial_norm, four_term, measure_to_json_dict,
+                             moment)
 from mzvkit.synth import _cached_kernel, four_term_kernel, random_kernel_measure
 
 
@@ -104,6 +105,22 @@ def test_perturbed_cosets_fail():
     assert report["all_pass"] is False
     assert report["failures"]
     assert report["worst_valuation"] == 0
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--p", "2", "--level", "1", "--depth", "1"], 0),
+    (["--p", "2", "--level", "0", "--depth", "2"], 0),
+    (["--p", "3", "--level", "1", "--depth", "1"], 1),
+])
+def test_perturb_fails_only_above_modulus_two(argv, code):
+    """The one-cell edit leaves the four-term kernel only when the modulus
+    p^n is above 2: at modulus 1 or 2, -j = j and 1 - j = j - 1, so the
+    operator is 0 and every coset check still passes."""
+    argv = ["check-cosets", *argv, "--seed", "0", "--perturb"]
+    assert run_json(argv)[0] == code
+    mu = random_kernel_measure(*(int(value) for value in argv[2:7:2]), seed=0)
+    edited = mu + LevelMeasure.point_mass(mu.p, mu.n, mu.r, (1,) * mu.r)
+    assert four_term(edited).is_zero() == (code == 0)
 
 
 def test_cosets_pass_without_perturbation():

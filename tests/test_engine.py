@@ -1,17 +1,21 @@
 """The elimination sweeps against their one-cell-at-a-time oracles.
 
-``moment_sweep`` and ``coset_sums`` multiply the integrand's factors into a
-table over the nonzero cells and sum each coordinate out after the last factor
-that reads it, keeping it mod p^e for coset sums.  ``moment``,
+``coset_sums`` takes r-words: (e_1, ..., e_r) stands for the integrand of the
+(r+1)-word (0, e_1, ..., e_r).  It multiplies the integrand's factors into a
+table over the nonzero cells and sums each coordinate out after the last
+factor that reads it, keeping it mod p^e for coset sums.  ``moment``,
 ``coset_moment``, ``coset_four_term_check`` and ``vanishing_check`` evaluate
-one cell (or one coset) at a time; the sweeps, and the check families built
-from them, must agree with them for integer kernel measures, single sparse
-kernel basis vectors, perturbed measures outside the kernel and
+one cell (or one coset) at a time, on (r+1)-words; the sweeps, and the check
+families built from them, must agree with them for integer kernel measures,
+single sparse kernel basis vectors, perturbed measures outside the kernel and
 Fraction-valued measures, at every modulus exponent 0..n, and for word lists
 in any order, with repeats, or with the gaps of a ``vanish`` sweep.  The
-coset sweep's gcd screen must agree with every total's own valuation, and
+coset sweep's gcd screen must agree with every total's own valuation.
+``coset_family`` stops its sweep on an integer kernel measure at the first
+total of valuation n; the full sweep it ran before stays here as its oracle.
 ``moment_table``, which makes each word with a first exponent above 0 from
-the level below it, must agree with ``moment_sweep`` on every word.
+the level below it, must agree on every word with :func:`moment_sweep`, a
+test-side oracle that reads every (r+1)-word from the engine on its own.
 """
 
 from fractions import Fraction
@@ -20,6 +24,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzvkit import euler
 from mzvkit.euler import (
     CheckFamily,
     _identity_totals,
@@ -42,7 +47,6 @@ from mzvkit.measures import (
     exponent_words,
     factorial_norm,
     moment,
-    moment_sweep,
     moment_table,
     point_to_index,
 )
@@ -72,6 +76,52 @@ def build_measure(p, n, r, kind, seed):
     return mu
 
 
+def engine_moments(mu, words):
+    """``moment(mu, (0, *w))`` for every r-word w, from the engine's sums at
+    modulus 1 with final offset 0, each an int over the denominator."""
+    sums = [table[0] for (table,) in coset_sums(mu, words, 0, (0,))]
+    assert all(type(value) is int for value in sums)
+    return [Fraction(value, mu.denominator) for value in sums]
+
+
+def moment_sweep(mu, words):
+    """``moment(mu, w)`` for every (r+1)-word w, in order, from the engine
+    alone: the first factor (-x_1)^e_0 moves into the measure, whose cell x
+    it weighs, and the rest of the word is an r-word of the weighed measure.
+    The values are ints when the measure is integral, else Fractions, as
+    ``moment_table`` gives them."""
+    words = list(words)
+    value_of = {}
+    for head in {word[0] for word in words}:
+        tails = [word[1:] for word in words if word[0] == head]
+        weighed = LevelMeasure._reduced(
+            mu.p, mu.n, mu.r,
+            [v * (-x[0]) ** head for x, v in zip(mu.points(), mu.numerators)], mu.denominator)
+        value_of.update(((head, *tail), value)
+                        for tail, value in zip(tails, engine_moments(weighed, tails)))
+    convert = int if mu.is_integer_valued() else Fraction
+    return [convert(value_of[tuple(word)]) for word in words]
+
+
+def full_sweep_coset_family(mu, words):
+    """``coset_family`` as it was before it could stop: every coset identity
+    at modulus exponents {1, n} (only 0 at level 0) and every word swept."""
+    total = 0
+    failures = []
+    worst = INFINITY
+    for modulus_exponent in sorted({1, mu.n}) if mu.n >= 1 else [0]:
+        total += len(words) * mu.p ** (modulus_exponent * mu.r)
+        failed = []
+        sweep = coset_identity_sweep(mu, words, modulus_exponent)
+        for word_index, (word_worst, word_failures) in enumerate(sweep):
+            worst = min(worst, word_worst)
+            failed += [(base, word_index, v) for base, v in word_failures]
+        bases = LevelMeasure.zero(mu.p, modulus_exponent, mu.r).points()
+        failures += [(modulus_exponent, bases[base], words[word_index], v)
+                     for base, word_index, v in sorted(failed)]
+    return CheckFamily(total, tuple(failures), worst)
+
+
 def _per_total_failures(totals, p, n):
     """What ``_screened_failures`` returns, from every total's own valuation."""
     valuations = [padic_valuation(total, p) for total in totals]
@@ -92,12 +142,12 @@ def measures_and_words(draw, extra=0, max_words=12):
 def test_moment_sweep_matches_moment_in_any_order(case, c):
     mu, words = case
     words = words + words[:3]  # repeated words, also out of order
-    swept = list(moment_sweep(mu, words))
+    swept = moment_sweep(mu, words)
     assert swept == [moment(mu, word) for word in words]
-    assert list(moment_sweep(mu, sorted(words))) == [moment(mu, word) for word in sorted(words)]
+    assert moment_sweep(mu, sorted(words)) == [moment(mu, word) for word in sorted(words)]
     # ints exactly when the measure is integral
     assert {type(value) for value in swept} <= {int if mu.is_integer_valued() else Fraction}
-    assert list(moment_sweep(c * mu, words)) == [c * value for value in swept]
+    assert moment_sweep(c * mu, words) == [c * value for value in swept]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -118,8 +168,7 @@ def test_moment_table_matches_moment_sweep(config, kind):
 
 
 @settings(max_examples=30, deadline=None)
-@given(measures_and_words(extra=1, max_words=6),
-       st.lists(st.integers(-2, 2), max_size=2))
+@given(measures_and_words(max_words=6), st.lists(st.integers(-2, 2), max_size=2))
 def test_coset_sums_match_coset_moment(case, extra_offsets):
     mu, words = case
     offsets = (0, -1, 1, *extra_offsets)
@@ -130,11 +179,12 @@ def test_coset_sums_match_coset_moment(case, extra_offsets):
         for word, sums in zip(words, swept):
             assert len(sums) == len(offsets)
             for offset, vector in zip(offsets, sums):
-                assert vector == [coset_moment(mu, Coset(base, e), word, offset) * mu.denominator
-                                  for base in bases]
-    # modulus 1 with final offset 0 is the moment sweep
+                assert vector == [
+                    coset_moment(mu, Coset(base, e), (0, *word), offset) * mu.denominator
+                    for base in bases]
+    # modulus 1 with final offset 0 is the moment
     assert [vector for (vector,) in coset_sums(mu, words, 0, (0,))] == [
-        [value * mu.denominator] for value in moment_sweep(mu, words)]
+        [moment(mu, (0, *word)) * mu.denominator] for word in words]
 
 
 @settings(max_examples=30, deadline=None)
@@ -162,18 +212,93 @@ def test_coset_sweep_matches_coset_four_term_check(case):
         min((check[3] for check in checks), default=INFINITY))
 
 
+FAMILY_KINDS = ("kernel", "p times kernel", "zero", "perturbed", "rational kernel", "sparse")
+
+
+def family_measure(p, n, r, kind):
+    if kind == "zero":
+        return LevelMeasure.zero(p, n, r)
+    mu = build_measure(p, n, r, "sparse" if kind == "sparse" else "kernel", seed=11)
+    if kind == "p times kernel":
+        return p * mu
+    if kind == "rational kernel":
+        return mu * Fraction(1, 3)
+    if kind == "perturbed":
+        return mu + LevelMeasure.point_mass(p, n, r, (1,) * r)
+    return mu
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("config", CONFIGS, ids=str)
+def test_coset_family_matches_the_full_sweep(config, kind):
+    """The family that may stop early against the full sweep, on kernel
+    measures (integer, p times one, a basis vector, and over 3) and outside
+    the kernel, at every level including 0, in word order and reversed."""
+    mu = family_measure(*config, kind)
+    words = list(exponent_words(mu.r, 4))
+    for order in (words, words[::-1]):
+        assert coset_family(mu, order) == full_sweep_coset_family(mu, order)
+    if kind == "p times kernel":
+        # every total gains one unit, so none has valuation n and none fails
+        unscaled = full_sweep_coset_family(mu * Fraction(1, mu.p), words)
+        assert coset_family(mu, words).worst == unscaled.worst + 1
+    if kind == "zero":
+        assert coset_family(mu, words).worst == INFINITY
+
+
+def drained_words(monkeypatch):
+    """A list that collects, in order, the modulus exponent of each word that
+    ``coset_family`` draws from its sweeps."""
+    drawn = []
+    sweep = euler.coset_identity_sweep
+
+    def counted(mu, words, modulus_exponent):
+        for result in sweep(mu, words, modulus_exponent):
+            drawn.append(modulus_exponent)
+            yield result
+
+    monkeypatch.setattr(euler, "coset_identity_sweep", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("config", [(5, 2, 2), (2, 3, 2), (3, 1, 3), (7, 1, 2)], ids=str)
+def test_coset_family_stops_at_the_first_total_of_valuation_n(config, monkeypatch):
+    """On an integer kernel measure the sweep ends at the first word whose
+    worst total has valuation n, and a modulus exponent after it is never
+    swept; on p times the measure, whose totals all lie above n, and on the
+    perturbed measure outside the kernel, every word at every modulus
+    exponent is swept."""
+    p, n, r = config
+    mu = random_kernel_measure(p, n, r, seed=0)
+    words = list(exponent_words(r, 6))
+    exponents = sorted({1, n})
+    drawn = drained_words(monkeypatch)
+    family = coset_family(mu, words)
+    assert family == full_sweep_coset_family(mu, words)
+    assert family.worst == n
+    stop = drawn.copy()
+    assert stop and set(stop) == {exponents[0]} and len(stop) < len(words)
+    (worst, _), = coset_identity_sweep(mu, [words[len(stop) - 1]], exponents[0])
+    assert worst == n
+    assert all(w > n for w, _ in coset_identity_sweep(mu, words[:len(stop) - 1], exponents[0]))
+    for measure in (p * mu, mu + LevelMeasure.point_mass(p, n, r, (1,) * r)):
+        drawn.clear()
+        coset_family(measure, words)
+        assert drawn == [e for e in exponents for _ in words]
+
+
 @settings(max_examples=40, deadline=None)
 @given(measures_and_words(extra=0, max_words=30), st.data())
 def test_sweeps_match_oracles_on_vanish_word_lists(case, data):
-    """Sorted odd words behind a zero exponent, as ``vanish`` builds them: the
-    first factor never changes and later exponents jump over the gaps."""
+    """Sorted odd r-words, as ``vanish`` builds them: later exponents jump
+    over the gaps."""
     mu, raw = case
-    words = [(0, *word) for word in sorted(set(raw)) if sum(word) % 2]
-    assert list(moment_sweep(mu, words)) == [moment(mu, word) for word in words]
+    words = [word for word in sorted(set(raw)) if sum(word) % 2]
+    assert engine_moments(mu, words) == [moment(mu, (0, *word)) for word in words]
     e = data.draw(st.integers(0, mu.n))
     bases = [tuple(b) for b in LevelMeasure.zero(mu.p, e, mu.r).points()]
     for word, (vector,) in zip(words, coset_sums(mu, words, e, (-1,))):
-        assert vector == [coset_moment(mu, Coset(base, e), word, -1) * mu.denominator
+        assert vector == [coset_moment(mu, Coset(base, e), (0, *word), -1) * mu.denominator
                           for base in bases]
 
 
@@ -249,7 +374,7 @@ def test_coset_lambda_tables_match_coset_sums(case):
         norm = factorial_norm(word)
         for e in range(mu.n + 1):
             stride = mu.p**e
-            (sums,) = coset_sums(mu, [(0, *word)], e, offsets)
+            (sums,) = coset_sums(mu, [word], e, offsets)
             tables = coset_lambda_tables(mu, word, e)
             for table, (_, scale, offset) in zip(tables, FOUR_TERM):
                 vector = sums[offsets.index(-offset)]
@@ -276,10 +401,12 @@ def test_vanishing_sweep_matches_vanishing_check(config, seed, raw):
 
 def test_sweeps_validate_like_their_oracles():
     mu = random_kernel_measure(3, 1, 2, seed=1)
+    for e in (-1, 2):
+        with pytest.raises(ValueError, match="between 0 and the measure level"):
+            coset_sums(mu, [(0, 1)], e, (0,))
+    # r-words only: the (r+1)-word of the oracles is refused
     with pytest.raises(ValueError):
-        moment_sweep(mu, [(0, 1)])
-    with pytest.raises(ValueError):
-        coset_sums(mu, [(0, 0, 1)], 2, (0,))
+        coset_sums(mu, [(0, 0, 1)], 0, (0,))
     for e in (-1, 2):
         with pytest.raises(ValueError, match="between 0 and the measure level"):
             coset_lambda_tables(mu, (0, 1), e)

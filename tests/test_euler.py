@@ -19,8 +19,9 @@ from mzvkit.euler import (
     vanishing_check,
 )
 from mzvkit.exact import INFINITY, binomial, padic_valuation
-from mzvkit.measures import Coset, LevelMeasure, moment
-from mzvkit.synth import four_term_kernel, random_kernel_measure
+from mzvkit.measures import (FOUR_TERM, Coset, LevelMeasure, coset_moment, exponent_words, four_term,
+                             moment)
+from mzvkit.synth import four_term_kernel, random_kernel_measure, random_lambda_table
 
 
 def frac_poly(*coeffs):
@@ -236,6 +237,44 @@ def test_coset_check_validation():
         coset_four_term_check(
             LevelMeasure.point_mass(3, 1, 1, (1,)), Coset((0,), 1), (1,)
         )
+
+
+@pytest.mark.parametrize("config", [(2, 0, 2), (3, 0, 1), (2, 1, 2), (2, 2, 2), (3, 1, 2),
+                                    (3, 2, 1), (5, 1, 2), (2, 3, 1), (2, 1, 3), (7, 1, 2)],
+                         ids=str)
+def test_coset_totals_are_the_four_term_operator_mod_p_to_the_n(config):
+    """The four-term congruence, on integer measures outside the kernel: at
+    every modulus exponent e in 0..n, every base b and every word w up to
+    sum 3, the signed coset total is congruent mod p^n to the sum over the
+    coset of b of g_w * T(mu), g_w the integrand of (0, *w) and T the
+    four-term operator.  Only ``coset_moment`` and ``four_term`` are read.
+    Each ``FOUR_TERM`` entry (sign, scale, offset) maps the coset of b onto
+    the one it sums by z = scale*y + offset mod p^n, and g_w(z) is then
+    congruent to scale^m g_w(y), m the exponent sum, which the sign scale^m
+    cancels.  So a kernel measure passes every coset check, which is what
+    lets ``coset_family`` stop its sweep on one."""
+    p, n, r = config
+    mu = random_lambda_table(p, n, r, seed=sum(config))
+    image = four_term(mu)
+    modulus = p**n
+    off_floor = 0
+    for e in range(n + 1):
+        stride = p**e
+        for base in LevelMeasure.zero(p, e, r).points():
+            for word in ((0, *w) for w in exponent_words(r, 3)):
+                total = sum(
+                    sign * scale ** sum(word) * coset_moment(
+                        mu, Coset(tuple((scale * b + offset) % stride for b in base), e),
+                        word, -offset)
+                    for sign, scale, offset in FOUR_TERM)
+                predicted = coset_moment(image, Coset(base, e), word)
+                assert total.denominator == predicted.denominator == 1
+                assert (total - predicted) % modulus == 0
+                off_floor += total % modulus != 0
+    # the measures are outside the kernel, so above modulus 2 some totals
+    # are not 0 mod p^n; at modulus 2 the operator itself is 0 mod 2
+    assert image.is_zero() == (modulus <= 2)
+    assert (off_floor > 0) == (modulus > 2)
 
 
 def test_coset_tables_pass_combination_check():
