@@ -118,6 +118,9 @@ CASES = [
     # a cap-scale coset sweep on a kernel measure: 861 words at 9 409 cosets, 8.1 million checks
     (("check-cosets", "--p", "97", "--level", "1", "--depth", "2", "--seed", "0", "--exp-cap", "40"), 0,
      "1c4da76b902555d3f090cb8f3dbf15950ec7b16742254da443b166c8b43175f4"),
+    # a cap-scale vanishing sweep on a kernel measure: 1 722 odd words at 9 409 cells
+    (("vanish", "--p", "97", "--level", "1", "--depth", "2", "--seed", "0", "--exp-cap", "81"), 0,
+     "df0e30ca3dd7f89eace3639895167dea1bc288df751d308e86c209e0f14ddc6f"),
     (("report", "--p", "3", "--level", "1", "--depth", "1", "--seed", "5", "--degree", "4"), 0,
      "d5d8f0ce5afb3158e4a4cb27a0691a483b9c8aee0befb5a56c7f6c2ed82c21a2"),
     (("report", "--p", "5", "--level", "1", "--depth", "1", "--seed", "2", "--degree", "3"), 0,
