@@ -6,12 +6,12 @@ codes: 0 when every verdict passes, 1 when any check fails, 2 on usage or
 input errors.  Each ``cmd_*`` returns its report's text chunks and its verdict;
 :func:`main` alone writes the chunks, to stdout and with ``--out`` to a file,
 and turns the verdict or an error into the exit code.  ``kernel``, ``moments``
-and ``vanish`` stream their rows: each is formatted straight into the text
-``json.dumps`` would give it and written as it is made, so neither the rows nor
-the whole document are held.  ``moments`` holds no word list and at most
-two levels of the table: ``measures.moment_table`` makes each word as its
-row is made.  ``vanish`` holds its verdicts, because its ``all_pass`` field
-sorts before its ``checks``.
+and ``vanish`` stream their rows, each written as it is made, so neither the
+rows nor the whole document are held.  A row's layout, there and in any new
+streamed report, comes from one ``json.dumps`` template, :func:`_row_template`.
+``moments`` holds no word list and at most two levels of the table:
+``measures.moment_table`` makes each word as its row is made.  ``vanish``
+holds its verdicts, because its ``all_pass`` field sorts before its ``checks``.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ MAX_SERIES_TERMS = 100_000
 # default 4 300-digit limit (8 604 bytes), and 64 of layout; 86.7 MB in all
 # at the default cap.
 MAX_INPUT_BYTES_PER_CELL = 8_668
+_QUOTED, _BARE = "<quoted>", "<bare>"  # the hole values of _row_template
 
 
 def _check_word_count(r: int, cap: int, odd_only: bool) -> None:
@@ -126,9 +127,13 @@ def _with_rows(report: dict, key: str, rows: Iterable[str]) -> Iterator[str]:
     yield ("]" if separator == "\n" else "\n  ]") + tail + "\n"
 
 
-def _exponents_text(word: tuple[int, ...]) -> str:
-    """The "exponents" field of a row, as json.dumps indents it in a list entry."""
-    return '      "exponents": [\n        ' + ",\n        ".join(map(str, word)) + "\n      ],\n"
+def _row_template(row: dict) -> str:
+    """``row`` as json.dumps indents it in a report's list, as a str.format template
+    with a hole at each ``_QUOTED`` value (inside its quotes) and ``_BARE`` value."""
+    # [[row]] indents the entry as {key: [row]} does, inside two bracket lines a side
+    lines = json.dumps([[row]], indent=2, sort_keys=True).split("\n")[2:-2]
+    text = "\n".join(lines).replace("{", "{{").replace("}", "}}")
+    return text.replace(f'"{_BARE}"', "{}").replace(_QUOTED, "{}")
 
 
 def _valuation_text(valuation: int | float) -> str:
@@ -193,26 +198,20 @@ def _rhombus_matches(table: LevelMeasure) -> bool:
 
 
 def _kernel_rows(basis: KernelBasis) -> Iterator[str]:
-    """The kernel report's "basis" entries as json.dumps indents them.
-
-    Each vector is the line ``        "0",`` once per cell, with its nonzero
-    entries dropped in; runs of zeros are sliced from one prepared block.  The
-    last cell's line takes no comma, so each vector is one join.
-    """
-    p, n, r = basis.p, basis.n, basis.r
-    zero_line = '        "0",\n'
-    width = len(zero_line)
-    last = p ** (n * r) - 1
-    zeros = zero_line * last
-    head = f'    {{\n      "n": {n},\n      "p": {p},\n      "r": {r},\n      "values": [\n'
+    """The kernel report's "basis" entries as json.dumps indents them: a
+    two-value vector's template, split at its holes, gives a head and the text
+    of all-zero values, whose "0"s each vector's nonzero values replace."""
+    template = _row_template({"n": basis.n, "p": basis.p, "r": basis.r, "values": [_QUOTED] * 2})
+    head, between, tail = template.format("\0", "\0").split("\0")
+    zeros = between.join(["0"] * basis.p ** (basis.n * basis.r)) + tail
+    width = len(between) + 1
     for vector in basis.vectors:
-        pieces = [head]
-        start = 0
+        pieces, start = [head], 0
         for column, value in vector.items():
-            if column < last:
-                pieces += (zeros[start:column * width], f'        "{value}",\n')
-                start = (column + 1) * width
-        pieces += (zeros[start:], f'        "{vector.get(last, 0)}"\n      ]\n    }}')
+            cell = column * width
+            pieces += (zeros[start:cell], str(value))
+            start = cell + 1
+        pieces.append(zeros[start:])
         yield "".join(pieces)
 
 
@@ -226,12 +225,11 @@ def cmd_vanish(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     mu, source, words = _load_measure(args, lambda r: _exponent_words(r, args.exp_cap, True))
     verdicts = vanishing_sweep(mu, words)
     passed = verdict_family(verdicts).passed
-    rows = (
-        f'    {{\n{_exponents_text(word)}      "pass": {"true" if verdict.passed else "false"},\n'
-        f'      "threshold": {verdict.threshold},\n'
-        f'      "valuation": {_valuation_text(verdict.valuation)}\n    }}'
-        for word, verdict in zip(words, verdicts)
-    )
+    template = _row_template({"exponents": [_BARE] * mu.r, "pass": _BARE, "threshold": _BARE,
+                              "valuation": _BARE})
+    rows = (template.format(*word, "true" if verdict.passed else "false", verdict.threshold,
+                            _valuation_text(verdict.valuation))
+            for word, verdict in zip(words, verdicts))
     report = _header("vanish", mu.p, mu.n, mu.r, source=source, exponent_cap=args.exp_cap,
                      all_pass=passed)
     return _with_rows(report, "checks", rows), passed
@@ -274,14 +272,13 @@ def cmd_check_cosets(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
 
 def _moment_rows(mu: LevelMeasure, cap: int) -> Iterator[str]:
     """The moments report's entries as json.dumps indents them, written from
-    ints by one template for the depth: the moment a/b in lowest terms,
+    ints by the depth's row template: the moment a/b in lowest terms,
     lambda = a / (b * prod e_i!) with the factorials read from a table and
     reduced by one gcd (gcd(a, b) is 1), and the valuation v_p(a) - v_p(b)."""
     table = moment_table(mu, cap)
     factorials = [factorial(e) for e in range(cap + 1)]
-    exponents = ",\n        ".join(["{}"] * (mu.r + 1))
-    template = (f'    {{{{\n      "exponents": [\n        {exponents}\n      ],\n'
-                '      "lambda": "{}",\n      "moment": "{}",\n      "valuation": {}\n    }}')
+    template = _row_template({"exponents": [_BARE] * (mu.r + 1), "lambda": _QUOTED,
+                              "moment": _QUOTED, "valuation": _BARE})
     p, zero_valuation = mu.p, _valuation_text(INFINITY)
     for word, value in table:
         a, b = value.numerator, value.denominator
@@ -315,10 +312,9 @@ def cmd_report(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     if terms > MAX_SERIES_TERMS:
         raise ValueError(f"--degree {args.degree} needs about {terms} series terms at "
                          f"{cells} cells, above the limit {MAX_SERIES_TERMS}")
-    # the words' guards run before any work; the words are built after the
-    # series round trip, so they are not held through it
+    # the guard, which counts all the words, runs before any work; the words
+    # are built after the series round trip, so they are not held through it
     _check_word_count(r, args.exp_cap, odd_only=True)
-    _check_word_count(r, args.exp_cap, odd_only=False)
 
     table = random_lambda_table(p, n, r, seed=seed)
     series = from_measure(table, args.degree)

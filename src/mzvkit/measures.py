@@ -134,6 +134,10 @@ class LevelMeasure(Immutable):
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.denominator) for v in self.numerators)
 
+    @cached_property
+    def _four_term_zero(self) -> bool:
+        return not any(_four_term_cells(self))
+
     @property
     def modulus(self) -> int:
         return self.p**self.n
@@ -232,8 +236,8 @@ def four_term(mu: LevelMeasure) -> LevelMeasure:
 
 
 def four_term_is_zero(mu: LevelMeasure) -> bool:
-    """Whether the four-term combination of ``mu`` vanishes in every cell."""
-    return not any(_four_term_cells(mu))
+    """Whether the four-term combination of ``mu`` vanishes in every cell (tested once)."""
+    return mu._four_term_zero
 
 
 def _integrand_value(xs: Sequence[int], exponents: Sequence[int], final_offset: int = 0) -> int:

@@ -285,7 +285,8 @@ def _table_report(command, mu, path, cap):
 
 
 # (command, measure, exponent cap): a kernel measure, a rational one, the
-# zero measure (every valuation "inf"), one moment row and no vanish row
+# zero measure (every valuation "inf"), one moment row and no vanish row, and
+# rational moments and kernel vanish rows at depths 3 and 4
 TABLE_REPORTS = [
     ("moments", random_kernel_measure(3, 1, 2, seed=1), 4),
     ("moments", LevelMeasure(3, 1, 1, [Fraction(1, 3), 0, -2]), 3),
@@ -295,6 +296,11 @@ TABLE_REPORTS = [
     ("vanish", random_kernel_measure(2, 2, 1, seed=3), 7),
     ("vanish", LevelMeasure.zero(2, 1, 2), 3),
     ("vanish", random_kernel_measure(3, 1, 2, seed=1), 0),
+    ("moments", LevelMeasure(2, 1, 3, [Fraction(-1, 3), 2, 0, Fraction(5, 7), -4, 1,
+                                       Fraction(-3, 2), 0]), 4),
+    ("moments", LevelMeasure(2, 1, 4, [Fraction((-1) ** k * k, 3) for k in range(16)]), 3),
+    ("vanish", random_kernel_measure(3, 1, 3, seed=2), 5),
+    ("vanish", random_kernel_measure(3, 1, 4, seed=5), 5),
 ]
 
 
@@ -494,6 +500,25 @@ def test_report_eliminates_once_under_env_cap(monkeypatch):
     )
     assert code == 0
     assert _cached_kernel.cache_info().misses == 1
+
+
+# the kernel guard and the coset sweep's stop both test the kernel measure;
+# `report` also takes its random table's combination, for the rhombus check
+@pytest.mark.parametrize("argv,measures", [
+    (["check-cosets", "--p", "3", "--level", "1", "--depth", "2", "--seed", "1"], 1),
+    (["report", "--p", "3", "--level", "1", "--depth", "2", "--degree", "2"], 2),
+])
+def test_four_term_combination_is_computed_once_per_measure(argv, measures, monkeypatch):
+    passes = []
+    cells = mzvkit.measures._four_term_cells
+
+    def counted(mu):
+        passes.append(mu)
+        return cells(mu)
+
+    monkeypatch.setattr(mzvkit.measures, "_four_term_cells", counted)
+    assert run_json(argv)[0] == 0
+    assert len(passes) == len({id(mu) for mu in passes}) == measures
 
 
 # Every argument of every subcommand, keyed by its option strings (a
@@ -740,6 +765,7 @@ GUARDED_INPUTS = [
       "--exp-cap", "1000"), "words"),
     (("report", "--p", "2", "--level", "1", "--depth", "1", "--exp-cap", "100000"),
      "certificate limit"),
+    (("report", "--p", "2", "--level", "1", "--depth", "3", "--exp-cap", "200"), "words"),
     (("certificate", "1,100000", "--p", "3"), "limit"),
     (("certificate", "2,201", "--p", "3"), "limit"),
     (("kernel", "--p", "2305843009213693951", "--level", "1", "--depth", "1"), "above the cap"),
