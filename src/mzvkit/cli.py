@@ -12,6 +12,10 @@ streamed report, comes from one ``json.dumps`` template, :func:`_row_template`.
 ``moments`` holds no word list and at most two levels of the table:
 ``measures.moment_table`` makes each word as its row is made.  ``vanish``
 holds its verdicts, because its ``all_pass`` field sorts before its ``checks``.
+
+Only ``report`` and ``check-rhombus`` build truncated series, so only they
+import ``series``, when they run; importing this module loads every other
+layer, ``paths`` included, but not ``series`` or the ``array`` module it uses.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .measures import (
     moment_table,
 )
 from .paths import rhombus_product
-from .series import NCSeries, exp, from_measure, log
 from .synth import (
     KernelBasis,
     check_size,
@@ -63,8 +66,8 @@ MAX_EXPONENT_WORDS = 100_000
 # Largest series term-count estimate `report` may exponentiate; (2, 2, 2) at
 # degree 8 estimates 69 904 terms, (3, 2, 2) at degree 8 about 4.4e7.  As a
 # whole CLI process (Python 3.11, 2 cores, spawn to exit, peak RSS from wait4,
-# .pyc files in place, medians of 7), `report --seed 0` takes about 0.22 s and
-# 15.4 MiB at (2, 2, 2) degree 8, and 0.60 s and 17.2 MiB at (5, 1, 1)
+# .pyc files in place, medians of 7), `report --seed 0` takes about 0.14 s and
+# 15.3 MiB at (2, 2, 2) degree 8, and 0.39 s and 17.3 MiB at (5, 1, 1)
 # degree 7 (97 655 terms, the costliest admitted case measured).
 MAX_SERIES_TERMS = 100_000
 # Bytes an `--in` file may read per cell of the cap, plus 4 KiB of header:
@@ -194,6 +197,8 @@ def _load_measure(
 
 def _rhombus_matches(table: LevelMeasure) -> bool:
     """Whether the rhombus product equals the four-term layer of the table."""
+    from .series import from_measure
+
     return rhombus_product(table) == from_measure(four_term(table), table.r)
 
 
@@ -299,6 +304,8 @@ def cmd_moments(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
 
 
 def cmd_report(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
+    from .series import NCSeries, exp, from_measure, log
+
     check_size(args.p, args.level, args.depth)
     if args.degree > DEGREE_CAP:
         raise ValueError(f"--degree is capped at {DEGREE_CAP}")

@@ -12,7 +12,6 @@ from functools import reduce
 from operator import mul
 
 from .measures import FOUR_TERM, LevelMeasure, _four_term_maps
-from .series import NCSeries, from_measure
 
 __all__ = ["rhombus_product"]
 
@@ -28,6 +27,10 @@ def rhombus_product(mu: LevelMeasure) -> NCSeries:
     four signed factors' layers, the signed four-term combination of the
     table that the measure-side operator computes cell-wise.
     """
+    # series loads here, not with this module, so `import mzvkit.cli` skips
+    # it; the annotation above stays an unevaluated string
+    from .series import from_measure
+
     maps = _four_term_maps(mu.modulus, mu.r)
     factors = (LevelMeasure._reduced(mu.p, mu.n, mu.r,
                                      [sign * mu.numerators[cell] for cell in cells], mu.denominator)

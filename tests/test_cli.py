@@ -181,7 +181,7 @@ def test_report_aggregates_all_checks():
 # One fault per family of `report`, patched in: the series round trip, the
 # rhombus comparison, one failing vanishing verdict and a failing coset family.
 REPORT_FAULTS = {
-    "series_round_trip": ("mzvkit.cli.exp", lambda series: series),
+    "series_round_trip": ("mzvkit.series.exp", lambda series: series),
     "rhombus_four_term": ("mzvkit.cli._rhombus_matches", lambda table: False),
     "vanishing": ("mzvkit.cli.vanishing_sweep", lambda mu, words: [CongruenceVerdict(0, 1)]),
     "cosets": ("mzvkit.cli.coset_family",
@@ -379,6 +379,23 @@ def test_longest_legitimate_input_reads(tmp_path, monkeypatch):
     path.write_text(text.ljust(input_bound(9) + 1), encoding="ascii")
     assert run_cli(argv) == (2, "", f"error: {path} is longer than {input_bound(9)} bytes, "
                                     "the bound for the cap of 9 cells\n")
+
+
+def test_input_bound_admits_exactly_its_bytes_at_one_read_chunk(tmp_path, monkeypatch):
+    # a bound of one 64 KiB read chunk, 61 440 bytes for the one cell and
+    # 4 096 of header: a file of exactly that many bytes reads, and one byte
+    # more is refused, not cut at the chunk to valid JSON
+    monkeypatch.setenv("MZV_CAP", "1")
+    monkeypatch.setattr("mzvkit.cli.MAX_INPUT_BYTES_PER_CELL", 61_440)
+    bound = 1 << 16
+    text = json.dumps({"p": 2, "n": 0, "r": 1, "values": ["1"]})
+    path = tmp_path / "one-chunk.json"
+    argv = ["moments", "--in", str(path), "--exp-cap", "1"]
+    path.write_text(text.ljust(bound), encoding="ascii")
+    assert run_cli(argv)[0] == 0
+    path.write_text(text.ljust(bound + 1), encoding="ascii")
+    assert run_cli(argv) == (2, "", f"error: {path} is longer than {bound} bytes, "
+                                    "the bound for the cap of 1 cells\n")
 
 
 def traced(compute):
@@ -677,14 +694,37 @@ def _python(*args):
     return result.stdout
 
 
-def test_cli_import_loads_every_module_without_dataclasses():
-    # -S: no site-specific imports, so only what mzvkit.cli imports is loaded
+def test_cli_import_loads_every_layer_but_series_without_dataclasses():
+    # -S: no site-specific imports, so only what mzvkit.cli imports is loaded;
+    # series, and array with it, loads only when report or check-rhombus runs
     code = ("import json, sys, mzvkit.cli\n"
             "loaded = sorted(sys.modules)\n" + LOAD_TRACER +
             "print(json.dumps([loaded, sorted({module for module, _ in tracer.TRACED})]))")
     loaded, traced = json.loads(_python("-S", "-c", code))
     assert "dataclasses" not in loaded and "inspect" not in loaded and "typing" not in loaded
-    assert traced and all(f"mzvkit.{module}" in loaded for module in traced)
+    assert "series" in traced and "array" not in loaded
+    assert [module for module in loaded if module.startswith("mzvkit.")] == [
+        f"mzvkit.{module}" for module in traced if module != "series"]
+
+
+def test_only_report_and_check_rhombus_load_series(tmp_path):
+    measure = write_measure(tmp_path, random_kernel_measure(2, 1, 2, seed=0))
+    code = ("import io, json, sys, contextlib\n"
+            "from mzvkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(sys.argv[1:])\n"
+            "print(json.dumps([status, 'mzvkit.series' in sys.modules]))")
+    config = ["--p", "2", "--level", "1", "--depth", "2"]
+    runs = {
+        "check-cosets": ["check-cosets", "--in", measure],
+        "moments": ["moments", "--in", measure],
+        "vanish": ["vanish", "--in", measure],
+        "kernel": ["kernel", *config],
+        "report": ["report", *config, "--degree", "4"],
+        "check-rhombus": ["check-rhombus", *config],
+    }
+    loaded = {name: json.loads(_python("-S", "-c", code, *argv)) for name, argv in runs.items()}
+    assert loaded == {name: [0, name in ("report", "check-rhombus")] for name in runs}
 
 
 def test_every_exported_name_is_bound():
