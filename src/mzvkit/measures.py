@@ -13,7 +13,9 @@ written down once, as ``FOUR_TERM``: an entry (sign, scale, offset) is the
 term sign * mu(scale*j + offset), coordinate-wise.  Its index maps, cached
 per modulus and depth, hold the cell scale*j + offset of every cell j once
 per entry, and every cell-wise view reads them: :func:`four_term`, the
-operator matrix ``synth.four_term_matrix`` and the rhombus product.  The
+operator matrix ``synth.four_term_matrix`` and the rhombus product.  One
+coordinate-wise builder makes them and every other bulk cell map, such as the
+cached level map that :func:`project` and ``synth.lift`` read.  The
 coset identity sums over the coset based at scale*b + offset with final
 factor (x_r - offset)^{e_r} and sign sign * scale^m, m the exponent sum:
 x -> scale*x + offset scales each of its m linear factors by scale.
@@ -72,12 +74,21 @@ def point_to_index(point: Sequence[int], q: int) -> int:
     return index
 
 
-def index_to_point(index: int, q: int, r: int) -> tuple[int, ...]:
-    coords = []
+def _cell_index(point: Sequence[int], q: int, r: int) -> int:
+    """The row-major index in (Z/q)^r of ``point``, each coordinate mod q."""
+    if len(point) != r:
+        raise ValueError(f"point must have depth {r}, got {len(point)} coordinates")
+    return point_to_index([c % q for c in point], q)
+
+
+def _cell_map(images: Sequence[int], q: int, r: int) -> tuple[int, ...]:
+    """The row-major index in (Z/q)^r of the image of each cell of
+    (Z/len(images))^r, row-major, under c -> images[c] on every coordinate:
+    each coordinate appends its image to the indices of the ones before it."""
+    index = [0]
     for _ in range(r):
-        index, low = divmod(index, q)
-        coords.append(low)
-    return tuple(reversed(coords))
+        index = [i * q + image for i in index for image in images]
+    return tuple(index)
 
 
 @lru_cache(maxsize=128)
@@ -152,14 +163,12 @@ class LevelMeasure(Immutable):
 
     @classmethod
     def point_mass(cls, p: int, n: int, r: int, point: Sequence[int], mass: Fraction | int = 1) -> "LevelMeasure":
-        q = p**n
-        cells: list[Fraction | int] = [0] * q**r
-        cells[point_to_index(tuple(c % q for c in point), q)] = mass
+        cells: list[Fraction | int] = [0] * p ** (n * r)
+        cells[_cell_index(point, p**n, r)] = mass
         return cls(p, n, r, cells)
 
     def value(self, point: Sequence[int]) -> Fraction:
-        q = self.modulus
-        return self.values[point_to_index(tuple(c % q for c in point), q)]
+        return self.values[_cell_index(point, self.modulus, self.r)]
 
     def points(self) -> tuple[tuple[int, ...], ...]:
         return _points(self.modulus, self.r)
@@ -199,28 +208,25 @@ def project(mu: LevelMeasure) -> LevelMeasure:
     """Drop one level: the value at a residue tuple is the sum over its fiber."""
     if mu.n == 0:
         raise ValueError("cannot project below level 0")
-    q_new = mu.p ** (mu.n - 1)
-    cells = [0] * q_new**mu.r
-    for point, value in zip(mu.points(), mu.numerators):
-        if value:
-            cells[point_to_index(tuple(c % q_new for c in point), q_new)] += value
+    cells = [0] * mu.p ** ((mu.n - 1) * mu.r)
+    for cell, value in zip(_level_map(mu.p, mu.n - 1, mu.r), mu.numerators):
+        cells[cell] += value
     return LevelMeasure._reduced(mu.p, mu.n - 1, mu.r, cells, mu.denominator)
+
+
+@lru_cache(maxsize=64)
+def _level_map(p: int, n: int, r: int) -> tuple[int, ...]:
+    """The index of the cell of level n below each cell of level n + 1: its
+    coordinates mod p^n, row-major."""
+    return _cell_map(list(range(p**n)) * p, p**n, r)
 
 
 @lru_cache(maxsize=64)
 def _four_term_maps(q: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Per ``FOUR_TERM`` entry, the index of the cell scale*j + offset for
-    every cell j of (Z/q)^r, row-major.  The map acts coordinate-wise, so
-    each coordinate appends its residue's image to the indices of the
-    coordinates before it."""
-    maps = []
-    for _, scale, offset in FOUR_TERM:
-        images = [(scale * c + offset) % q for c in range(q)]
-        index = [0]
-        for _ in range(r):
-            index = [i * q + image for i in index for image in images]
-        maps.append(tuple(index))
-    return tuple(maps)
+    every cell j of (Z/q)^r, row-major."""
+    return tuple(_cell_map([(scale * c + offset) % q for c in range(q)], q, r)
+                 for _, scale, offset in FOUR_TERM)
 
 
 def _four_term_cells(mu: LevelMeasure) -> Iterator[int]:

@@ -21,9 +21,9 @@ series hold equal buckets.
 A degree-d word is coded as the int whose base-(p^n + 1) digits are its letters,
 first letter most significant, with X -> 0 and Y_i -> i + 1.  Concatenation is
 ``code_a * base**deg_b + code_b``, and within one degree code order is tuple
-order.  A code is an int64, so a series whose largest code
-``base**degree_cap - 1`` needs more than 63 bits is a ValueError.  Tuples and
-``Fraction``s are built only by ``coeff``, ``terms`` and ``repr``.
+order.  A series whose largest code ``base**degree_cap - 1`` exceeds int64 is a
+ValueError.  Tuples and ``Fraction``s are built only by the constructor and
+``from_measure``, which take them, and by ``coeff``, ``terms`` and ``repr``.
 """
 
 from __future__ import annotations

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import os
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Immutable, check_config
-from .measures import (FOUR_TERM, LevelMeasure, _four_term_maps, _points, index_to_point,
-                       point_to_index)
+from .measures import FOUR_TERM, LevelMeasure, _cell_map, _four_term_maps, _level_map, _points
 
 __all__ = [
     "DEFAULT_CELL_CAP",
@@ -95,8 +93,8 @@ def _kernel_vectors(q: int, r: int) -> list[dict[int, int]]:
     """
     by_free: dict[int, dict[int, int]] = {}
     groups: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
-    for lo, x in enumerate(_points(q, r)):
-        hi = point_to_index(tuple(-c % q for c in x), q)
+    negation = _cell_map([-c % q for c in range(q)], q, r)
+    for lo, (x, hi) in enumerate(zip(_points(q, r), negation)):
         if hi == lo:
             by_free[lo] = {lo: 1}
         elif lo < hi:
@@ -181,12 +179,7 @@ def random_lambda_table(p: int, n: int, r: int, seed: int) -> LevelMeasure:
 
 def lift(mu: LevelMeasure) -> LevelMeasure:
     """Equidistributed lift one level up: each of the p^r children of a cell
-    receives the parent value divided by p^r, so projecting back is exact."""
-    q_new = mu.p ** (mu.n + 1)
-    share = Fraction(1, mu.p**mu.r)
-    q_old = mu.modulus
-    values = []
-    for index in range(q_new**mu.r):
-        point = index_to_point(index, q_new, mu.r)
-        values.append(mu.value(tuple(c % q_old for c in point)) * share)
-    return LevelMeasure(mu.p, mu.n + 1, mu.r, tuple(values))
+    reads its parent's numerator through the level map, over p^r times the
+    denominator, so projecting back is exact."""
+    numerators = list(map(mu.numerators.__getitem__, _level_map(mu.p, mu.n, mu.r)))
+    return LevelMeasure._reduced(mu.p, mu.n + 1, mu.r, numerators, mu.denominator * mu.p**mu.r)

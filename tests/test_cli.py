@@ -631,6 +631,20 @@ def test_usage_errors_exit_two():
         with pytest.raises(SystemExit) as excinfo:
             run_cli([command, "--seed", "0", "--exp-cap", "-5"])
         assert excinfo.value.code == 2
+    # argparse's refusals and a command's own, each with its message
+    for argv, message in (
+        (["certificate", "1,x", "--p", "2"], "bad exponent list"),
+        (["certificate", "1,-2", "--p", "2"], "exponents must be non-negative integers"),
+        (["vanish", "--seed", "0", "--level", "1", "--depth", "1"],
+         "--p is required when no input file is given"),
+    ):
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert (code, message in err.getvalue()) == (2, True), argv
 
 
 def exit_code(argv):

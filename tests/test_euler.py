@@ -43,6 +43,8 @@ def test_four_term_poly_rejects_bad_input():
         four_term_poly(-1, "even")
     with pytest.raises(ValueError):
         four_term_poly(2, "weird")
+    with pytest.raises(ValueError, match="exponent at least 1"):
+        four_term_poly_coeffs(0, "odd")
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

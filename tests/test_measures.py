@@ -11,14 +11,15 @@ from mzvkit.measures import (
     FOUR_TERM,
     Coset,
     LevelMeasure,
+    _cell_map,
     _four_term_maps,
     _integrand_value,
+    _level_map,
     _points,
     coset_moment,
     factorial_norm,
     four_term,
     four_term_is_zero,
-    index_to_point,
     measure_from_json_dict,
     measure_to_json_dict,
     moment,
@@ -55,11 +56,20 @@ def integer_measures(draw, configs=CONFIGS, bound=9):
     return LevelMeasure(p, n, r, tuple(Fraction(v) for v in values))
 
 
+def project_oracle(mu):
+    """``project`` point by point: each cell's numerator goes to the index of
+    its point mod p^(n-1)."""
+    q_new = mu.p ** (mu.n - 1)
+    cells = [0] * q_new**mu.r
+    for point, value in zip(mu.points(), mu.numerators):
+        cells[point_to_index(tuple(c % q_new for c in point), q_new)] += value
+    return LevelMeasure(mu.p, mu.n - 1, mu.r, [Fraction(v, mu.denominator) for v in cells])
+
+
 def test_index_round_trip():
     assert point_to_index((1, 2), 3) == 5
-    assert index_to_point(5, 3, 2) == (1, 2)
-    for index in range(27):
-        assert point_to_index(index_to_point(index, 3, 3), 3) == index
+    for index, point in enumerate(_points(3, 3)):
+        assert point_to_index(point, 3) == index
 
 
 def test_measure_shape_validation():
@@ -69,6 +79,12 @@ def test_measure_shape_validation():
         LevelMeasure(2, 1, 2, (Fraction(0),) * 3)
     with pytest.raises(ValueError, match="different base, level, or depth"):
         LevelMeasure.zero(2, 1, 1) + LevelMeasure.zero(2, 1, 2)
+    # a point of the wrong length is refused, neither padded nor cut
+    for point in ((1,), (2,), (0, 1, 2), ()):
+        with pytest.raises(ValueError, match="point must have depth 2"):
+            LevelMeasure.point_mass(3, 1, 2, point)
+        with pytest.raises(ValueError, match="point must have depth 2"):
+            LevelMeasure.constant(3, 1, 2).value(point)
 
 
 def test_values_must_be_exact():
@@ -247,17 +263,25 @@ def test_four_term_point_masses_mod_three():
     assert four_term(delta(3, 1, 1, (1,))) == expected
 
 
+# per modulus q = p^(n+1) above 1, the (p, n) whose level map leaves it
+LEVEL_BELOW = {2: (2, 0), 3: (3, 0), 4: (2, 1), 5: (5, 0), 9: (3, 1), 97: (97, 0)}
+
+
 @pytest.mark.parametrize("q,r", [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (4, 3), (5, 2),
                                  (9, 2), (97, 1), (97, 2)])
 def test_four_term_maps_match_the_cell_by_cell_oracle(q, r):
-    # the maps are built a coordinate at a time; the oracle maps every cell's
-    # point and indexes it
-    oracle = tuple(
-        tuple(point_to_index(tuple((scale * c + offset) % q for c in point), q)
-              for point in _points(q, r))
-        for _, scale, offset in FOUR_TERM
-    )
-    assert _four_term_maps(q, r) == oracle
+    # every cell map is built a coordinate at a time; the oracle maps every
+    # cell's point and indexes it
+    def oracle(image, q_to):
+        return tuple(point_to_index(tuple(image(c) % q_to for c in point), q_to)
+                     for point in _points(q, r))
+
+    assert _four_term_maps(q, r) == tuple(oracle(lambda c: scale * c + offset, q)
+                                          for _, scale, offset in FOUR_TERM)
+    assert _cell_map([-c % q for c in range(q)], q, r) == oracle(lambda c: -c, q)
+    if q > 1:
+        p, n = LEVEL_BELOW[q]
+        assert _level_map(p, n, r) == oracle(lambda c: c, p**n)
 
 
 def test_four_term_kills_constants():

@@ -180,6 +180,7 @@ def test_alphabet_letters_and_names():
     assert AB3.letters() == (X, 0, 1, 2)
     named = NCSeries(AB3, 3, {(X, 0, 2): 1, (): 1})
     assert repr(named) == "NCSeries(p=3, n=1, D=3: 1*1 + 1*X.Y0.Y2)"
+    assert repr(NCSeries.zero(AB2, 2)) == "NCSeries(p=2, n=1, D=2: 0)"
     with pytest.raises(ValueError):
         AB3.check_letter(3)
 
@@ -187,6 +188,8 @@ def test_alphabet_letters_and_names():
 def test_constructor_rejects_words_above_cap():
     with pytest.raises(ValueError):
         NCSeries(AB2, 2, {(0, 0, 0): Fraction(1)})
+    with pytest.raises(ValueError, match="truncation degree must be non-negative"):
+        NCSeries(AB2, -1)
 
 
 def test_float_coefficients_are_rejected():

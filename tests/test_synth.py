@@ -5,10 +5,10 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mzvkit.exact import is_prime
-from mzvkit.measures import FOUR_TERM, LevelMeasure, four_term, four_term_is_zero, project
+from mzvkit.measures import FOUR_TERM, LevelMeasure, _points, four_term, four_term_is_zero, project
 from mzvkit.synth import (
     DEFAULT_CELL_CAP,
     KernelBasis,
@@ -18,7 +18,7 @@ from mzvkit.synth import (
     random_kernel_measure,
     random_lambda_table,
 )
-from test_measures import affine_pushforward
+from test_measures import affine_pushforward, project_oracle
 
 KNOWN_DIMENSIONS = {
     (2, 1, 1): 2,
@@ -232,12 +232,37 @@ def test_lift_zero_is_zero():
     assert lift(LevelMeasure.zero(3, 1, 2)).is_zero()
 
 
-def test_project_undoes_lift():
-    for seed in range(5):
-        mu = random_kernel_measure(3, 1, 2, seed=seed)
-        assert project(lift(mu)) == mu
-    dense = LevelMeasure(2, 1, 1, (Fraction(3), Fraction(-7)))
-    assert project(lift(dense)) == dense
+def lift_oracle(mu):
+    """``lift`` point by point: each cell of level n + 1 takes the value at
+    its point mod p^n times the Fraction 1/p^r."""
+    share = Fraction(1, mu.p**mu.r)
+    return LevelMeasure(mu.p, mu.n + 1, mu.r,
+                        [mu.value(point) * share for point in _points(mu.p ** (mu.n + 1), mu.r)])
+
+
+@st.composite
+def rational_measures(draw):
+    """Levels 0 to 2, with denominators that p divides, once, twice, or not."""
+    p, n, r = draw(st.sampled_from([(2, 0, 1), (3, 0, 3), (2, 1, 1), (2, 1, 2), (3, 1, 2),
+                                    (5, 1, 1), (2, 2, 2), (3, 2, 1)]))
+    den = p ** draw(st.integers(0, 2)) * draw(st.integers(1, 4))
+    size = p ** (n * r)
+    values = draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    return LevelMeasure(p, n, r, [Fraction(v, den) for v in values])
+
+
+@settings(max_examples=80)
+@given(mu=rational_measures())
+@example(mu=LevelMeasure(2, 1, 1, (Fraction(3), Fraction(-7))))
+@example(mu=random_kernel_measure(3, 1, 2, seed=0))
+@example(mu=random_kernel_measure(3, 1, 2, seed=4))
+def test_project_undoes_lift(mu):
+    # measures compare field for field: numerators and denominator
+    lifted = lift(mu)
+    assert lifted == lift_oracle(mu)
+    assert project(lifted) == project_oracle(lifted) == mu
+    if mu.n:
+        assert project(mu) == project_oracle(mu)
 
 
 @pytest.mark.parametrize("p", [2, 3])
