@@ -121,6 +121,10 @@ CASES = [
     # a cap-scale vanishing sweep on a kernel measure: 1 722 odd words at 9 409 cells
     (("vanish", "--p", "97", "--level", "1", "--depth", "2", "--seed", "0", "--exp-cap", "81"), 0,
      "df0e30ca3dd7f89eace3639895167dea1bc288df751d308e86c209e0f14ddc6f"),
+    # a deep level-0 vanishing sweep: 300 odd words, each a single 1, so each
+    # word changes one stage and every stage after it passes its table through
+    (("vanish", "--p", "2", "--level", "0", "--depth", "300", "--seed", "0", "--exp-cap", "1"), 0,
+     "f1ae70dab7d13c9fe252ab37a4db6ab06d22ad071b997ee1083eef0b018050d3"),
     (("report", "--p", "3", "--level", "1", "--depth", "1", "--seed", "5", "--degree", "4"), 0,
      "d5d8f0ce5afb3158e4a4cb27a0691a483b9c8aee0befb5a56c7f6c2ed82c21a2"),
     (("report", "--p", "5", "--level", "1", "--depth", "1", "--seed", "2", "--degree", "3"), 0,
