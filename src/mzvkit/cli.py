@@ -11,7 +11,9 @@ rows nor the whole document are held.  A row's layout, there and in any new
 streamed report, comes from one ``json.dumps`` template, :func:`_row_template`.
 ``moments`` holds no word list and at most two levels of the table:
 ``measures.moment_table`` makes each word as its row is made.  ``vanish``
-holds its verdicts, because its ``all_pass`` field sorts before its ``checks``.
+holds one valuation per word, because its ``all_pass`` field sorts before its
+``checks``: it walks the words once to sweep them and again to write their
+rows, and makes each word only for its row.
 
 Only ``report`` and ``check-rhombus`` build truncated series, so only they
 import ``series``, when they run; importing this module loads every other
@@ -30,18 +32,18 @@ from math import factorial, gcd, prod
 from .euler import (
     MAX_CERTIFICATE_EXPONENT,
     _require_kernel_integer,
+    _vanishing_family,
     _valuation_json,
     certificate_to_json_dict,
     coset_family,
     make_certificate,
-    vanishing_sweep,
-    verdict_family,
 )
 from .exact import INFINITY, _int_valuation, check_config
 from .measures import (
     LevelMeasure,
     _measure_header,
-    exponent_words,
+    _word,
+    _WordSums,
     four_term,
     measure_from_json_dict,
     moment_table,
@@ -97,12 +99,12 @@ def _check_word_count(r: int, cap: int, odd_only: bool) -> None:
                          f"{MAX_CERTIFICATE_EXPONENT}")
 
 
-def _exponent_words(r: int, cap: int, odd_only: bool) -> list[tuple[int, ...]]:
+def _exponent_words(r: int, cap: int, odd_only: bool) -> _WordSums:
     """The length-r words with sum at most ``cap`` (odd sum if ``odd_only``),
-    in lexicographic order, once :func:`_check_word_count` admits them."""
+    in lexicographic order, as their partial sums, once
+    :func:`_check_word_count` admits them; none is made until they are walked."""
     _check_word_count(r, cap, odd_only)
-    words = exponent_words(r, cap)
-    return [word for word in words if sum(word) % 2] if odd_only else list(words)
+    return _WordSums(r, cap, odd_only)
 
 
 def _header(command: str, p: int, n: int, r: int, **fields: object) -> dict:
@@ -139,6 +141,14 @@ def _row_template(row: dict) -> str:
     return text.replace(f'"{_BARE}"', "{}").replace(_QUOTED, "{}")
 
 
+def _list_template(row: dict, key: str) -> tuple[str, str]:
+    """``row`` with a list at ``key`` as :func:`_row_template` makes it, with
+    one hole for the whole list, and the text json.dumps puts between two of
+    the list's entries, to join them with."""
+    between = _row_template({key: [_BARE] * 2}).split("{}")[1]
+    return _row_template({**row, key: [_BARE]}), between
+
+
 def _valuation_text(valuation: int | float) -> str:
     """A valuation as json.dumps writes its report form."""
     value = _valuation_json(valuation)
@@ -146,8 +156,8 @@ def _valuation_text(valuation: int | float) -> str:
 
 
 def _load_measure(
-    args: argparse.Namespace, words_of: Callable[[int], list[tuple[int, ...]] | None]
-) -> tuple[LevelMeasure, dict, list[tuple[int, ...]] | None]:
+    args: argparse.Namespace, words_of: Callable[[int], _WordSums | None]
+) -> tuple[LevelMeasure, dict, _WordSums | None]:
     """Measure from --in, or a seeded kernel measure from the config flags,
     with ``words_of(depth)``: the exponent words, or None where it only
     guards their number.  Each check runs before the work it guards, in this
@@ -227,17 +237,24 @@ def cmd_kernel(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
 
 
 def cmd_vanish(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
-    mu, source, words = _load_measure(args, lambda r: _exponent_words(r, args.exp_cap, True))
-    verdicts = vanishing_sweep(mu, words)
-    passed = verdict_family(verdicts).passed
-    template = _row_template({"exponents": [_BARE] * mu.r, "pass": _BARE, "threshold": _BARE,
-                              "valuation": _BARE})
-    rows = (template.format(*word, "true" if verdict.passed else "false", verdict.threshold,
-                            _valuation_text(verdict.valuation))
-            for word, verdict in zip(words, verdicts))
+    mu, source, sums = _load_measure(args, lambda r: _exponent_words(r, args.exp_cap, True))
+    family, valuations, thresholds = _vanishing_family(mu, sums)
+    template, between = _list_template({"pass": _BARE, "threshold": _BARE, "valuation": _BARE},
+                                       "exponents")
+    texts = [str(e) for e in range(args.exp_cap + 1)]
+
+    def rows() -> Iterator[str]:
+        # a second walk of the words, each made for its row
+        for word_sums, valuation in zip(sums, valuations):
+            word = _word(word_sums)
+            threshold = thresholds[word[-1]]
+            yield template.format(between.join(map(texts.__getitem__, word)),
+                                  "true" if valuation >= threshold else "false",
+                                  threshold, _valuation_text(valuation))
+
     report = _header("vanish", mu.p, mu.n, mu.r, source=source, exponent_cap=args.exp_cap,
-                     all_pass=passed)
-    return _with_rows(report, "checks", rows), passed
+                     all_pass=family.passed)
+    return _with_rows(report, "checks", rows()), family.passed
 
 
 def cmd_certificate(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
@@ -277,20 +294,22 @@ def cmd_check_cosets(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
 
 def _moment_rows(mu: LevelMeasure, cap: int) -> Iterator[str]:
     """The moments report's entries as json.dumps indents them, written from
-    ints by the depth's row template: the moment a/b in lowest terms,
+    ints by the row template, each exponent's text read from a table: the
+    moment a/b in lowest terms,
     lambda = a / (b * prod e_i!) with the factorials read from a table and
     reduced by one gcd (gcd(a, b) is 1), and the valuation v_p(a) - v_p(b)."""
     table = moment_table(mu, cap)
     factorials = [factorial(e) for e in range(cap + 1)]
-    template = _row_template({"exponents": [_BARE] * (mu.r + 1), "lambda": _QUOTED,
-                              "moment": _QUOTED, "valuation": _BARE})
+    texts = [str(e) for e in range(cap + 1)]
+    template, between = _list_template({"lambda": _QUOTED, "moment": _QUOTED,
+                                        "valuation": _BARE}, "exponents")
     p, zero_valuation = mu.p, _valuation_text(INFINITY)
     for word, value in table:
         a, b = value.numerator, value.denominator
-        norm = b * prod(map(factorials.__getitem__, word))
+        norm = b * prod(map(factorials.__getitem__, filter(None, word)))  # 0! = 1
         g = gcd(a, norm)
         yield template.format(
-            *word,
+            between.join(map(texts.__getitem__, word)),
             a // g if g == norm else f"{a // g}/{norm // g}",
             a if b == 1 else f"{a}/{b}",
             _int_valuation(a, p) - _int_valuation(b, p) if a else zero_valuation,
@@ -319,8 +338,7 @@ def cmd_report(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     if terms > MAX_SERIES_TERMS:
         raise ValueError(f"--degree {args.degree} needs about {terms} series terms at "
                          f"{cells} cells, above the limit {MAX_SERIES_TERMS}")
-    # the guard, which counts all the words, runs before any work; the words
-    # are built after the series round trip, so they are not held through it
+    # the guard, which counts all the words, runs before any work
     _check_word_count(r, args.exp_cap, odd_only=True)
 
     table = random_lambda_table(p, n, r, seed=seed)
@@ -330,10 +348,8 @@ def cmd_report(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
 
     basis = four_term_kernel(p, n, r)
     mu = random_kernel_measure(p, n, r, seed=seed)
-    coset_words = list(exponent_words(r, args.exp_cap))
-    vanish_words = [word for word in coset_words if sum(word) % 2]
-    families = {"vanishing": verdict_family(vanishing_sweep(mu, vanish_words)),
-                "cosets": coset_family(mu, coset_words)}
+    families = {"vanishing": _vanishing_family(mu, _WordSums(r, args.exp_cap, odd=True))[0],
+                "cosets": coset_family(mu, _WordSums(r, args.exp_cap))}
     checks = {
         "series_round_trip": {"pass": series_ok},
         "rhombus_four_term": {"pass": _rhombus_matches(table)},

@@ -8,15 +8,16 @@ power) with exact Fraction entries and no trailing zeros.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import factorial, gcd
 
 from .exact import (INFINITY, Immutable, binomial, bernoulli, check_word, format_rational,
                     padic_valuation)
-from .measures import (FOUR_TERM, Coset, LevelMeasure, _four_term_maps, _points, coset_moment,
-                       coset_sums, factorial_norm, four_term_is_zero, moment)
+from .measures import (FOUR_TERM, Coset, LevelMeasure, _four_term_maps, _points, _sweep, _word,
+                       coset_moment, factorial_norm, four_term_is_zero, moment)
 
 __all__ = [
     "Poly",
@@ -28,8 +29,6 @@ __all__ = [
     "CongruenceVerdict",
     "CheckFamily",
     "vanishing_check",
-    "vanishing_sweep",
-    "verdict_family",
     "coset_four_term_check",
     "coset_identity_sweep",
     "coset_family",
@@ -174,7 +173,7 @@ def certificate_to_json_dict(cert: VanishingCertificate, p: int) -> dict:
 
 
 class CongruenceVerdict(Immutable):
-    # slots: a sweep holds one verdict per word
+    # slots: a list of verdicts, as the sweep oracles make, holds one per word
     __slots__ = _fields = ("valuation", "threshold")
 
     def __init__(self, valuation: int | float, threshold: int) -> None:
@@ -242,27 +241,32 @@ def vanishing_check(
     return CongruenceVerdict(padic_valuation(moment(mu, (0, *exponents)), mu.p), threshold)
 
 
-def vanishing_sweep(mu: LevelMeasure, words: Iterable[Sequence[int]]) -> list[CongruenceVerdict]:
-    """:func:`vanishing_check` for every word, in order, from one engine sweep
-    at modulus 1.
+def _vanishing_family(mu: LevelMeasure, sums: Collection[Sequence[int]]
+                      ) -> tuple[CheckFamily, list[int | float], dict[int, int]]:
+    """:func:`vanishing_check` at every odd word of ``sums``, a collection of
+    partial sums walked twice in step, from one engine sweep at modulus 1:
+    the family, each word's valuation in order, and the threshold per final
+    exponent.  A failure is a (word, valuation, threshold) tuple.
 
     The kernel and integrality hypotheses are checked once, first.  The slack
     depends only on the final exponent, so one certificate is built per final
-    exponent, before the sweep.
+    exponent, at its first word.  No word is made but for a certificate or a
+    failure.
     """
-    words = [_odd_word(mu, word) for word in words]
     _require_kernel_integer(mu)
-    by_final = {word[-1]: word for word in words}
-    slack = {a: make_certificate(word).slack(mu.p) for a, word in by_final.items()}
-    sums = coset_sums(mu, words, 0, (0,))
-    return [CongruenceVerdict(padic_valuation(table[0], mu.p), mu.n - slack[word[-1]])
-            for word, (table,) in zip(words, sums)]
-
-
-def verdict_family(verdicts: Sequence[CongruenceVerdict]) -> CheckFamily:
-    """The family of ``verdicts``: the failures are the failing verdicts, in order."""
-    return CheckFamily(len(verdicts), tuple(verdict for verdict in verdicts if not verdict.passed),
-                       min((verdict.valuation for verdict in verdicts), default=INFINITY))
+    thresholds: dict[int, int] = {}
+    valuations: list[int | float] = []
+    failures = []
+    for word_sums, (table,) in zip(sums, _sweep(mu, sums, 0, (0,))):
+        final = word_sums[-1] - (word_sums[-2] if mu.r > 1 else 0)
+        if final not in thresholds:
+            thresholds[final] = mu.n - make_certificate(_word(word_sums)).slack(mu.p)
+        valuation = padic_valuation(table[0], mu.p)
+        valuations.append(valuation)
+        if valuation < thresholds[final]:
+            failures.append((_word(word_sums), valuation, thresholds[final]))
+    family = CheckFamily(len(valuations), tuple(failures), min(valuations, default=INFINITY))
+    return family, valuations, thresholds
 
 
 def _identity_signs(m: int) -> list[int]:
@@ -304,10 +308,11 @@ def coset_four_term_check(
     return CongruenceVerdict(padic_valuation(total, mu.p), mu.n)
 
 
-def _identity_totals(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
+def _identity_totals(mu: LevelMeasure, sums: Collection[Sequence[int]],
                      modulus_exponent: int) -> Iterator[list[int]]:
-    """Per word (n_1, ..., n_r), the coset identity's signed totals at the
-    bases in row-major order, times ``mu.denominator``."""
+    """Per word, given by its partial sums in ``sums`` (a collection walked
+    twice in step), the coset identity's signed totals at the bases in
+    row-major order, times ``mu.denominator``."""
     maps = _four_term_maps(mu.p**modulus_exponent, mu.r)
     offsets = sorted({-offset for _, _, offset in FOUR_TERM})
     # per parity of the exponent sum, the entries with sign + first (two of
@@ -317,10 +322,10 @@ def _identity_totals(mu: LevelMeasure, words: Sequence[tuple[int, ...]],
               for m in (0, 1)]
     slots = [[offsets.index(-FOUR_TERM[entry][2]) for entry in order] for order in orders]
     cells = [list(zip(*(maps[entry] for entry in order))) for order in orders]
-    stream = coset_sums(mu, words, modulus_exponent, offsets)
-    for word, sums in zip(words, stream):
-        odd = sum(word) % 2
-        a, b, c, d = (sums[slot] for slot in slots[odd])
+    stream = _sweep(mu, sums, modulus_exponent, offsets)
+    for word_sums, tables in zip(sums, stream):
+        odd = word_sums[-1] % 2  # the exponent sum is the last partial sum
+        a, b, c, d = (tables[slot] for slot in slots[odd])
         yield [a[i] + b[j] - c[k] - d[l] for i, j, k, l in cells[odd]]
 
 
@@ -342,31 +347,33 @@ def _screened_failures(totals: list[int], p: int,
 
 def coset_identity_sweep(
     mu: LevelMeasure,
-    words: Iterable[Sequence[int]],
+    sums: Collection[Sequence[int]],
     modulus_exponent: int,
 ) -> Iterator[tuple[int | float, list[tuple[int, int]]]]:
     """:func:`coset_four_term_check` at every coset of one modulus, per word.
 
-    Yields, for each exponent word in order, the worst valuation of the signed
+    The words are given by their partial sums, a collection walked twice in
+    step (``measures._word_sums`` makes it from explicit words, checking
+    each).  Yields, for each word in order, the worst valuation of the signed
     totals over the bases of (Z/p^modulus_exponent)^r and the failing checks,
     as (row-major base index, valuation) pairs in base order; a check fails
     when its valuation is below the measure's level.  The hypotheses are not
     checked here, so that a measure outside the kernel can be shown to fail.
     """
-    words = [check_word(word, mu.r) for word in words]
     # the totals T are numerators over d = mu.denominator and v_p(T/d) = v_p(T) - v_p(d)
     shift = padic_valuation(mu.denominator, mu.p)
     screened = (_screened_failures(totals, mu.p, mu.n + shift)
-                for totals in _identity_totals(mu, words, modulus_exponent))
+                for totals in _identity_totals(mu, sums, modulus_exponent))
     return ((worst - shift, [(index, v - shift) for index, v in failures])
             for worst, failures in screened)
 
 
-def coset_family(mu: LevelMeasure, words: Sequence[tuple[int, ...]]) -> CheckFamily:
+def coset_family(mu: LevelMeasure, sums: Collection[Sequence[int]]) -> CheckFamily:
     """Every signed coset identity at modulus exponents {1, n} (only 0 at
-    level 0) and every word.  A failure is a (modulus exponent, base point,
-    word, valuation) tuple, in (modulus exponent, base, word) order; a
-    failing valuation is below n, so a finite int.
+    level 0) and every word, the words given by their partial sums: a sized
+    collection, walked in step by each sweep.  A failure is a (modulus
+    exponent, base point, word, valuation) tuple, in (modulus exponent, base,
+    word) order; a failing valuation is below n, so a finite int.
 
     On an integer measure every signed total is congruent mod p^n to the sum
     of the word's integrand times the four-term combination over its coset
@@ -381,18 +388,18 @@ def coset_family(mu: LevelMeasure, words: Sequence[tuple[int, ...]]) -> CheckFam
     failures = []
     worst: int | float = INFINITY
     for modulus_exponent in sorted({1, mu.n}) if mu.n >= 1 else [0]:
-        total += len(words) * mu.p ** (modulus_exponent * mu.r)
+        total += len(sums) * mu.p ** (modulus_exponent * mu.r)
         if worst <= settled:
             continue
         failed = []
-        sweep = coset_identity_sweep(mu, words, modulus_exponent)
-        for word_index, (word_worst, word_failures) in enumerate(sweep):
+        sweep = zip(count(), sums, coset_identity_sweep(mu, sums, modulus_exponent))
+        for word_index, word_sums, (word_worst, word_failures) in sweep:
             worst = min(worst, word_worst)
-            failed += [(base, word_index, v) for base, v in word_failures]
+            failed += [(base, word_index, _word(word_sums), v) for base, v in word_failures]
             if worst <= settled:
                 break
-        failures += [(modulus_exponent, _points(mu.p**modulus_exponent, mu.r)[base],
-                      words[word_index], v) for base, word_index, v in sorted(failed)]
+        failures += [(modulus_exponent, _points(mu.p**modulus_exponent, mu.r)[base], word, v)
+                     for base, _, word, v in sorted(failed)]
     return CheckFamily(total, tuple(failures), worst)
 
 

@@ -10,27 +10,32 @@ is the one place a table becomes a series, each factor of
 
 The signed four-term combination mu(j) - mu(-j) + mu(1-j) - mu(j-1) is
 written down once, as ``FOUR_TERM``: an entry (sign, scale, offset) is the
-term sign * mu(scale*j + offset), coordinate-wise.  Its index maps, cached
-per modulus and depth, hold the cell scale*j + offset of every cell j once
-per entry, and every cell-wise view reads them: :func:`four_term`, the
-operator matrix ``synth.four_term_matrix`` and the rhombus product.  One
+term sign * mu(scale*j + offset), coordinate-wise.  Its index maps hold the
+cell scale*j + offset of every cell j once per entry, and every cell-wise
+view reads them: :func:`four_term` (and the kernel test) builds them for the
+call, and the operator matrix ``synth.four_term_matrix``, the rhombus product
+and the coset sweep read them cached per modulus and depth.  One
 coordinate-wise builder makes them and every other bulk cell map, such as the
 cached level map that :func:`project` and ``synth.lift`` read.  The
 coset identity sums over the coset based at scale*b + offset with final
 factor (x_r - offset)^{e_r} and sign sign * scale^m, m the exponent sum:
 x -> scale*x + offset scales each of its m linear factors by scale.
 
-Sweeps run on one engine, :func:`coset_sums`, over r-words: (e_1, ..., e_r)
-stands for the integrand of (0, e_1, ..., e_r), whose first factor is 1.  It
-eliminates the integrand's variables along the difference chain: factor k
-reads x_k and x_{k+1} only, so once factors 1..k are multiplied into the
-table, x_k is summed out of it, keeping x_k mod p^e for coset sums at modulus
-p^e, and nothing at modulus 1.  The first table holds the numerators of the
-nonzero cells, and each later table only the keys that some cell reaches.
-Words with a common prefix share its stages, and the final offsets share all
-stages but the last.  :func:`moment_table` takes from the engine the words of
-first exponent 0 and makes each later level of the table from the one
-before, by a recurrence in the first exponent that adds and never multiplies.
+Sweeps run on one engine over r-words: (e_1, ..., e_r) stands for the
+integrand of (0, e_1, ..., e_r), whose first factor is 1.  It eliminates the
+integrand's variables along the difference chain: factor k reads x_k and
+x_{k+1} only, so once factors 1..k are multiplied into the table, x_k is
+summed out of it, keeping x_k mod p^e for coset sums at modulus p^e, and
+nothing at modulus 1.  The first table holds the numerators of the nonzero
+cells, and each later table only the keys that some cell reaches.  The
+engine reads each word as its partial sums, as ``combinations_with_replacement``
+lists the words of bounded sum, so a sweep makes no word; :func:`coset_sums`
+turns explicit words into partial sums.  Words with a common prefix share its
+stages, a stage of exponent 0 that neither sums nor copies is skipped, and the
+final offsets share all stages but the last.  :func:`moment_table` takes from the
+engine the words of first exponent 0 and makes each later level of the table
+from the one before, by a recurrence in the first exponent that adds and
+never multiplies.
 :func:`coset_moment` evaluates one cell at a time and stays as their
 independent oracle; :func:`moment` is that oracle over the whole table, the
 coset of modulus 1.
@@ -38,10 +43,11 @@ coset of modulus 1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations_with_replacement, product, repeat
+from itertools import accumulate, chain, combinations_with_replacement, product, repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul, neg, sub
 
@@ -56,7 +62,6 @@ __all__ = [
     "four_term_is_zero",
     "moment",
     "moment_table",
-    "coset_sums",
     "factorial_norm",
     "coset_moment",
     "measure_to_json_dict",
@@ -89,6 +94,13 @@ def _cell_map(images: Sequence[int], q: int, r: int) -> tuple[int, ...]:
     for _ in range(r):
         index = [i * q + image for i in index for image in images]
     return tuple(index)
+
+
+def _cell_count(p: int, n: int, r: int) -> int:
+    """p^(n*r), once ``check_config`` admits (p, n, r): at a negative level
+    the power would be a float."""
+    check_config(p, n, r)
+    return p ** (n * r)
 
 
 @lru_cache(maxsize=128)
@@ -155,15 +167,15 @@ class LevelMeasure(Immutable):
 
     @classmethod
     def zero(cls, p: int, n: int, r: int) -> "LevelMeasure":
-        return cls(p, n, r, (0,) * p ** (n * r))
+        return cls(p, n, r, (0,) * _cell_count(p, n, r))
 
     @classmethod
     def constant(cls, p: int, n: int, r: int, value: Fraction | int = 1) -> "LevelMeasure":
-        return cls(p, n, r, (value,) * p ** (n * r))
+        return cls(p, n, r, (value,) * _cell_count(p, n, r))
 
     @classmethod
     def point_mass(cls, p: int, n: int, r: int, point: Sequence[int], mass: Fraction | int = 1) -> "LevelMeasure":
-        cells: list[Fraction | int] = [0] * p ** (n * r)
+        cells: list[Fraction | int] = [0] * _cell_count(p, n, r)
         cells[_cell_index(point, p**n, r)] = mass
         return cls(p, n, r, cells)
 
@@ -221,24 +233,32 @@ def _level_map(p: int, n: int, r: int) -> tuple[int, ...]:
     return _cell_map(list(range(p**n)) * p, p**n, r)
 
 
+def _entry_map(q: int, r: int, scale: int, offset: int) -> tuple[int, ...]:
+    """The index of the cell scale*j + offset for every cell j of (Z/q)^r,
+    row-major."""
+    return _cell_map([(scale * c + offset) % q for c in range(q)], q, r)
+
+
 @lru_cache(maxsize=64)
 def _four_term_maps(q: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """Per ``FOUR_TERM`` entry, the index of the cell scale*j + offset for
-    every cell j of (Z/q)^r, row-major."""
-    return tuple(_cell_map([(scale * c + offset) % q for c in range(q)], q, r)
-                 for _, scale, offset in FOUR_TERM)
+    """Per ``FOUR_TERM`` entry, its :func:`_entry_map`."""
+    return tuple(_entry_map(q, r, scale, offset) for _, scale, offset in FOUR_TERM)
 
 
-def _four_term_cells(mu: LevelMeasure) -> Iterator[int]:
-    """The combination's numerators over ``mu.denominator``."""
-    values = mu.numerators
-    for cells in zip(*_four_term_maps(mu.modulus, mu.r)):
-        yield sum(sign * values[cell] for (sign, _, _), cell in zip(FOUR_TERM, cells))
+def _four_term_cells(mu: LevelMeasure) -> list[int]:
+    """The combination's numerators over ``mu.denominator``, one entry at a
+    time, through maps made for the call: cached ones would be held through
+    the sweep after the kernel test."""
+    values, total = mu.numerators, [0] * len(mu.numerators)
+    for sign, scale, offset in FOUR_TERM:
+        terms = map(values.__getitem__, _entry_map(mu.modulus, mu.r, scale, offset))
+        total = list(map(add if sign > 0 else sub, total, terms))
+    return total
 
 
 def four_term(mu: LevelMeasure) -> LevelMeasure:
     """Signed combination j -> mu(j) - mu(-j) + mu(1-j) - mu(j-1), coordinate-wise."""
-    return LevelMeasure._reduced(mu.p, mu.n, mu.r, list(_four_term_cells(mu)), mu.denominator)
+    return LevelMeasure._reduced(mu.p, mu.n, mu.r, _four_term_cells(mu), mu.denominator)
 
 
 def four_term_is_zero(mu: LevelMeasure) -> bool:
@@ -341,41 +361,69 @@ def _times_power(vector: list, column: list[int], e: int) -> list:
 
 
 def _chain_products(values: list, stages: Sequence[_Stage],
-                    words: Iterable[tuple[int, ...]]) -> Iterator[list]:
-    """For each word w, the last stage's sums of the table ``values`` times
-    every factor k to the power w[k].
+                    partial_sums: Iterable[Sequence[int]]) -> Iterator[list]:
+    """For each word, given by its partial sums t_k = e_1 + ... + e_k, the
+    last stage's sums of the table ``values`` times every factor k to the
+    power e_k.
 
-    ``after[k]`` holds the table that stage k multiplies and ``before[k]``
-    stage k's product, kept from before its sum, for the current word.  A
-    word keeps the stages below the first exponent where it differs from the
-    previous word; there, an exponent that grew by d multiplies the previous
-    word's product by the factor's d-th power.  In lexicographic order every
-    word thus costs one multiply, on the smallest tables that its new
-    exponents reach.  The yielded lists are shared with the stages and must
-    not be modified.
+    A word keeps the stages below the first where its exponent differs from
+    the previous word's; there, an exponent that grew by d multiplies the
+    kept product by the d-th power.  A stage of exponent 0 that neither sums
+    nor copies its table passes it through and is skipped.  The stages of
+    nonzero exponent, and the first difference, are found by bisecting the
+    non-decreasing partial sums, so at level 0 a word of one nonzero
+    exponent costs one multiply at any depth.  ``held`` lists 0 and one past
+    each stage run for the current word, ``tables[i]`` is stage i's input for
+    i in it, and ``before[i]`` stage i's product before its sum.  The yielded
+    lists are shared with the stages and must not be modified.
     """
     depth = len(stages)
+    # the first stage at or after each that sums or copies its table
+    kept = [depth] * (depth + 1)
+    for i in reversed(range(depth)):
+        _, copies, slices = stages[i]
+        kept[i] = i if copies > 1 or slices is not None else kept[i + 1]
     before: list = [None] * depth
-    after: list = [values] + [None] * depth
-    previous: tuple[int, ...] | None = None
-    for word in words:
-        k = 0
-        if previous is not None:
-            while k < depth and word[k] == previous[k]:
-                k += 1
-        for i in range(k, depth):
+    tables: list = [values] + [None] * depth
+    held = [0]
+    previous: list[int] = []
+    for sums in partial_sums:
+        k = low = 0
+        # the words first differ at a stage where one of them has a nonzero
+        # exponent: from where they agree, bisect each to its next such stage
+        while previous:
+            a, k = bisect_right(previous, low, k), bisect_right(sums, low, k)
+            if a != k or k == depth or previous[k] != sums[k]:
+                k = min(a, k)
+                break
+            low = sums[k]
+            k += 1
+        while held[-1] > k:
+            held.pop()
+        table = tables[held[-1]]
+        i = k
+        while True:
+            low = sums[i - 1] if i else 0
+            # the stages before the next one that multiplies, sums or copies
+            # pass the table through, and their partial sums are all ``low``
+            i = min(bisect_right(sums, low, i), kept[i])
+            if i == depth:
+                break
             column, copies, slices = stages[i]
-            e = word[i]
-            if i == k and previous is not None and e > previous[i]:
-                before[i] = _times_power(before[i], column, e - previous[i])
+            e = sums[i] - low
+            grown = previous[i] - low if previous and i == k else 0
+            if 0 < grown < e:
+                before[i] = _times_power(before[i], column, e - grown)
             else:
-                before[i] = _times_power(after[i] * copies if copies > 1 else after[i], column, e)
+                before[i] = _times_power(table * copies if copies > 1 else table, column, e)
             table = before[i]
             if slices is not None:
                 table = list(map(sum, map(table.__getitem__, slices)))
-            after[i + 1] = table
-        previous = word
-        yield after[-1]
+            i += 1
+            tables[i] = table
+            held.append(i)
+        previous[k:] = sums[k:]
+        yield table
 
 
 def _placed(sums: list, placements: Sequence[list[tuple[slice, slice]]],
@@ -388,6 +436,22 @@ def _placed(sums: list, placements: Sequence[list[tuple[slice, slice]]],
             table[bases] = sums[cells]
         tables.append(table)
     return tuple(tables)
+
+
+def _sweep(
+    mu: LevelMeasure,
+    partial_sums: Iterable[Sequence[int]],
+    modulus_exponent: int,
+    final_offsets: Sequence[int],
+) -> Iterator[tuple[list[int], ...]]:
+    """:func:`coset_sums` for words given by their partial sums, unchecked:
+    the engine that every sweep runs on.  The plan is made when it is called."""
+    cells = [cell for cell, v in enumerate(mu.numerators) if v]
+    order, stages, placements = _elimination_plan(cells, mu.modulus, mu.r,
+                                                  mu.p**modulus_exponent, final_offsets)
+    sums = _chain_products([mu.numerators[cells[i]] for i in order], stages, partial_sums)
+    size = mu.p ** (modulus_exponent * mu.r)
+    return (_placed(last, placements, size) for last in sums)
 
 
 def coset_sums(
@@ -405,29 +469,54 @@ def coset_sums(
     (Z/p^modulus_exponent)^r) equals ``mu.denominator`` times
     ``coset_moment(mu, Coset(b, modulus_exponent), (0, *word), o)``.  Any word
     order is valid; lexicographic order shares the most work.  The arguments
-    are checked when it is called, before the first word is yielded.
+    are checked when it is called, before the first word is yielded, and the
+    words go to the engine as their partial sums.
     """
     if not 0 <= modulus_exponent <= mu.n:
         raise ValueError("coset modulus exponent must lie between 0 and the measure level")
-    words = [check_word(w, mu.r) for w in words]
-    cells = [cell for cell, v in enumerate(mu.numerators) if v]
-    order, stages, placements = _elimination_plan(cells, mu.modulus, mu.r,
-                                                  mu.p**modulus_exponent, final_offsets)
-    sums = _chain_products([mu.numerators[cells[i]] for i in order], stages, words)
-    size = mu.p ** (modulus_exponent * mu.r)
-    return (_placed(last, placements, size) for last in sums)
+    return _sweep(mu, _word_sums(words, mu.r), modulus_exponent, final_offsets)
+
+
+def _word_sums(words: Iterable[Sequence[int]], r: int) -> list[tuple[int, ...]]:
+    """Explicit r-words, each checked, as their partial sums."""
+    return [tuple(accumulate(check_word(word, r))) for word in words]
+
+
+def _word(sums: Sequence[int]) -> tuple[int, ...]:
+    """The exponent word whose partial sums are ``sums``, made at its size: a
+    tuple made from an iterator is shrunk, and once freed stays on the free
+    list of its final size, so a walk would keep up to 2 000 of them."""
+    return tuple([*map(sub, sums, (0, *sums))])
+
+
+class _WordSums:
+    """The words of ``length`` non-negative ints with sum at most ``cap`` (odd
+    sums only, if ``odd``), in lexicographic order, as their partial sums: a
+    sized collection that every walk makes afresh.  Partial sums never fall
+    and stay within [0, cap], and order as their words do, so
+    ``combinations_with_replacement`` gives them one tuple at a time."""
+
+    def __init__(self, length: int, cap: int, odd: bool = False) -> None:
+        self.length, self.cap, self.odd = length, cap, odd
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        sums = combinations_with_replacement(range(self.cap + 1), self.length)
+        return filter(_odd_sum, sums) if self.odd else sums
+
+    def __len__(self) -> int:
+        # C(s + length - 1, length - 1) words have sum s
+        return sum(comb(s + self.length - 1, self.length - 1)
+                   for s in range(self.cap + 1) if s % 2 or not self.odd)
+
+
+def _odd_sum(sums: Sequence[int]) -> int:
+    return sums[-1] % 2
 
 
 def exponent_words(length: int, cap: int) -> Iterator[tuple[int, ...]]:
     """The words of ``length`` non-negative ints with sum at most ``cap``, in
-    lexicographic order.
-
-    A word's partial sums t_i = e_1 + ... + e_i never fall and stay within
-    [0, cap], and two words first differ where their partial sums do, so the
-    words come from ``combinations_with_replacement`` in their own order,
-    each as the differences of its partial sums."""
-    for sums in combinations_with_replacement(range(cap + 1), length):
-        yield tuple(map(sub, sums, (0, *sums)))
+    lexicographic order, each made from its partial sums (:class:`_WordSums`)."""
+    return map(_word, _WordSums(length, cap))
 
 
 def _shift_sums(level: list[int], length: int, budget: int, size: list[list[int]]) -> list[int]:
@@ -461,10 +550,9 @@ def _shift_sums(level: list[int], length: int, budget: int, size: list[list[int]
 def _levels(mu: LevelMeasure, cap: int) -> Iterator[list[int]]:
     """Per first exponent e_0 = 0, ..., cap, the moments' numerators at the
     words (e_0, e_1, ..., e_r) with sum at most ``cap``, in lexicographic
-    order: the first from :func:`coset_sums` over the r-words, each later one
+    order: the first from the engine over the r-words, each later one
     by :func:`_shift_sums` from the one before it."""
-    words = exponent_words(mu.r, cap)
-    level = [table[0] for (table,) in coset_sums(mu, words, 0, (0,))]
+    level = [table[0] for (table,) in _sweep(mu, _WordSums(mu.r, cap), 0, (0,))]
     size = [[comb(b + k, k) for b in range(cap + 1)] for k in range(mu.r + 1)]
     for e0 in range(cap + 1):
         if e0:

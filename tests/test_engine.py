@@ -24,24 +24,29 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvkit import euler
+from mzvkit import euler, measures
 from mzvkit.euler import (
     CheckFamily,
+    CongruenceVerdict,
     _identity_totals,
+    _odd_word,
+    _require_kernel_integer,
     _screened_failures,
+    _vanishing_family,
     coset_family,
     coset_four_term_check,
     coset_identity_sweep,
     coset_lambda_tables,
+    make_certificate,
     vanishing_check,
-    vanishing_sweep,
-    verdict_family,
 )
 from mzvkit.exact import INFINITY, padic_valuation
 from mzvkit.measures import (
     FOUR_TERM,
     Coset,
     LevelMeasure,
+    _word_sums,
+    _WordSums,
     coset_moment,
     coset_sums,
     exponent_words,
@@ -103,6 +108,26 @@ def moment_sweep(mu, words):
     return [convert(value_of[tuple(word)]) for word in words]
 
 
+def vanishing_sweep(mu, words):
+    """:func:`vanishing_check` for every word, in order, as one verdict per
+    word from one engine sweep at modulus 1: what ``vanish`` held before it
+    kept one valuation per word, now the oracle of ``_vanishing_family``.
+    The kernel and integrality hypotheses are checked once, after the words;
+    one certificate is built per final exponent."""
+    words = [_odd_word(mu, word) for word in words]
+    _require_kernel_integer(mu)
+    slack = {word[-1]: make_certificate(word).slack(mu.p) for word in words}
+    sums = coset_sums(mu, words, 0, (0,))
+    return [CongruenceVerdict(padic_valuation(table[0], mu.p), mu.n - slack[word[-1]])
+            for word, (table,) in zip(words, sums)]
+
+
+def verdict_family(verdicts):
+    """The family of ``verdicts``: the failures are the failing verdicts, in order."""
+    return CheckFamily(len(verdicts), tuple(verdict for verdict in verdicts if not verdict.passed),
+                       min((verdict.valuation for verdict in verdicts), default=INFINITY))
+
+
 def full_sweep_coset_family(mu, words):
     """``coset_family`` as it was before it could stop: every coset identity
     at modulus exponents {1, n} (only 0 at level 0) and every word swept."""
@@ -112,7 +137,7 @@ def full_sweep_coset_family(mu, words):
     for modulus_exponent in sorted({1, mu.n}) if mu.n >= 1 else [0]:
         total += len(words) * mu.p ** (modulus_exponent * mu.r)
         failed = []
-        sweep = coset_identity_sweep(mu, words, modulus_exponent)
+        sweep = coset_identity_sweep(mu, _word_sums(words, mu.r), modulus_exponent)
         for word_index, (word_worst, word_failures) in enumerate(sweep):
             worst = min(worst, word_worst)
             failed += [(base, word_index, v) for base, v in word_failures]
@@ -188,12 +213,32 @@ def test_coset_sums_match_coset_moment(case, extra_offsets):
 
 
 @settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 0, 6), (3, 0, 5), (2, 1, 5), (3, 1, 3)]), st.sampled_from(KINDS),
+       st.integers(0, 1000), st.data())
+def test_coset_sums_pass_tables_through_in_any_word_order(config, kind, seed, data):
+    """Deeper words, mostly of zeros, in any order: at level 0 (and for sparse
+    tables) stages pass their tables through, and a word may restart below,
+    at or above the stages the word before it ran."""
+    p, n, r = config
+    mu = build_measure(p, n, r, kind, seed)
+    words = data.draw(st.lists(st.tuples(*[st.sampled_from([0, 0, 0, 1, 2])] * r), max_size=12))
+    offsets = (0, -1, 1)
+    for e in range(n + 1):
+        bases = LevelMeasure.zero(p, e, r).points()
+        for word, sums in zip(words, coset_sums(mu, words, e, offsets), strict=True):
+            assert list(sums) == [
+                [coset_moment(mu, Coset(base, e), (0, *word), offset) * mu.denominator
+                 for base in bases]
+                for offset in offsets]
+
+
+@settings(max_examples=30, deadline=None)
 @given(measures_and_words(extra=0, max_words=8))
 def test_coset_sweep_matches_coset_four_term_check(case):
     mu, words = case
     for e in range(mu.n + 1):
         bases = LevelMeasure.zero(mu.p, e, mu.r).points()
-        swept = list(coset_identity_sweep(mu, words, e))
+        swept = list(coset_identity_sweep(mu, _word_sums(words, mu.r), e))
         assert len(swept) == len(words)
         for word, (worst, failures) in zip(words, swept):
             valuations = [
@@ -207,7 +252,7 @@ def test_coset_sweep_matches_coset_four_term_check(case):
                coset_four_term_check(mu, Coset(base, e), word, validate=False).valuation)
               for e in (sorted({1, mu.n}) if mu.n else [0])
               for base in LevelMeasure.zero(mu.p, e, mu.r).points() for word in words]
-    assert coset_family(mu, words) == CheckFamily(
+    assert coset_family(mu, _word_sums(words, mu.r)) == CheckFamily(
         len(checks), tuple(check for check in checks if check[3] < mu.n),
         min((check[3] for check in checks), default=INFINITY))
 
@@ -237,13 +282,13 @@ def test_coset_family_matches_the_full_sweep(config, kind):
     mu = family_measure(*config, kind)
     words = list(exponent_words(mu.r, 4))
     for order in (words, words[::-1]):
-        assert coset_family(mu, order) == full_sweep_coset_family(mu, order)
+        assert coset_family(mu, _word_sums(order, mu.r)) == full_sweep_coset_family(mu, order)
     if kind == "p times kernel":
         # every total gains one unit, so none has valuation n and none fails
         unscaled = full_sweep_coset_family(mu * Fraction(1, mu.p), words)
-        assert coset_family(mu, words).worst == unscaled.worst + 1
+        assert coset_family(mu, _word_sums(words, mu.r)).worst == unscaled.worst + 1
     if kind == "zero":
-        assert coset_family(mu, words).worst == INFINITY
+        assert coset_family(mu, _word_sums(words, mu.r)).worst == INFINITY
 
 
 def drained_words(monkeypatch):
@@ -252,8 +297,8 @@ def drained_words(monkeypatch):
     drawn = []
     sweep = euler.coset_identity_sweep
 
-    def counted(mu, words, modulus_exponent):
-        for result in sweep(mu, words, modulus_exponent):
+    def counted(mu, sums, modulus_exponent):
+        for result in sweep(mu, sums, modulus_exponent):
             drawn.append(modulus_exponent)
             yield result
 
@@ -272,18 +317,19 @@ def test_coset_family_stops_at_the_first_total_of_valuation_n(config, monkeypatc
     mu = random_kernel_measure(p, n, r, seed=0)
     words = list(exponent_words(r, 6))
     exponents = sorted({1, n})
+    sums = _word_sums(words, r)
     drawn = drained_words(monkeypatch)
-    family = coset_family(mu, words)
+    family = coset_family(mu, sums)
     assert family == full_sweep_coset_family(mu, words)
     assert family.worst == n
     stop = drawn.copy()
     assert stop and set(stop) == {exponents[0]} and len(stop) < len(words)
-    (worst, _), = coset_identity_sweep(mu, [words[len(stop) - 1]], exponents[0])
+    (worst, _), = coset_identity_sweep(mu, [sums[len(stop) - 1]], exponents[0])
     assert worst == n
-    assert all(w > n for w, _ in coset_identity_sweep(mu, words[:len(stop) - 1], exponents[0]))
+    assert all(w > n for w, _ in coset_identity_sweep(mu, sums[:len(stop) - 1], exponents[0]))
     for measure in (p * mu, mu + LevelMeasure.point_mass(p, n, r, (1,) * r)):
         drawn.clear()
-        coset_family(measure, words)
+        coset_family(measure, sums)
         assert drawn == [e for e in exponents for _ in words]
 
 
@@ -309,9 +355,10 @@ def test_gcd_screen_matches_per_total_valuations(case, data, k):
     the measure divided by p^k, whose valuations are all k lower."""
     mu, words = case
     e = data.draw(st.integers(0, mu.n))
-    swept = list(coset_identity_sweep(mu, words, e))
-    scaled = list(coset_identity_sweep(mu * Fraction(1, mu.p**k), words, e))
-    for totals, result, scaled_result in zip(_identity_totals(mu, words, e), swept, scaled):
+    sums = _word_sums(words, mu.r)
+    swept = list(coset_identity_sweep(mu, sums, e))
+    scaled = list(coset_identity_sweep(mu * Fraction(1, mu.p**k), sums, e))
+    for totals, result, scaled_result in zip(_identity_totals(mu, sums, e), swept, scaled):
         assert all(type(total) is int for total in totals)
         rationals = [Fraction(total, mu.denominator) for total in totals]
         valuations = [padic_valuation(total, mu.p) for total in rationals]
@@ -333,7 +380,7 @@ def test_identity_totals_match_signed_coset_moments(case):
     for e in range(mu.n + 1):
         stride = mu.p**e
         bases = LevelMeasure.zero(mu.p, e, mu.r).points()
-        for word, totals in zip(words, _identity_totals(mu, words, e)):
+        for word, totals in zip(words, _identity_totals(mu, _word_sums(words, mu.r), e)):
             m = sum(word)
             assert totals == [
                 mu.denominator * sum(
@@ -397,6 +444,57 @@ def test_vanishing_sweep_matches_vanishing_check(config, seed, raw):
     assert verdict_family(swept) == CheckFamily(
         len(verdicts), tuple(v for v in verdicts if v.valuation < v.threshold),
         min((v.valuation for v in verdicts), default=INFINITY))
+    # one valuation per word, one threshold per final exponent, in any word order
+    family, valuations, thresholds = _vanishing_family(mu, _word_sums(words, r))
+    assert valuations == [v.valuation for v in verdicts]
+    assert [thresholds[word[-1]] for word in words] == [v.threshold for v in verdicts]
+    assert family == CheckFamily(
+        len(verdicts), tuple((word, v.valuation, v.threshold)
+                             for word, v in zip(words, verdicts) if not v.passed),
+        min((v.valuation for v in verdicts), default=INFINITY))
+
+
+@pytest.mark.parametrize("config", [(3, 1, 2), (5, 1, 1), (2, 3, 2), (3, 1, 3)], ids=str)
+def test_vanishing_family_records_each_failure(config, monkeypatch):
+    """No integer kernel measure fails a congruence, so with the kernel test
+    lifted a measure outside the kernel shows the failures: the family's are
+    the words that fail ``vanishing_check``, as (word, valuation, threshold)
+    in word order, beside every word's valuation."""
+    p, n, r = config
+    mu = build_measure(p, n, r, "perturbed", seed=3)
+    monkeypatch.setattr(euler, "_require_kernel_integer", lambda mu: None)
+    words = [word for word in exponent_words(r, 6) if sum(word) % 2]
+    verdicts = [vanishing_check(mu, word, validate=False) for word in words]
+    family, valuations, _ = _vanishing_family(mu, _word_sums(words, r))
+    failures = tuple((word, v.valuation, v.threshold)
+                     for word, v in zip(words, verdicts) if not v.passed)
+    assert failures and family.failures == failures
+    assert valuations == [v.valuation for v in verdicts]
+    assert family == CheckFamily(len(words), failures, min(valuations))
+
+
+def test_level_zero_restart_is_linear_in_depth(monkeypatch):
+    """At level 0 no stage sums or copies its table, so each word of one 1
+    runs the one stage it changes and every later stage passes its table
+    through: at cap 1 the multiplies of ``moments``' first level and of the
+    ``vanish`` sweep grow linearly in the depth.  A restart that recomputed
+    every stage after the first change made r(r + 1)/2 of them."""
+    calls = []
+    times_power = measures._times_power
+    monkeypatch.setattr(measures, "_times_power",
+                        lambda *args: calls.append(args[2]) or times_power(*args))
+    counts = {}
+    for r in (200, 400):
+        mu = random_kernel_measure(2, 0, r, seed=0)
+        calls.clear()
+        assert len(list(moment_table(mu, 1))) == r + 2
+        counts["moments", r] = len(calls)
+        calls.clear()
+        family, valuations, _ = _vanishing_family(mu, _WordSums(r, 1, odd=True))
+        assert family.passed and len(valuations) == r
+        counts["vanish", r] = len(calls)
+    assert counts == {("moments", 200): 200, ("vanish", 200): 200,
+                      ("moments", 400): 400, ("vanish", 400): 400}
 
 
 def test_sweeps_validate_like_their_oracles():
@@ -410,9 +508,14 @@ def test_sweeps_validate_like_their_oracles():
     for e in (-1, 2):
         with pytest.raises(ValueError, match="between 0 and the measure level"):
             coset_lambda_tables(mu, (0, 1), e)
+    # the coset sweeps take partial sums, checked where explicit words enter
     with pytest.raises(ValueError):
-        coset_identity_sweep(mu, [(1, -1)], 1)
+        _word_sums([(1, -1)], 2)
+    with pytest.raises(ValueError):
+        coset_sums(mu, [(1, -1)], 1, (0,))
     with pytest.raises(ValueError):
         vanishing_sweep(mu, [(1, 1)])
     with pytest.raises(ValueError, match="kernel"):
         vanishing_sweep(LevelMeasure.point_mass(3, 1, 1, (1,)), [(1,)])
+    with pytest.raises(ValueError, match="kernel"):
+        _vanishing_family(LevelMeasure.point_mass(3, 1, 1, (1,)), [(1,)])

@@ -85,6 +85,12 @@ def test_measure_shape_validation():
             LevelMeasure.point_mass(3, 1, 2, point)
         with pytest.raises(ValueError, match="point must have depth 2"):
             LevelMeasure.constant(3, 1, 2).value(point)
+    # a negative level is refused as the constructor refuses it, not with the
+    # TypeError of a float cell count
+    for make in (LevelMeasure.zero, LevelMeasure.constant,
+                 lambda p, n, r: LevelMeasure.point_mass(p, n, r, (0,))):
+        with pytest.raises(ValueError, match="level must be non-negative, got -1"):
+            make(2, -1, 1)
 
 
 def test_values_must_be_exact():
