@@ -295,9 +295,9 @@ def cmd_check_cosets(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
 def _moment_rows(mu: LevelMeasure, cap: int) -> Iterator[str]:
     """The moments report's entries as json.dumps indents them, written from
     ints by the row template, each exponent's text read from a table: the
-    moment a/b in lowest terms,
-    lambda = a / (b * prod e_i!) with the factorials read from a table and
-    reduced by one gcd (gcd(a, b) is 1), and the valuation v_p(a) - v_p(b)."""
+    moment a/b in lowest terms, lambda = a / (b * prod e_i!) with the
+    factorials read from a table and reduced by one gcd (gcd(a, b) is 1), and
+    the valuation v_p(a) - v_p(b)."""
     table = moment_table(mu, cap)
     factorials = [factorial(e) for e in range(cap + 1)]
     texts = [str(e) for e in range(cap + 1)]
