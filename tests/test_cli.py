@@ -831,6 +831,9 @@ def _limit_memory(megabytes=1536):
 GUARDED_INPUTS = [
     (("moments", "--p", "2", "--level", "1", "--depth", "1", "--seed", "0",
       "--exp-cap", "100000"), "words"),
+    # 20 503 words of length 2 pass the count, so the cap refuses them
+    (("moments", "--p", "2", "--level", "1", "--depth", "1", "--seed", "0",
+      "--exp-cap", "201"), "certificate limit"),
     (("vanish", "--p", "2", "--level", "1", "--depth", "3", "--seed", "0",
       "--exp-cap", "100000"), "certificate limit"),
     (("vanish", "--p", "2", "--level", "1", "--depth", "3", "--seed", "0",
