@@ -80,12 +80,13 @@ MAX_INPUT_BYTES_PER_CELL = 8_668
 _QUOTED, _BARE = "<quoted>", "<bare>"  # the hole values of _row_template
 
 
-def _check_word_count(r: int, cap: int, odd_only: bool) -> None:
-    """Refuse an exponent cap whose length-r words (odd sum if ``odd_only``)
-    are too many, or which exceeds the certificate limit that bounds the
-    powers every cell is raised to; checked before any word is built.  The
-    number comes first, but the cap first for odd words, each of which needs
-    a certificate.  The number is counted up to the limit only."""
+def _exponent_words(r: int, cap: int, odd_only: bool) -> _WordSums:
+    """The length-r words with sum at most ``cap`` (odd sum if ``odd_only``),
+    in lexicographic order, as their partial sums; none is made until they are
+    walked.  Refuses, before any word is built, a cap whose words are too many
+    or which exceeds the certificate limit that bounds the powers every cell is
+    raised to.  The number comes first, but the cap first for odd words, each
+    of which needs a certificate.  The number is counted up to the limit only."""
     above_limit = cap > MAX_CERTIFICATE_EXPONENT
     if not (odd_only and above_limit):
         count = 1
@@ -97,13 +98,6 @@ def _check_word_count(r: int, cap: int, odd_only: bool) -> None:
     if above_limit:
         raise ValueError(f"exponent cap {cap} is above the certificate limit "
                          f"{MAX_CERTIFICATE_EXPONENT}")
-
-
-def _exponent_words(r: int, cap: int, odd_only: bool) -> _WordSums:
-    """The length-r words with sum at most ``cap`` (odd sum if ``odd_only``),
-    in lexicographic order, as their partial sums, once
-    :func:`_check_word_count` admits them; none is made until they are walked."""
-    _check_word_count(r, cap, odd_only)
     return _WordSums(r, cap, odd_only)
 
 
@@ -156,15 +150,15 @@ def _valuation_text(valuation: int | float) -> str:
 
 
 def _load_measure(
-    args: argparse.Namespace, words_of: Callable[[int], _WordSums | None]
-) -> tuple[LevelMeasure, dict, _WordSums | None]:
+    args: argparse.Namespace, words_of: Callable[[int], _WordSums]
+) -> tuple[LevelMeasure, dict, _WordSums]:
     """Measure from --in, or a seeded kernel measure from the config flags,
-    with ``words_of(depth)``: the exponent words, or None where it only
-    guards their number.  Each check runs before the work it guards, in this
-    order: the --in byte bound, before anything is parsed; the file's header;
-    the config flags, each required without a file and matched against the
-    header with one; the cell cap; the words' guard.  Only then are the
-    file's values parsed or the seeded measure built."""
+    with ``words_of(depth)``: the exponent words, as :func:`_exponent_words`
+    admits them.  Each check runs before the work it guards, in this order:
+    the --in byte bound, before anything is parsed; the file's header; the
+    config flags, each required without a file and matched against the header
+    with one; the cell cap; the words' guard.  Only then are the file's values
+    parsed or the seeded measure built."""
     config = given = args.p, args.level, args.depth
     if args.infile is not None:
         cap = size_cap()
@@ -317,7 +311,7 @@ def _moment_rows(mu: LevelMeasure, cap: int) -> Iterator[str]:
 
 
 def cmd_moments(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
-    mu, source, _ = _load_measure(args, lambda r: _check_word_count(r + 1, args.exp_cap, False))
+    mu, source, _ = _load_measure(args, lambda r: _exponent_words(r + 1, args.exp_cap, False))
     report = _header("moments", mu.p, mu.n, mu.r, source=source, exponent_cap=args.exp_cap)
     return _with_rows(report, "moments", _moment_rows(mu, args.exp_cap)), True
 
@@ -325,7 +319,7 @@ def cmd_moments(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
 def cmd_report(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     from .series import NCSeries, exp, from_measure, log
 
-    check_size(args.p, args.level, args.depth)
+    cells = check_size(args.p, args.level, args.depth)
     if args.degree > DEGREE_CAP:
         raise ValueError(f"--degree is capped at {DEGREE_CAP}")
     if args.degree < args.depth:
@@ -333,22 +327,21 @@ def cmd_report(args: argparse.Namespace) -> tuple[Iterable[str], bool]:
     p, n, r, seed = args.p, args.level, args.depth, args.seed
     # exp and log of 1 + (the depth-r layer) reach every product of up to
     # degree // r of its p^(n*r) words
-    cells = p ** (n * r)
     terms = sum(cells**k for k in range(1, args.degree // r + 1))
     if terms > MAX_SERIES_TERMS:
         raise ValueError(f"--degree {args.degree} needs about {terms} series terms at "
                          f"{cells} cells, above the limit {MAX_SERIES_TERMS}")
-    # the guard, which counts all the words, runs before any work
-    _check_word_count(r, args.exp_cap, odd_only=True)
+    # the guard, which counts all the words, the cosets' too, runs before any work
+    odd_words = _exponent_words(r, args.exp_cap, odd_only=True)
 
     table = random_lambda_table(p, n, r, seed=seed)
     series = from_measure(table, args.degree)
     one = NCSeries.one(series.alphabet, args.degree)
-    series_ok = exp(log(series)) == series and log(exp(series - one)) == series - one
+    series_ok = exp(log(series)) == series and log(exp(shifted := series - one)) == shifted
 
     basis = four_term_kernel(p, n, r)
     mu = random_kernel_measure(p, n, r, seed=seed)
-    families = {"vanishing": _vanishing_family(mu, _WordSums(r, args.exp_cap, odd=True))[0],
+    families = {"vanishing": _vanishing_family(mu, odd_words)[0],
                 "cosets": coset_family(mu, _WordSums(r, args.exp_cap))}
     checks = {
         "series_round_trip": {"pass": series_ok},

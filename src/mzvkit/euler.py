@@ -140,7 +140,9 @@ def _combination(a: int) -> tuple[tuple[int, Fraction], ...]:
     With m + q even, P_q = (x - 1)^q - (x + 1)^q = -2 sinh(D) x^q for D = d/dx,
     x^a = D x^(a+1) / (a+1) and D / sinh(D) = sum_k (2 - 2^(2k)) B_2k D^(2k) / (2k)!.
     The q = 1 term (a even) is filed under q = 2, as P_1 = P_2 = -2 for that
-    parity.  Cached, because vanishing_check builds a certificate per call.
+    parity.  Cached for ``vanishing_check``, which builds a certificate per
+    call in the test oracles and the acceptance tests; ``vanish`` builds one
+    per final exponent.
     """
     q = a + 1
     return tuple((max(q - 2 * k, 2),

@@ -123,6 +123,37 @@ def test_perturb_fails_only_above_modulus_two(argv, code):
     assert four_term(edited).is_zero() == (code == 0)
 
 
+def test_perturbed_failures_at_cap_scale_are_the_edit_under_the_operator():
+    """Each signed coset total is congruent mod p^n to the sum over its coset
+    of g_w * T(mu), g_w the integrand of (0, *w) (README, "How checks are
+    computed").  At p = 97, n = 1 every coset of modulus exponent 1 is one
+    point, so the failing rows of the perturbed cap-scale sweep are the points
+    b and words w with g_w(b) * T(mu)(b) not 0 mod 97, each at valuation 0;
+    T(mu) is T of the one-cell edit alone, mu being in the kernel."""
+    p, n, r, cap = 97, 1, 2, 20
+    code, report = run_json(["check-cosets", "--p", str(p), "--level", str(n),
+                             "--depth", str(r), "--seed", "0", "--exp-cap", str(cap),
+                             "--perturb"])
+    mu = random_kernel_measure(p, n, r, seed=0)
+    image = four_term(mu + LevelMeasure.point_mass(p, n, r, (1,) * r))
+    support = {point: value for point, value in zip(image.points(), image.values) if value}
+    assert support == {(0, 0): 1, (1, 1): 1, (2, 2): -1, (96, 96): -1}
+
+    def integrand(word, point):
+        (e1, e2), (y1, y2) = word, point
+        return (y1 - y2) ** e1 * y2**e2
+
+    predicted = [{"modulus_exponent": 1, "base": list(point), "exponents": list(word),
+                  "valuation": 0, "threshold": n, "pass": False}
+                 for point, value in support.items() for word in exponent_words(r, cap)
+                 if integrand(word, point) * value % p]
+    # e1 = 0 at every point; every e2 at (1,1), (2,2) and (96,96), only 0 at (0,0)
+    assert len(predicted) == 3 * (cap + 1) + 1 == 64
+    assert code == 1
+    assert report["failures"] == predicted
+    assert (report["worst_valuation"], report["total_checks"]) == (0, 2_173_479)
+
+
 def test_cosets_pass_without_perturbation():
     code, report = run_json(
         ["check-cosets", "--p", "3", "--level", "1", "--depth", "1", "--seed", "0"]
