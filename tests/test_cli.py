@@ -154,6 +154,53 @@ def test_perturbed_failures_at_cap_scale_are_the_edit_under_the_operator():
     assert (report["worst_valuation"], report["total_checks"]) == (0, 2_173_479)
 
 
+@pytest.mark.parametrize("config,cap,rows,below", [
+    ((5, 2, 2), 60, 930, 210),
+    ((3, 2, 3), 21, 1_078, 440),
+], ids=str)
+def test_vanish_valuations_at_cap_scale_are_the_parity_reduction(config, cap, rows, below):
+    """The parity reduction predicts every valuation of a cap-scale `vanish`,
+    capped at n, without the engine.  Let q = p^n, nu_bar(y) = mu(0, y) -
+    mu(0, -y) on (Z/q)^(r-1), S = sum_{u<q} u^(e_r) and M = sum_y nu_bar(y) *
+    (-y_1)^(e_1) * prod_{k=2}^{r-1} (y_(k-1) - y_k)^(e_k).  On a kernel measure
+    nu = mu - mu(-.) is constant on diagonal orbits, the odd integrand is
+    negated by x -> -x, and on each orbit x_r runs over every residue, so
+    2 * moment(mu, (0, *w)) = S * M mod q, and at odd p
+    min(n, v_p(moment)) = min(n, v_p(S) + v_p(M)).  p = 2 is left out, where
+    the 2 loses a unit, and so is (97, 1, 2), where every row predicts n = 1.
+    The prediction falls below n on ``below`` rows, so the check can fail."""
+    p, n, r = config
+    q = p**n
+    code, report = run_json(["vanish", "--p", str(p), "--level", str(n), "--depth", str(r),
+                             "--seed", "0", "--exp-cap", str(cap)])
+    assert code == 0 and len(report["checks"]) == rows
+    numerators = random_kernel_measure(p, n, r, seed=0).numerators
+    # the first q^(r-1) cells are the points (0, y), y row-major
+    nu_bar = {}
+    for index, y in enumerate(itertools.product(range(q), repeat=r - 1)):
+        negated = 0
+        for coordinate in y:
+            negated = negated * q + -coordinate % q
+        if numerators[index] != numerators[negated]:
+            nu_bar[y] = numerators[index] - numerators[negated]
+
+    def predicted(word):
+        *head, last = word
+        power_sum = sum(u**last for u in range(q))
+        reduced = 0
+        for y, value in nu_bar.items():
+            term = value * (-y[0]) ** head[0]
+            for k in range(1, r - 1):
+                term *= (y[k - 1] - y[k]) ** head[k]
+            reduced += term
+        return min(n, padic_valuation(power_sum, p) + padic_valuation(reduced, p))
+
+    predictions = [predicted(check["exponents"]) for check in report["checks"]]
+    assert [min(n, check["valuation"]) if check["valuation"] != "inf" else n
+            for check in report["checks"]] == predictions
+    assert sum(prediction < n for prediction in predictions) == below
+
+
 def test_cosets_pass_without_perturbation():
     code, report = run_json(
         ["check-cosets", "--p", "3", "--level", "1", "--depth", "1", "--seed", "0"]
