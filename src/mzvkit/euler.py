@@ -8,10 +8,9 @@ power) with exact Fraction entries and no trailing zeros.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import factorial, gcd
 
 from .exact import (INFINITY, Immutable, binomial, bernoulli, check_word, format_rational,
@@ -243,10 +242,10 @@ def vanishing_check(
     return CongruenceVerdict(padic_valuation(moment(mu, (0, *exponents)), mu.p), threshold)
 
 
-def _vanishing_family(mu: LevelMeasure, sums: Collection[Sequence[int]]
+def _vanishing_family(mu: LevelMeasure, sums: Iterable[Sequence[int]]
                       ) -> tuple[CheckFamily, list[int | float], dict[int, int]]:
-    """:func:`vanishing_check` at every odd word of ``sums``, a collection of
-    partial sums walked twice in step, from one engine sweep at modulus 1:
+    """:func:`vanishing_check` at every odd word of ``sums``, partial sums
+    that one engine sweep at modulus 1 yields back with each word's table:
     the family, each word's valuation in order, and the threshold per final
     exponent.  A failure is a (word, valuation, threshold) tuple.
 
@@ -259,7 +258,7 @@ def _vanishing_family(mu: LevelMeasure, sums: Collection[Sequence[int]]
     thresholds: dict[int, int] = {}
     valuations: list[int | float] = []
     failures = []
-    for word_sums, (table,) in zip(sums, _sweep(mu, sums, 0, (0,))):
+    for word_sums, (table,) in _sweep(mu, sums, 0, (0,)):
         final = word_sums[-1] - (word_sums[-2] if mu.r > 1 else 0)
         if final not in thresholds:
             thresholds[final] = mu.n - make_certificate(_word(word_sums)).slack(mu.p)
@@ -310,11 +309,11 @@ def coset_four_term_check(
     return CongruenceVerdict(padic_valuation(total, mu.p), mu.n)
 
 
-def _identity_totals(mu: LevelMeasure, sums: Collection[Sequence[int]],
-                     modulus_exponent: int) -> Iterator[list[int]]:
-    """Per word, given by its partial sums in ``sums`` (a collection walked
-    twice in step), the coset identity's signed totals at the bases in
-    row-major order, times ``mu.denominator``."""
+def _identity_totals(mu: LevelMeasure, sums: Iterable[Sequence[int]], modulus_exponent: int
+                     ) -> Iterator[tuple[Sequence[int], list[int]]]:
+    """Per word, given by its partial sums in ``sums``, those sums and the
+    coset identity's signed totals at the bases in row-major order, times
+    ``mu.denominator``."""
     maps = _four_term_maps(mu.p**modulus_exponent, mu.r)
     offsets = sorted({-offset for _, _, offset in FOUR_TERM})
     # per parity of the exponent sum, the entries with sign + first (two of
@@ -324,11 +323,10 @@ def _identity_totals(mu: LevelMeasure, sums: Collection[Sequence[int]],
               for m in (0, 1)]
     slots = [[offsets.index(-FOUR_TERM[entry][2]) for entry in order] for order in orders]
     cells = [list(zip(*(maps[entry] for entry in order))) for order in orders]
-    stream = _sweep(mu, sums, modulus_exponent, offsets)
-    for word_sums, tables in zip(sums, stream):
+    for word_sums, tables in _sweep(mu, sums, modulus_exponent, offsets):
         odd = word_sums[-1] % 2  # the exponent sum is the last partial sum
         a, b, c, d = (tables[slot] for slot in slots[odd])
-        yield [a[i] + b[j] - c[k] - d[l] for i, j, k, l in cells[odd]]
+        yield word_sums, [a[i] + b[j] - c[k] - d[l] for i, j, k, l in cells[odd]]
 
 
 def _screened_failures(totals: list[int], p: int,
@@ -349,31 +347,30 @@ def _screened_failures(totals: list[int], p: int,
 
 def coset_identity_sweep(
     mu: LevelMeasure,
-    sums: Collection[Sequence[int]],
+    sums: Iterable[Sequence[int]],
     modulus_exponent: int,
-) -> Iterator[tuple[int | float, list[tuple[int, int]]]]:
+) -> Iterator[tuple[Sequence[int], int | float, list[tuple[int, int]]]]:
     """:func:`coset_four_term_check` at every coset of one modulus, per word.
 
-    The words are given by their partial sums, a collection walked twice in
-    step (``measures._word_sums`` makes it from explicit words, checking
-    each).  Yields, for each word in order, the worst valuation of the signed
-    totals over the bases of (Z/p^modulus_exponent)^r and the failing checks,
-    as (row-major base index, valuation) pairs in base order; a check fails
-    when its valuation is below the measure's level.  The hypotheses are not
-    checked here, so that a measure outside the kernel can be shown to fail.
+    The words come as partial sums (``measures._word_sums`` makes them from
+    explicit words, checking each).  Yields, per word in order, its partial
+    sums, the worst valuation of the signed totals over the bases of
+    (Z/p^modulus_exponent)^r and the failing checks, as (row-major base
+    index, valuation) pairs in base order; a check fails when its valuation
+    is below the measure's level.  The hypotheses are not checked here, so
+    that a measure outside the kernel can be shown to fail.
     """
     # the totals T are numerators over d = mu.denominator and v_p(T/d) = v_p(T) - v_p(d)
     shift = padic_valuation(mu.denominator, mu.p)
-    screened = (_screened_failures(totals, mu.p, mu.n + shift)
-                for totals in _identity_totals(mu, sums, modulus_exponent))
-    return ((worst - shift, [(index, v - shift) for index, v in failures])
-            for worst, failures in screened)
+    for word_sums, totals in _identity_totals(mu, sums, modulus_exponent):
+        worst, failures = _screened_failures(totals, mu.p, mu.n + shift)
+        yield word_sums, worst - shift, [(index, v - shift) for index, v in failures]
 
 
 def coset_family(mu: LevelMeasure, sums: Collection[Sequence[int]]) -> CheckFamily:
     """Every signed coset identity at modulus exponents {1, n} (only 0 at
     level 0) and every word, the words given by their partial sums: a sized
-    collection, walked in step by each sweep.  A failure is a (modulus
+    collection, walked once by each sweep.  A failure is a (modulus
     exponent, base point, word, valuation) tuple, in (modulus exponent, base,
     word) order; a failing valuation is below n, so a finite int.
 
@@ -394,8 +391,8 @@ def coset_family(mu: LevelMeasure, sums: Collection[Sequence[int]]) -> CheckFami
         if worst <= settled:
             continue
         failed = []
-        sweep = zip(count(), sums, coset_identity_sweep(mu, sums, modulus_exponent))
-        for word_index, word_sums, (word_worst, word_failures) in sweep:
+        sweep = enumerate(coset_identity_sweep(mu, sums, modulus_exponent))
+        for word_index, (word_sums, word_worst, word_failures) in sweep:
             worst = min(worst, word_worst)
             failed += [(base, word_index, _word(word_sums), v) for base, v in word_failures]
             if worst <= settled:

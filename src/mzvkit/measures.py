@@ -360,11 +360,11 @@ def _times_power(vector: list, column: list[int], e: int) -> list:
     return list(map(mul, vector, map(pow, column, repeat(e))))
 
 
-def _chain_products(values: list, stages: Sequence[_Stage],
-                    partial_sums: Iterable[Sequence[int]]) -> Iterator[list]:
-    """For each word, given by its partial sums t_k = e_1 + ... + e_k, the
-    last stage's sums of the table ``values`` times every factor k to the
-    power e_k.
+def _chain_products(values: list, stages: Sequence[_Stage], partial_sums: Iterable[Sequence[int]]
+                    ) -> Iterator[tuple[Sequence[int], list]]:
+    """For each word, given by its partial sums t_k = e_1 + ... + e_k, those
+    sums and the last stage's sums of the table ``values`` times every
+    factor k to the power e_k.
 
     A word keeps the stages below the first where its exponent differs from
     the previous word's; there, an exponent that grew by d multiplies the
@@ -423,7 +423,7 @@ def _chain_products(values: list, stages: Sequence[_Stage],
             tables[i] = table
             held.append(i)
         previous[k:] = sums[k:]
-        yield table
+        yield sums, table
 
 
 def _placed(sums: list, placements: Sequence[list[tuple[slice, slice]]],
@@ -443,15 +443,16 @@ def _sweep(
     partial_sums: Iterable[Sequence[int]],
     modulus_exponent: int,
     final_offsets: Sequence[int],
-) -> Iterator[tuple[list[int], ...]]:
+) -> Iterator[tuple[Sequence[int], tuple[list[int], ...]]]:
     """:func:`coset_sums` for words given by their partial sums, unchecked:
-    the engine that every sweep runs on.  The plan is made when it is called."""
+    the engine of every sweep, which yields each word's sums with its tables.
+    The plan is made when it is called."""
     cells = [cell for cell, v in enumerate(mu.numerators) if v]
     order, stages, placements = _elimination_plan(cells, mu.modulus, mu.r,
                                                   mu.p**modulus_exponent, final_offsets)
-    sums = _chain_products([mu.numerators[cells[i]] for i in order], stages, partial_sums)
+    chain = _chain_products([mu.numerators[cells[i]] for i in order], stages, partial_sums)
     size = mu.p ** (modulus_exponent * mu.r)
-    return (_placed(last, placements, size) for last in sums)
+    return ((sums, _placed(last, placements, size)) for sums, last in chain)
 
 
 def coset_sums(
@@ -474,7 +475,8 @@ def coset_sums(
     """
     if not 0 <= modulus_exponent <= mu.n:
         raise ValueError("coset modulus exponent must lie between 0 and the measure level")
-    return _sweep(mu, _word_sums(words, mu.r), modulus_exponent, final_offsets)
+    sweep = _sweep(mu, _word_sums(words, mu.r), modulus_exponent, final_offsets)
+    return (tables for _, tables in sweep)
 
 
 def _word_sums(words: Iterable[Sequence[int]], r: int) -> list[tuple[int, ...]]:
@@ -492,9 +494,10 @@ def _word(sums: Sequence[int]) -> tuple[int, ...]:
 class _WordSums:
     """The words of ``length`` non-negative ints with sum at most ``cap`` (odd
     sums only, if ``odd``), in lexicographic order, as their partial sums: a
-    sized collection that every walk makes afresh.  Partial sums never fall
-    and stay within [0, cap], and order as their words do, so
-    ``combinations_with_replacement`` gives them one tuple at a time."""
+    sized collection made afresh by every walk: ``coset_family`` walks it once
+    per modulus exponent, and ``vanish`` once more for its rows.  Partial sums
+    never fall, stay in [0, cap] and order as their words do, so
+    ``combinations_with_replacement`` gives them one at a time."""
 
     def __init__(self, length: int, cap: int, odd: bool = False) -> None:
         self.length, self.cap, self.odd = length, cap, odd
@@ -552,7 +555,7 @@ def _levels(mu: LevelMeasure, cap: int) -> Iterator[list[int]]:
     words (e_0, e_1, ..., e_r) with sum at most ``cap``, in lexicographic
     order: the first from the engine over the r-words, each later one
     by :func:`_shift_sums` from the one before it."""
-    level = [table[0] for (table,) in _sweep(mu, _WordSums(mu.r, cap), 0, (0,))]
+    level = [table[0] for _, (table,) in _sweep(mu, _WordSums(mu.r, cap), 0, (0,))]
     size = [[comb(b + k, k) for b in range(cap + 1)] for k in range(mu.r + 1)]
     for e0 in range(cap + 1):
         if e0:
@@ -565,7 +568,7 @@ def moment_table(mu: LevelMeasure, cap: int) -> Iterator[tuple[tuple[int, ...], 
     moment, in lexicographic order: ``moment(mu, word)``, an int when the
     denominator is 1, else a Fraction.
 
-    The words with e_0 = 0 come from :func:`coset_sums`.  Since
+    The words with e_0 = 0 come from the engine, by :func:`_levels`.  Since
     x_1 = (x_1 - x_2) + ... + (x_{r-1} - x_r) + x_r, the factor -x_1 splits,
     and over Z W(e_0, e) = -sum_j W(e_0 - 1, e + u_j); so each word with
     e_0 > 0 costs r subtractions of numerators (:func:`_shift_sums`) and no

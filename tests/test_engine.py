@@ -51,6 +51,7 @@ from mzvkit.measures import (
     coset_sums,
     exponent_words,
     factorial_norm,
+    four_term_is_zero,
     moment,
     moment_table,
     point_to_index,
@@ -138,7 +139,7 @@ def full_sweep_coset_family(mu, words):
         total += len(words) * mu.p ** (modulus_exponent * mu.r)
         failed = []
         sweep = coset_identity_sweep(mu, _word_sums(words, mu.r), modulus_exponent)
-        for word_index, (word_worst, word_failures) in enumerate(sweep):
+        for word_index, (_, word_worst, word_failures) in enumerate(sweep):
             worst = min(worst, word_worst)
             failed += [(base, word_index, v) for base, v in word_failures]
         bases = LevelMeasure.zero(mu.p, modulus_exponent, mu.r).points()
@@ -240,7 +241,7 @@ def test_coset_sweep_matches_coset_four_term_check(case):
         bases = LevelMeasure.zero(mu.p, e, mu.r).points()
         swept = list(coset_identity_sweep(mu, _word_sums(words, mu.r), e))
         assert len(swept) == len(words)
-        for word, (worst, failures) in zip(words, swept):
+        for word, (_, worst, failures) in zip(words, swept):
             valuations = [
                 coset_four_term_check(mu, Coset(base, e), word, validate=False).valuation
                 for base in bases
@@ -324,9 +325,9 @@ def test_coset_family_stops_at_the_first_total_of_valuation_n(config, monkeypatc
     assert family.worst == n
     stop = drawn.copy()
     assert stop and set(stop) == {exponents[0]} and len(stop) < len(words)
-    (worst, _), = coset_identity_sweep(mu, [sums[len(stop) - 1]], exponents[0])
+    (_, worst, _), = coset_identity_sweep(mu, [sums[len(stop) - 1]], exponents[0])
     assert worst == n
-    assert all(w > n for w, _ in coset_identity_sweep(mu, sums[:len(stop) - 1], exponents[0]))
+    assert all(w > n for _, w, _ in coset_identity_sweep(mu, sums[:len(stop) - 1], exponents[0]))
     for measure in (p * mu, mu + LevelMeasure.point_mass(p, n, r, (1,) * r)):
         drawn.clear()
         coset_family(measure, sums)
@@ -348,6 +349,45 @@ def test_sweeps_match_oracles_on_vanish_word_lists(case, data):
                           for base in bases]
 
 
+def test_sweeps_read_each_word_from_the_engine():
+    """The engine yields each word's partial sums with its tables, so a
+    sweep walks its words once, and a one-shot iterator of them gives exactly
+    what the list gives.  Walked again in step with the engine, the iterator
+    lost every other word: at (3, 2, 2) with the one-cell edit the coset sweep
+    gave 2 results for 5 words, paired with the wrong parities, and the
+    vanishing family counted 10 of the 20 odd words at cap 7."""
+    p, n, r = 3, 2, 2
+    mu = random_kernel_measure(p, n, r, seed=0)
+    edited = mu + LevelMeasure.point_mass(p, n, r, (1,) * r)
+    sums = _word_sums(list(exponent_words(r, 7))[:5], r)
+    swept = list(coset_identity_sweep(edited, sums, n))
+    assert [word_sums for word_sums, _, _ in swept] == sums
+    assert any(failures for _, _, failures in swept)
+    assert list(coset_identity_sweep(edited, iter(sums), n)) == swept
+    odd = _WordSums(r, 7, odd=True)
+    family = _vanishing_family(mu, odd)
+    assert family[0].total == len(odd) == 20
+    assert _vanishing_family(mu, iter(odd)) == family
+
+
+@settings(max_examples=30, deadline=None)
+@given(measures_and_words(extra=0, max_words=8), st.data())
+def test_sweeps_give_the_same_from_an_iterator_as_from_a_list(case, data):
+    """Each sweep's words, handed back with its results, are its input in
+    order, and a one-shot iterator of them gives what the list gives; the
+    vanishing family is compared on the integer kernel measures it admits."""
+    mu, words = case
+    sums = _word_sums(words, mu.r)
+    e = data.draw(st.integers(0, mu.n))
+    swept = list(coset_identity_sweep(mu, sums, e))
+    assert [word_sums for word_sums, _, _ in swept] == sums
+    assert list(coset_identity_sweep(mu, iter(sums), e)) == swept
+    assert [word_sums for word_sums, _ in _identity_totals(mu, iter(sums), e)] == sums
+    if mu.is_integer_valued() and four_term_is_zero(mu):
+        odd = [word_sums for word_sums in sums if word_sums[-1] % 2]
+        assert _vanishing_family(mu, iter(odd)) == _vanishing_family(mu, odd)
+
+
 @settings(max_examples=40, deadline=None)
 @given(measures_and_words(extra=0, max_words=6), st.data(), st.integers(0, 3))
 def test_gcd_screen_matches_per_total_valuations(case, data, k):
@@ -356,9 +396,10 @@ def test_gcd_screen_matches_per_total_valuations(case, data, k):
     mu, words = case
     e = data.draw(st.integers(0, mu.n))
     sums = _word_sums(words, mu.r)
-    swept = list(coset_identity_sweep(mu, sums, e))
-    scaled = list(coset_identity_sweep(mu * Fraction(1, mu.p**k), sums, e))
-    for totals, result, scaled_result in zip(_identity_totals(mu, sums, e), swept, scaled):
+    swept = [(worst, failures) for _, worst, failures in coset_identity_sweep(mu, sums, e)]
+    scaled = [(worst, failures)
+              for _, worst, failures in coset_identity_sweep(mu * Fraction(1, mu.p**k), sums, e)]
+    for (_, totals), result, scaled_result in zip(_identity_totals(mu, sums, e), swept, scaled):
         assert all(type(total) is int for total in totals)
         rationals = [Fraction(total, mu.denominator) for total in totals]
         valuations = [padic_valuation(total, mu.p) for total in rationals]
@@ -380,7 +421,7 @@ def test_identity_totals_match_signed_coset_moments(case):
     for e in range(mu.n + 1):
         stride = mu.p**e
         bases = LevelMeasure.zero(mu.p, e, mu.r).points()
-        for word, totals in zip(words, _identity_totals(mu, _word_sums(words, mu.r), e)):
+        for word, (_, totals) in zip(words, _identity_totals(mu, _word_sums(words, mu.r), e)):
             m = sum(word)
             assert totals == [
                 mu.denominator * sum(
