@@ -314,7 +314,7 @@ def _identity_totals(mu: LevelMeasure, sums: Iterable[Sequence[int]], modulus_ex
     """Per word, given by its partial sums in ``sums``, those sums and the
     coset identity's signed totals at the bases in row-major order, times
     ``mu.denominator``."""
-    maps = _four_term_maps(mu.p**modulus_exponent, mu.r)
+    maps = tuple(_four_term_maps(mu.p**modulus_exponent, mu.r))
     offsets = sorted({-offset for _, _, offset in FOUR_TERM})
     # per parity of the exponent sum, the entries with sign + first (two of
     # each sign, so one pattern a + b - c - d serves both), each read from its
@@ -322,11 +322,11 @@ def _identity_totals(mu: LevelMeasure, sums: Iterable[Sequence[int]], modulus_ex
     orders = [sorted(range(len(FOUR_TERM)), key=lambda entry: -_identity_signs(m)[entry])
               for m in (0, 1)]
     slots = [[offsets.index(-FOUR_TERM[entry][2]) for entry in order] for order in orders]
-    cells = [list(zip(*(maps[entry] for entry in order))) for order in orders]
+    ordered_maps = [[maps[entry] for entry in order] for order in orders]
     for word_sums, tables in _sweep(mu, sums, modulus_exponent, offsets):
         odd = word_sums[-1] % 2  # the exponent sum is the last partial sum
         a, b, c, d = (tables[slot] for slot in slots[odd])
-        yield word_sums, [a[i] + b[j] - c[k] - d[l] for i, j, k, l in cells[odd]]
+        yield word_sums, [a[i] + b[j] - c[k] - d[l] for i, j, k, l in zip(*ordered_maps[odd])]
 
 
 def _screened_failures(totals: list[int], p: int,

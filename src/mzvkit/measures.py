@@ -12,11 +12,11 @@ The signed four-term combination mu(j) - mu(-j) + mu(1-j) - mu(j-1) is
 written down once, as ``FOUR_TERM``: an entry (sign, scale, offset) is the
 term sign * mu(scale*j + offset), coordinate-wise.  Its index maps hold the
 cell scale*j + offset of every cell j once per entry, and every cell-wise
-view reads them: :func:`four_term` (and the kernel test) builds them for the
-call, and the operator matrix ``synth.four_term_matrix``, the rhombus product
-and the coset sweep read them cached per modulus and depth.  One
-coordinate-wise builder makes them and every other bulk cell map, such as the
-cached level map that :func:`project` and ``synth.lift`` read.  The
+view reads them from one builder that makes them for the call and caches
+none: :func:`four_term` (and the kernel test), the operator matrix
+``synth.four_term_matrix``, the rhombus product and the coset sweep.  One
+coordinate-wise builder makes each map and every other bulk cell map, such
+as the cached level map that :func:`project` and ``synth.lift`` read.  The
 coset identity sums over the coset based at scale*b + offset with final
 factor (x_r - offset)^{e_r} and sign sign * scale^m, m the exponent sum:
 x -> scale*x + offset scales each of its m linear factors by scale.
@@ -233,26 +233,20 @@ def _level_map(p: int, n: int, r: int) -> tuple[int, ...]:
     return _cell_map(list(range(p**n)) * p, p**n, r)
 
 
-def _entry_map(q: int, r: int, scale: int, offset: int) -> tuple[int, ...]:
-    """The index of the cell scale*j + offset for every cell j of (Z/q)^r,
-    row-major."""
-    return _cell_map([(scale * c + offset) % q for c in range(q)], q, r)
-
-
-@lru_cache(maxsize=64)
-def _four_term_maps(q: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """Per ``FOUR_TERM`` entry, its :func:`_entry_map`."""
-    return tuple(_entry_map(q, r, scale, offset) for _, scale, offset in FOUR_TERM)
+def _four_term_maps(q: int, r: int) -> Iterator[tuple[int, ...]]:
+    """Per ``FOUR_TERM`` entry, the index of the cell scale*j + offset for
+    every cell j of (Z/q)^r, row-major: each made as it is reached, and held
+    by no cache."""
+    for _, scale, offset in FOUR_TERM:
+        yield _cell_map([(scale * c + offset) % q for c in range(q)], q, r)
 
 
 def _four_term_cells(mu: LevelMeasure) -> list[int]:
-    """The combination's numerators over ``mu.denominator``, one entry at a
-    time, through maps made for the call: cached ones would be held through
-    the sweep after the kernel test."""
+    """The combination's numerators over ``mu.denominator``, one entry's map
+    at a time."""
     values, total = mu.numerators, [0] * len(mu.numerators)
-    for sign, scale, offset in FOUR_TERM:
-        terms = map(values.__getitem__, _entry_map(mu.modulus, mu.r, scale, offset))
-        total = list(map(add if sign > 0 else sub, total, terms))
+    for (sign, _, _), cells in zip(FOUR_TERM, _four_term_maps(mu.modulus, mu.r)):
+        total = list(map(add if sign > 0 else sub, total, map(values.__getitem__, cells)))
     return total
 
 

@@ -31,7 +31,7 @@ def rhombus_product(mu: LevelMeasure) -> NCSeries:
     # it; the annotation above stays an unevaluated string
     from .series import from_measure
 
-    maps = _four_term_maps(mu.modulus, mu.r)
+    maps = tuple(_four_term_maps(mu.modulus, mu.r))
     factors = (LevelMeasure._reduced(mu.p, mu.n, mu.r,
                                      [sign * mu.numerators[cell] for cell in cells], mu.denominator)
                for (sign, _, _), cells in zip(reversed(FOUR_TERM), reversed(maps)))

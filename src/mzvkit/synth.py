@@ -11,9 +11,10 @@ from __future__ import annotations
 import os
 import random
 from functools import lru_cache
+from itertools import product
 
 from .exact import Immutable, check_config
-from .measures import FOUR_TERM, LevelMeasure, _cell_map, _four_term_maps, _level_map, _points
+from .measures import FOUR_TERM, LevelMeasure, _cell_map, _four_term_maps, _level_map
 
 __all__ = [
     "DEFAULT_CELL_CAP",
@@ -94,7 +95,7 @@ def _kernel_vectors(q: int, r: int) -> list[dict[int, int]]:
     by_free: dict[int, dict[int, int]] = {}
     groups: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
     negation = _cell_map([-c % q for c in range(q)], q, r)
-    for lo, (x, hi) in enumerate(zip(_points(q, r), negation)):
+    for lo, (x, hi) in enumerate(zip(product(range(q), repeat=r), negation)):
         if hi == lo:
             by_free[lo] = {lo: 1}
         elif lo < hi:

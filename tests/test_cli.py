@@ -580,6 +580,31 @@ def test_vanish_holds_one_valuation_per_word():
     assert traced(drain)[1] < words
 
 
+COSET_SWEEP_HOLDS = """
+import gc, tracemalloc
+from collections import deque
+from mzvkit.euler import coset_identity_sweep
+from mzvkit.synth import random_kernel_measure
+
+mu = random_kernel_measure(97, 1, 2, seed=0)
+gc.collect()
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+deque(coset_identity_sweep(mu, [(0, 1)], 1), maxlen=0)
+gc.collect()  # the free lists let go of what the sweep freed
+size, peak = tracemalloc.get_traced_memory()
+print(size - before, peak - before)
+"""
+
+
+def test_coset_sweep_holds_nothing_after_it_returns():
+    # a fresh interpreter, so that no earlier sweep has filled a cache.  The
+    # four-term index maps at (97, 2), held by a cache after the sweep, took
+    # 1.47 MB; made for the call, they go with it
+    held, _ = map(int, _python("-c", COSET_SWEEP_HOLDS).split())
+    assert held <= 64 * 1024
+
+
 @pytest.mark.parametrize("command", ["vanish", "moments", "check-cosets"])
 def test_oversized_input_exits_two(fuzz_dir, command, monkeypatch):
     # the read stops one byte past the bound, before json sees any of it

@@ -282,8 +282,8 @@ def test_four_term_maps_match_the_cell_by_cell_oracle(q, r):
         return tuple(point_to_index(tuple(image(c) % q_to for c in point), q_to)
                      for point in _points(q, r))
 
-    assert _four_term_maps(q, r) == tuple(oracle(lambda c: scale * c + offset, q)
-                                          for _, scale, offset in FOUR_TERM)
+    assert tuple(_four_term_maps(q, r)) == tuple(oracle(lambda c: scale * c + offset, q)
+                                                 for _, scale, offset in FOUR_TERM)
     assert _cell_map([-c % q for c in range(q)], q, r) == oracle(lambda c: -c, q)
     if q > 1:
         p, n = LEVEL_BELOW[q]
